@@ -10,14 +10,12 @@ from __future__ import annotations
 
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
-from math import gcd
 
 import numpy as np
 
 from .errors import GuardExceeded, InternalCheckError
-from .linalg import EchelonBasis
+from .linalg import EchelonBasis, _normalize_int_row, span_coefficients
 from .masks import mask_vector
 
 __all__ = [
@@ -229,26 +227,13 @@ def count_points_avoiding(n: int, q: int, threads: int = 1) -> int:
 
 
 def _interpolate_integer_poly(points, degree):
-    """Exact Lagrange interpolation; the result must be integral."""
-    coeffs = [Fraction(0)] * (degree + 1)
-    for i, (xi, yi) in enumerate(points):
-        num = [Fraction(1)]  # ascending coefficients of prod_{j != i} (x - xj)
-        den = Fraction(1)
-        for j, (xj, _) in enumerate(points):
-            if i == j:
-                continue
-            shifted = [Fraction(0)] + num
-            num = [a - xj * b for a, b in zip(shifted, num + [Fraction(0)])]
-            den *= xi - xj
-        scale = Fraction(yi) / den
-        for d, c in enumerate(num):
-            coeffs[d] += scale * c
-    out = []
-    for c in coeffs:
-        if c.denominator != 1:
-            raise InternalCheckError("interpolated polynomial is not integral")
-        out.append(int(c))
-    return out
+    """Exact interpolation: solve the Vandermonde system through the
+    echelon kernel; the coefficients must be integers."""
+    columns = [[x**d for x, _ in points] for d in range(degree + 1)]
+    coeffs = span_coefficients(columns, [y for _, y in points])
+    if any(c.denominator != 1 for c in coeffs):
+        raise InternalCheckError("interpolated polynomial is not integral")
+    return [int(c) for c in coeffs]
 
 
 def finite_field_charpoly(
@@ -281,20 +266,6 @@ def finite_field_charpoly(
     return CharPoly(tuple(_interpolate_integer_poly(pts, n)))
 
 
-def _canonical_normal(vec):
-    g = 0
-    for x in vec:
-        g = gcd(g, x)
-    if g == 0:
-        return None
-    for x in vec:
-        if x:
-            if x < 0:
-                g = -g
-            break
-    return tuple(x // g for x in vec)
-
-
 @lru_cache(maxsize=None)
 def _count_regions(normals: tuple, dim: int) -> int:
     """Deletion/restriction recursion on the region count.
@@ -305,18 +276,14 @@ def _count_regions(normals: tuple, dim: int) -> int:
     if not normals:
         return 1
     h, rest = normals[0], normals[1:]
+    on_h = EchelonBasis(dim)
+    on_h.add(h)
     p = next(j for j, x in enumerate(h) if x)
-    basis = []
-    for j in range(dim):
-        if j == p:
-            continue
-        b = [0] * dim
-        b[j] = h[p]
-        b[p] = -h[j]
-        basis.append(b)
     induced = set()
     for v in rest:
-        w = _canonical_normal(tuple(sum(a * b for a, b in zip(v, bj)) for bj in basis))
+        # Coordinates on h: eliminate the pivot p of h from v, then drop it.
+        w = on_h.residual(v)
+        w = _normalize_int_row(w[:p] + w[p + 1 :])
         if w is not None:
             induced.add(w)
     return _count_regions(rest, dim) + _count_regions(tuple(sorted(induced)), dim - 1)

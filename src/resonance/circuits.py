@@ -29,7 +29,6 @@ __all__ = [
     "CircuitType",
     "SideMidpointTuple",
     "count_intersecting_triples",
-    "intersecting_triples_bruteforce",
     "classify_relevant_4circuit",
     "count_tetrahedron_circuits",
     "tetrahedron_circuits",
@@ -82,17 +81,6 @@ def count_intersecting_triples(n: int) -> int:
             f"triple-count expressions disagree at n={n}: {via_powers} vs {via_stirling}"
         )
     return via_powers
-
-
-def intersecting_triples_bruteforce(n: int) -> int:
-    """Oracle: enumerate all three-element families directly (small n)."""
-    if n > 5:
-        raise ValueError("brute force intended for n <= 5")
-    count = 0
-    for a, b, c in combinations(range(1, 1 << n), 3):
-        if a & b and a & c and b & c:
-            count += 1
-    return count
 
 
 def _pairwise_intersecting(masks) -> bool:

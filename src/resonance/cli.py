@@ -130,15 +130,11 @@ def run(cfg: JobConfig) -> dict:
             raise ValueError("closed forms exist for i in {1, 2, 3}")
         return {"command": "closed-form", "i": cfg.i, "n": cfg.n, "value": str(value)}
     if cfg.command == "fit-coeffs":
-        size = 2**cfg.i
-        values = []
-        for n in range(1, size + 1):
-            v = table1.golden_betti(cfg.i, n)
-            if v is None:
-                raise ValueError(
-                    f"golden Betti values for i={cfg.i} are not known up to n={size}"
-                )
-            values.append(v)
+        # A negative i reaches the fit with no values and is rejected there.
+        size = 2**cfg.i if cfg.i >= 0 else 0
+        values = [table1.golden_betti(cfg.i, n) for n in range(1, size + 1)]
+        if None in values:
+            raise ValueError(f"golden Betti values for i={cfg.i} are not known up to n={size}")
         combo = stirling.fit_stirling_coefficients(cfg.i, values)
         return {
             "command": "fit-coeffs",
@@ -183,6 +179,8 @@ def run(cfg: JobConfig) -> dict:
         matrix = universality.read_matrix_file(cfg.input_path)
         with open(cfg.cert_path, "r", encoding="utf-8") as fh:
             stored = json.load(fh)
+        if not isinstance(stored, dict):
+            raise ValueError("certificate must be a JSON object")
         emb = universality.embed(matrix)
         fresh = universality.certificate_dict(emb)
         stale = any(stored.get(k) != fresh[k] for k in ("carriers", "helpers", "column_order"))
@@ -303,7 +301,12 @@ def _build_parser() -> argparse.ArgumentParser:
 def _config_from_args(args) -> JobConfig:
     primes = None
     if getattr(args, "primes", None):
-        primes = [int(x) for x in args.primes.split(",") if x.strip()]
+        try:
+            primes = [int(x) for x in args.primes.split(",") if x.strip()]
+        except ValueError:
+            raise ValueError(
+                f"--primes must be comma-separated integers, got {args.primes!r}"
+            ) from None
     method = getattr(args, "method", "auto")
     if args.command == "embed" and getattr(args, "verify", False):
         method = "verify"
@@ -329,8 +332,8 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return 0 if exc.code == 0 else 1
-    cfg = _config_from_args(args)
     try:
+        cfg = _config_from_args(args)
         payload = run(cfg)
     except GuardExceeded as exc:
         print(f"guard violation: {exc}", file=sys.stderr)

@@ -1,8 +1,11 @@
-"""Exact rank, closure, circuit and pivot computations over the rationals.
+"""Exact rank, span, circuit and pivot computations over the rationals.
 
-Everything here is exact: matrices hold Python ints or Fractions, rank
-uses fraction-free Bareiss elimination, and incremental span queries go
-through an integer echelon basis.  No floating point anywhere.
+One elimination kernel serves every general job: ``EchelonBasis``, an
+incrementally built, fully reduced integer row basis.  Rank, span
+membership, closure, the coefficients expressing a vector over others
+and square solves all go through it.  ``ExactMatrix.pivot`` is the one
+other elimination step; it replays the pivots an embedding certificate
+prescribes.  Everything is exact: ints and Fractions, never floats.
 """
 
 from __future__ import annotations
@@ -16,55 +19,12 @@ __all__ = [
     "ExactMatrix",
     "EchelonBasis",
     "bareiss_rank",
+    "span_coefficients",
     "mask_rank",
     "is_independent",
     "closure",
     "fundamental_circuit",
-    "rank_mod_p",
-    "solve_square_system",
 ]
-
-
-def _integer_rows(rows):
-    """Scale each row by the lcm of its denominators (rank-preserving)."""
-    out = []
-    for row in rows:
-        if any(isinstance(x, Fraction) for x in row):
-            mult = lcm(*(x.denominator if isinstance(x, Fraction) else 1 for x in row)) if row else 1
-            out.append([int(x * mult) for x in row])
-        else:
-            out.append(list(row))
-    return out
-
-
-def bareiss_rank(rows) -> int:
-    """Rank of an integer matrix by fraction-free Bareiss elimination."""
-    mat = _integer_rows(rows)
-    if not mat:
-        return 0
-    m, ncols = len(mat), len(mat[0])
-    rank = 0
-    prev = 1
-    for col in range(ncols):
-        piv = None
-        for i in range(rank, m):
-            if mat[i][col]:
-                piv = i
-                break
-        if piv is None:
-            continue
-        mat[rank], mat[piv] = mat[piv], mat[rank]
-        pr = mat[rank]
-        p = pr[col]
-        for i in range(rank + 1, m):
-            ri = mat[i]
-            f = ri[col]
-            mat[i] = [(p * ri[j] - f * pr[j]) // prev for j in range(ncols)]
-        prev = p
-        rank += 1
-        if rank == m:
-            break
-    return rank
 
 
 def _normalize_int_row(row):
@@ -141,12 +101,62 @@ class EchelonBasis:
         self._pivots.append(p)
         return True
 
-    def add_masks(self, masks, n) -> int:
-        added = 0
+    def add_masks(self, masks, n) -> None:
         for m in masks:
-            if self.add(mask_vector(m, n)):
-                added += 1
-        return added
+            self.add(mask_vector(m, n))
+
+
+def bareiss_rank(rows) -> int:
+    """Rank of a matrix of ints or Fractions, by an ``EchelonBasis``.
+
+    A row holding Fractions is first scaled by the lcm of its
+    denominators, which keeps the rank.  The historical name stays
+    because callers and the spans in ``perfbench/`` bind it.
+    """
+    rows = list(rows)
+    basis = EchelonBasis(len(rows[0]) if rows else 0)
+    for row in rows:
+        if any(isinstance(x, Fraction) for x in row):
+            mult = lcm(*(x.denominator for x in row))
+            row = [int(x * mult) for x in row]
+        basis.add(row)
+    return basis.rank
+
+
+def _span_solver(vectors):
+    """``(rank, solve)`` for integer ``vectors``: their rank and a function
+    giving Fraction coefficients that express a target over them, or None
+    outside their span (unique coefficients when they are independent).
+
+    Each v_i enters one basis as ``v_i | e_i | 0``; a target t reduces as
+    ``t | 0 | 1`` to ``d*t + sum m_i v_i | m | d`` with d != 0, zero at
+    every pivot.  Its first block vanishes iff t is in the span, and then
+    t = sum (-m_i / d) v_i.  Rows pivoting in the first block count the rank.
+    """
+    vecs = [list(v) for v in vectors]
+    k = len(vecs)
+    size = len(vecs[0]) if vecs else 0
+    basis = EchelonBasis(size + k + 1)
+    for i, v in enumerate(vecs):
+        basis.add(v + [0] * i + [1] + [0] * (k - i))
+    pad = [0] * k + [1]
+
+    def solve(target):
+        t = list(target)
+        if vecs and len(t) != size:
+            raise ValueError(f"target has {len(t)} entries, vectors have {size}")
+        res = basis.residual(t + pad)
+        if any(res[: -k - 1]):
+            return None
+        return [Fraction(-m, res[-1]) for m in res[-k - 1 : -1]]
+
+    return sum(p < size for p in basis._pivots), solve
+
+
+def span_coefficients(vectors, target):
+    """Exact coefficients c with sum c_i * vectors[i] == target, or None
+    when ``target`` lies outside the span of the integer ``vectors``."""
+    return _span_solver(vectors)[1](target)
 
 
 def _validated_masks(masks, n):
@@ -158,10 +168,9 @@ def _validated_masks(masks, n):
 
 def mask_rank(masks, n: int) -> int:
     """Rank over Q of a collection of 0/1 normal vectors."""
-    cols = _validated_masks(masks, n)
-    if not cols:
-        return 0
-    return bareiss_rank([mask_vector(m, n) for m in cols])
+    basis = EchelonBasis(n)
+    basis.add_masks(_validated_masks(masks, n), n)
+    return basis.rank
 
 
 def is_independent(masks, n: int) -> bool:
@@ -182,38 +191,6 @@ def closure(subset, universe, n: int):
     return {h for h in uni if basis.contains(mask_vector(h, n))}
 
 
-def _span_coefficients(base_masks, target, n):
-    """Coefficients expressing ``target`` over ``base_masks`` or None.
-
-    ``base_masks`` must be independent, so a representation is unique.
-    """
-    m = len(base_masks)
-    rows = [
-        [Fraction((bm >> i) & 1) for bm in base_masks] + [Fraction((target >> i) & 1)]
-        for i in range(n)
-    ]
-    piv_cols = []
-    r = 0
-    for c in range(m):
-        sel = next((i for i in range(r, n) if rows[i][c]), None)
-        if sel is None:
-            continue
-        rows[r], rows[sel] = rows[sel], rows[r]
-        pr = rows[r]
-        for i in range(n):
-            if i != r and rows[i][c]:
-                f = rows[i][c] / pr[c]
-                rows[i] = [a - f * b for a, b in zip(rows[i], pr)]
-        piv_cols.append(c)
-        r += 1
-    if any(rows[i][m] for i in range(r, n)):
-        return None
-    coeffs = [Fraction(0)] * m
-    for idx, c in enumerate(piv_cols):
-        coeffs[c] = rows[idx][m] / rows[idx][c]
-    return coeffs
-
-
 def fundamental_circuit(independent_masks, e: int, n: int):
     """The unique circuit inside ``independent_masks + [e]`` through e.
 
@@ -224,62 +201,14 @@ def fundamental_circuit(independent_masks, e: int, n: int):
     validate_mask(e, n)
     if e in base:
         raise ValueError("element already belongs to the independent set")
-    if not is_independent(base, n):
+    rank, solve = _span_solver([mask_vector(m, n) for m in base])
+    if rank < len(base):
         raise ValueError("base set is not independent")
-    coeffs = _span_coefficients(base, e, n)
+    coeffs = solve(mask_vector(e, n))
     if coeffs is None:
         raise ValueError("element does not lie in the closure of the base set")
     support = [bm for bm, c in zip(base, coeffs) if c]
     return frozenset(support) | {e}
-
-
-def rank_mod_p(masks, n: int, p: int) -> int:
-    """Rank of the 0/1 columns over the prime field F_p (cross-check path)."""
-    cols = _validated_masks(masks, n)
-    rows = [list(mask_vector(m, n)) for m in cols]
-    rank = 0
-    for col in range(n):
-        piv = next((i for i in range(rank, len(rows)) if rows[i][col] % p), None)
-        if piv is None:
-            continue
-        rows[rank], rows[piv] = rows[piv], rows[rank]
-        inv = pow(rows[rank][col], -1, p)
-        rows[rank] = [(x * inv) % p for x in rows[rank]]
-        for i in range(len(rows)):
-            if i != rank and rows[i][col] % p:
-                f = rows[i][col] % p
-                rows[i] = [(a - f * b) % p for a, b in zip(rows[i], rows[rank])]
-        rank += 1
-    return rank
-
-
-def solve_square_system(matrix_rows, rhs):
-    """Solve A x = b exactly for square nonsingular integer A.
-
-    Fraction-free forward elimination followed by back substitution;
-    returns a list of Fractions.
-    """
-    m = len(matrix_rows)
-    mat = [list(row) + [b] for row, b in zip(_integer_rows(matrix_rows), rhs)]
-    prev = 1
-    for col in range(m):
-        piv = next((i for i in range(col, m) if mat[i][col]), None)
-        if piv is None:
-            raise ValueError("matrix is singular")
-        mat[col], mat[piv] = mat[piv], mat[col]
-        pr = mat[col]
-        p = pr[col]
-        for i in range(col + 1, m):
-            f = mat[i][col]
-            mat[i] = [(p * mat[i][j] - f * pr[j]) // prev for j in range(m + 1)]
-        prev = p
-    xs = [Fraction(0)] * m
-    for i in range(m - 1, -1, -1):
-        s = Fraction(mat[i][m])
-        for j in range(i + 1, m):
-            s -= mat[i][j] * xs[j]
-        xs[i] = s / mat[i][i]
-    return xs
 
 
 def _as_exact(x):

@@ -22,7 +22,7 @@ from itertools import combinations
 
 from .arrangement import CharPoly
 from .errors import GuardExceeded
-from .linalg import EchelonBasis, _normalize_int_row, _span_coefficients, is_independent
+from .linalg import EchelonBasis, _normalize_int_row, _span_solver
 from .masks import mask_vector, validate_mask
 
 __all__ = [
@@ -50,14 +50,11 @@ def is_broken_circuit(masks, n: int) -> bool:
         validate_mask(m, n)
     if len(T) != len(given):
         raise ValueError("elements must be distinct")
-    if not is_independent(T, n):
+    rank, solve = _span_solver([mask_vector(m, n) for m in T])
+    if rank < len(T):
         return False
-    basis = EchelonBasis(n)
-    basis.add_masks(T, n)
     for h in range(T[-1] + 1, 1 << n):
-        if not basis.contains(mask_vector(h, n)):
-            continue
-        coeffs = _span_coefficients(T, h, n)
+        coeffs = solve(mask_vector(h, n))
         if coeffs is not None and all(coeffs):
             return True
     return False
@@ -165,8 +162,8 @@ def _count_from_root(args):
 
 
 def _check_depth_guard(n, i_max, cap_full, cap_depth):
-    if i_max > n:
-        raise ValueError(f"cardinality limit {i_max} exceeds n={n}")
+    if not 0 <= i_max <= n:
+        raise ValueError(f"cardinality limit i_max={i_max} outside 0..{n}")
     if cap_full is not None and n <= cap_full:
         return
     if cap_depth is not None:

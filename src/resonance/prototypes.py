@@ -215,6 +215,8 @@ def _functional_counts(i: int) -> tuple[tuple[int, int], ...]:
 
 def coefficients(i: int, cap: int | None = PROTOTYPE_INDEX_CAP) -> StirlingCombination:
     """The Stirling coefficients for Betti index i by full prototype census."""
+    if i < 1:
+        raise ValueError(f"Betti index i must be positive, got i={i}")
     if cap is not None and i > cap:
         raise GuardExceeded(f"coefficient census capped at i={cap} (asked i={i})")
     coeffs = {}

@@ -13,7 +13,7 @@ from functools import lru_cache
 from math import comb, factorial
 
 from .errors import InternalCheckError
-from .linalg import solve_square_system
+from .linalg import bareiss_rank, span_coefficients
 
 __all__ = [
     "stirling2",
@@ -114,16 +114,20 @@ def betti3_closed(n: int) -> int:
 def fit_stirling_coefficients(i: int, values) -> StirlingCombination:
     """Recover the Stirling combination from b_i(A_1) .. b_i(A_{2**i}).
 
-    Solves the exact linear system over the (invertible) Stirling matrix
-    and checks the solution has the shape the theory demands: zero for
-    k <= i, nonnegative integers above.
+    Expresses the values over the columns of the (invertible) Stirling
+    matrix and checks the solution has the shape the theory demands:
+    zero for k <= i, nonnegative integers above.
     """
+    if i < 0:
+        raise ValueError(f"Betti index i must be nonnegative, got i={i}")
     vals = list(values)
     size = 2**i
     if len(vals) != size:
         raise ValueError(f"need exactly {size} Betti values, got {len(vals)}")
-    matrix = [[stirling2(n + 1, k) for k in range(1, size + 1)] for n in range(1, size + 1)]
-    solution = solve_square_system(matrix, vals)
+    columns = [[stirling2(n + 1, k) for n in range(1, size + 1)] for k in range(1, size + 1)]
+    if bareiss_rank(columns) < size:
+        raise ValueError("Stirling matrix is singular")
+    solution = span_coefficients(columns, vals)
     coeffs = {}
     for k, c in enumerate(solution, start=1):
         if c.denominator != 1 or c < 0:

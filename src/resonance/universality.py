@@ -366,7 +366,10 @@ def parse_matrix_text(text: str):
         parts = ln.split()
         if len(parts) != n:
             raise ValueError(f"expected {n} entries per row, got {len(parts)}")
-        rows.append([Fraction(p) for p in parts])
+        try:
+            rows.append([Fraction(p) for p in parts])
+        except ZeroDivisionError:
+            raise ValueError(f"zero denominator in row {len(rows) + 1}") from None
     return rows
 
 

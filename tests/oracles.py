@@ -33,6 +33,67 @@ def fraction_rank(vectors):
     return rank
 
 
+def rank_mod_p(masks, n, p):
+    """Rank of the 0/1 vectors over the prime field F_p."""
+    rows = [mask_vec(m, n) for m in masks]
+    rank = 0
+    for col in range(n):
+        piv = next((i for i in range(rank, len(rows)) if rows[i][col] % p), None)
+        if piv is None:
+            continue
+        rows[rank], rows[piv] = rows[piv], rows[rank]
+        inv = pow(rows[rank][col], -1, p)
+        rows[rank] = [(x * inv) % p for x in rows[rank]]
+        for i in range(len(rows)):
+            if i != rank and rows[i][col] % p:
+                f = rows[i][col] % p
+                rows[i] = [(a - f * b) % p for a, b in zip(rows[i], rows[rank])]
+        rank += 1
+    return rank
+
+
+def span_coefficients_oracle(vectors, target):
+    """Coefficients expressing ``target`` over ``vectors``, or None.
+
+    Gauss-Jordan over Q on the columns; free columns get coefficient 0,
+    so for dependent vectors this is one particular solution.
+    """
+    m = len(vectors)
+    rows = [
+        [Fraction(v[i]) for v in vectors] + [Fraction(target[i])]
+        for i in range(len(target))
+    ]
+    piv_cols = []
+    r = 0
+    for c in range(m):
+        sel = next((i for i in range(r, len(rows)) if rows[i][c]), None)
+        if sel is None:
+            continue
+        rows[r], rows[sel] = rows[sel], rows[r]
+        pr = rows[r]
+        for i in range(len(rows)):
+            if i != r and rows[i][c]:
+                f = rows[i][c] / pr[c]
+                rows[i] = [a - f * b for a, b in zip(rows[i], pr)]
+        piv_cols.append(c)
+        r += 1
+    if any(rows[i][m] for i in range(r, len(rows))):
+        return None
+    coeffs = [Fraction(0)] * m
+    for idx, c in enumerate(piv_cols):
+        coeffs[c] = rows[idx][m] / rows[idx][c]
+    return coeffs
+
+
+def intersecting_triples_bruteforce(n):
+    """Three-element families of nonempty subsets of [n], pairwise intersecting."""
+    return sum(
+        1
+        for a, b, c in combinations(range(1, 1 << n), 3)
+        if a & b and a & c and b & c
+    )
+
+
 def mask_rank_oracle(masks, n):
     return fraction_rank([mask_vec(m, n) for m in masks])
 

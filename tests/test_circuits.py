@@ -10,7 +10,6 @@ from resonance.circuits import (
     count_intersecting_triples,
     count_rectangle_circuits,
     count_tetrahedron_circuits,
-    intersecting_triples_bruteforce,
     rectangle_circuit_families,
     rectangle_from_sides,
     side_midpoint_tuples,
@@ -21,7 +20,7 @@ from resonance.masks import mask_from_elements as M
 from resonance.nbc import is_nbc
 from resonance.stirling import betti3_closed, stirling2
 
-from oracles import is_dependent
+from oracles import intersecting_triples_bruteforce, is_dependent
 
 
 def relevant_circuits_by_linear_algebra(n):

@@ -115,7 +115,22 @@ def test_exit_codes(tmp_path, capsys):
     assert main(["closed-form", "--i", "4", "--n", "3"]) == 1
     missing = tmp_path / "missing.mat"
     assert main(["embed", "--input", str(missing)]) == 1
-    capsys.readouterr()
+    assert main(["charpoly", "--n", "3", "--method", "ff", "--primes", "x,y"]) == 1
+    zero_den = tmp_path / "zero.mat"
+    zero_den.write_text("1 2\n1 1/0\n")
+    assert main(["embed", "--input", str(zero_den)]) == 1
+    mat = tmp_path / "a.mat"
+    mat.write_text(REFERENCE_MATRIX)
+    listed = tmp_path / "list.json"
+    listed.write_text("[1, 2]\n")
+    assert main(["verify-embed", "--input", str(mat), "--cert", str(listed)]) == 1
+    assert main(["betti", "--n", "3", "--i-max", "-1"]) == 1
+    assert main(["prototypes", "--i", "-1"]) == 1
+    assert main(["fit-coeffs", "--i", "-1"]) == 1
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert all(line.startswith("error: ") for line in err.splitlines()[-7:])
+    assert "i_max=-1" in err and "i=-1" in err
 
 
 def test_guard_override_allows_expensive_run(capsys):

@@ -12,11 +12,11 @@ from resonance.linalg import (
     fundamental_circuit,
     is_independent,
     mask_rank,
-    rank_mod_p,
+    span_coefficients,
 )
 from resonance.masks import mask_from_elements as M
 
-from oracles import mask_rank_oracle
+from oracles import fraction_rank, mask_rank_oracle, rank_mod_p, span_coefficients_oracle
 
 
 def test_rank_empty():
@@ -41,6 +41,14 @@ def test_rank_against_fraction_oracle_random():
         k = rng.randint(0, 6)
         masks = [rng.randint(1, (1 << n) - 1) for _ in range(k)]
         assert mask_rank(masks, n) == mask_rank_oracle(masks, n)
+    for _ in range(200):
+        rows, cols = rng.randint(1, 6), rng.randint(1, 6)
+        ints = [[rng.randint(-60, 60) for _ in range(cols)] for _ in range(rows)]
+        if rng.random() < 0.5:  # force a dependency
+            ints.append([a - 2 * b for a, b in zip(ints[0], ints[-1])])
+        assert bareiss_rank(ints) == fraction_rank(ints)
+        fracs = [[Fraction(x, rng.randint(1, 7)) for x in row] for row in ints]
+        assert bareiss_rank(fracs) == fraction_rank(fracs)
 
 
 def test_rank_monotone_and_submodular():
@@ -124,6 +132,67 @@ def test_fundamental_circuit_minimality():
             reduced = [h for h in support if h != drop]
             assert e not in closure(reduced, universe, n)
         tried += 1
+
+
+def _random_span_case(rng, dependent):
+    """Random integer vectors with entries up to 60 in size, as embed
+    produces; with ``dependent`` the last one combines two others."""
+    size = rng.randint(1, 7)
+    k = rng.randint(1, size)
+    vecs = [[rng.randint(-60, 60) for _ in range(size)] for _ in range(k)]
+    if dependent:
+        a, b = rng.sample(range(k), 2) if k > 1 else (0, 0)
+        vecs.append([rng.randint(-3, 3) * x + y for x, y in zip(vecs[a], vecs[b])])
+    return size, vecs
+
+
+def _combine(vecs, coeffs):
+    return [sum(c * v[i] for c, v in zip(coeffs, vecs)) for i in range(len(vecs[0]))]
+
+
+def test_span_coefficients_independent_match_oracle():
+    rng = random.Random(6)
+    checked = 0
+    while checked < 150:
+        _, vecs = _random_span_case(rng, dependent=False)
+        if fraction_rank(vecs) < len(vecs):
+            continue
+        target = _combine(vecs, [rng.randint(-5, 5) for _ in vecs])
+        got = span_coefficients(vecs, target)
+        assert got == span_coefficients_oracle(vecs, target)
+        assert _combine(vecs, got) == target
+        checked += 1
+
+
+def test_span_coefficients_dependent_reproduce_target():
+    rng = random.Random(7)
+    for _ in range(150):
+        _, vecs = _random_span_case(rng, dependent=True)
+        target = _combine(vecs, [Fraction(rng.randint(-5, 5), rng.randint(1, 4)) for _ in vecs])
+        got = span_coefficients(vecs, target)
+        assert span_coefficients_oracle(vecs, target) is not None
+        assert got is not None and _combine(vecs, got) == target
+
+
+def test_span_coefficients_outside_span_is_none():
+    rng = random.Random(8)
+    checked = 0
+    while checked < 150:
+        size, vecs = _random_span_case(rng, dependent=rng.random() < 0.5)
+        target = [rng.randint(-60, 60) for _ in range(size)]
+        if fraction_rank(vecs + [target]) == fraction_rank(vecs):
+            continue
+        assert span_coefficients(vecs, target) is None
+        assert span_coefficients_oracle(vecs, target) is None
+        checked += 1
+
+
+def test_span_coefficients_edge_cases():
+    assert span_coefficients([], []) == []
+    assert span_coefficients([[1, 0], [0, 1]], [0, 0]) == [0, 0]
+    assert span_coefficients([[2, 4]], [1, 2]) == [Fraction(1, 2)]
+    with pytest.raises(ValueError):
+        span_coefficients([[1, 0]], [1, 0, 0])
 
 
 def test_pivot_identity():
