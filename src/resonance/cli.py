@@ -132,9 +132,14 @@ def run(cfg: JobConfig) -> dict:
     if cfg.command == "fit-coeffs":
         # A negative i reaches the fit with no values and is rejected there.
         size = 2**cfg.i if cfg.i >= 0 else 0
-        values = [table1.golden_betti(cfg.i, n) for n in range(1, size + 1)]
-        if None in values:
-            raise ValueError(f"golden Betti values for i={cfg.i} are not known up to n={size}")
+        values = []
+        for n in range(1, size + 1):
+            v = table1.golden_betti(cfg.i, n)
+            if v is None:
+                raise ValueError(
+                    f"golden Betti values for i={cfg.i} are not known up to n={size}"
+                )
+            values.append(v)
         combo = stirling.fit_stirling_coefficients(cfg.i, values)
         return {
             "command": "fit-coeffs",
@@ -301,12 +306,7 @@ def _build_parser() -> argparse.ArgumentParser:
 def _config_from_args(args) -> JobConfig:
     primes = None
     if getattr(args, "primes", None):
-        try:
-            primes = [int(x) for x in args.primes.split(",") if x.strip()]
-        except ValueError:
-            raise ValueError(
-                f"--primes must be comma-separated integers, got {args.primes!r}"
-            ) from None
+        primes = [int(x) for x in args.primes.split(",") if x.strip()]
     method = getattr(args, "method", "auto")
     if args.command == "embed" and getattr(args, "verify", False):
         method = "verify"

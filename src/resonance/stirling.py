@@ -13,7 +13,7 @@ from functools import lru_cache
 from math import comb, factorial
 
 from .errors import InternalCheckError
-from .linalg import bareiss_rank, span_coefficients
+from .linalg import _span_solver
 
 __all__ = [
     "stirling2",
@@ -125,9 +125,10 @@ def fit_stirling_coefficients(i: int, values) -> StirlingCombination:
     if len(vals) != size:
         raise ValueError(f"need exactly {size} Betti values, got {len(vals)}")
     columns = [[stirling2(n + 1, k) for n in range(1, size + 1)] for k in range(1, size + 1)]
-    if bareiss_rank(columns) < size:
+    rank, solve = _span_solver(columns)
+    if rank < size:
         raise ValueError("Stirling matrix is singular")
-    solution = span_coefficients(columns, vals)
+    solution = solve(vals)
     coeffs = {}
     for k, c in enumerate(solution, start=1):
         if c.denominator != 1 or c < 0:

@@ -127,9 +127,10 @@ def test_exit_codes(tmp_path, capsys):
     assert main(["betti", "--n", "3", "--i-max", "-1"]) == 1
     assert main(["prototypes", "--i", "-1"]) == 1
     assert main(["fit-coeffs", "--i", "-1"]) == 1
+    assert main(["fit-coeffs", "--i", "40"]) == 1     # no golden row: fails at n=1
     err = capsys.readouterr().err
     assert "Traceback" not in err
-    assert all(line.startswith("error: ") for line in err.splitlines()[-7:])
+    assert all(line.startswith("error: ") for line in err.splitlines()[-8:])
     assert "i_max=-1" in err and "i=-1" in err
 
 
