@@ -63,6 +63,7 @@ from .stirling import (
     StirlingCombination,
     betti2_closed,
     betti3_closed,
+    betti_closed,
     betti_bound_holds,
     betti_upper_bound,
     fit_stirling_coefficients,

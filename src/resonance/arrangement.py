@@ -14,7 +14,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import GuardExceeded, InternalCheckError
+from .errors import GUARDS, InternalCheckError, check_guard
 from .linalg import EchelonBasis, _normalize_int_row, span_coefficients
 from .masks import mask_vector
 
@@ -29,20 +29,11 @@ __all__ = [
     "region_count",
     "enumerate_chambers_bruteforce",
     "MAX_01_DETERMINANT",
-    "WHITNEY_CAP",
-    "FINITE_FIELD_CAP",
-    "CHAMBER_CAP",
 ]
 
 # Largest determinant of an n x n 0/1 matrix.  Any prime strictly above
 # this bound preserves every rank among 0/1 columns when reducing mod p.
 MAX_01_DETERMINANT = {1: 1, 2: 1, 3: 2, 4: 3, 5: 5, 6: 9, 7: 32, 8: 56}
-
-# Default size guards; every entry point takes an explicit cap so the
-# CLI can relax them deliberately.
-WHITNEY_CAP = 4
-FINITE_FIELD_CAP = 6
-CHAMBER_CAP = 5
 
 
 @dataclass(frozen=True)
@@ -108,15 +99,14 @@ def region_count(p: CharPoly) -> int:
     return sum(abs(c) for c in p.coeffs)
 
 
-def whitney_charpoly(n: int, cap: int | None = WHITNEY_CAP) -> CharPoly:
+def whitney_charpoly(n: int, cap: int | None = GUARDS["whitney_n"]) -> CharPoly:
     """Characteristic polynomial by direct alternating summation over all
     subsets of hyperplanes, weighted by t**(n - rank).
 
     The sum has 2**(2**n - 1) terms; subsets are walked as a DFS sharing
     echelon bases along common prefixes.
     """
-    if cap is not None and n > cap:
-        raise GuardExceeded(f"whitney method capped at n={cap} (asked n={n})")
+    check_guard("whitney method: n", n, cap)
     arr = build_arrangement(n)
     vectors = [mask_vector(h, n) for h in arr.hyperplanes]
     coeffs = [0] * (n + 1)
@@ -239,7 +229,7 @@ def _interpolate_integer_poly(points, degree):
 def finite_field_charpoly(
     n: int,
     primes=None,
-    cap: int | None = FINITE_FIELD_CAP,
+    cap: int | None = GUARDS["finite_field_n"],
     threads: int = 1,
 ) -> CharPoly:
     """Characteristic polynomial through point counts over n+1 prime fields.
@@ -247,8 +237,7 @@ def finite_field_charpoly(
     For admissible primes the count of points avoiding every hyperplane
     equals the polynomial evaluated at q, so n+1 counts determine it.
     """
-    if cap is not None and n > cap:
-        raise GuardExceeded(f"finite-field method capped at n={cap} (asked n={n})")
+    check_guard("finite-field method: n", n, cap)
     if n not in MAX_01_DETERMINANT:
         raise ValueError(f"no determinant bound tabulated for n={n}")
     if primes is None:
@@ -289,10 +278,9 @@ def _count_regions(normals: tuple, dim: int) -> int:
     return _count_regions(rest, dim) + _count_regions(tuple(sorted(induced)), dim - 1)
 
 
-def enumerate_chambers_bruteforce(n: int, cap: int | None = CHAMBER_CAP) -> int:
+def enumerate_chambers_bruteforce(n: int, cap: int | None = GUARDS["chambers_n"]) -> int:
     """Chamber count by recursive region splitting; oracle for region_count."""
-    if cap is not None and n > cap:
-        raise GuardExceeded(f"chamber enumeration capped at n={cap} (asked n={n})")
+    check_guard("chamber enumeration: n", n, cap)
     arr = build_arrangement(n)
     normals = tuple(mask_vector(h, n) for h in arr.hyperplanes)
     return _count_regions(normals, n)

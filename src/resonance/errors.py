@@ -1,4 +1,9 @@
-"""Exception types shared across the library."""
+"""Exception types shared across the library, and the size guards.
+
+``GUARDS`` is the one table of default input-size limits.  Every
+guarded entry point takes a ``cap`` parameter that defaults to its row
+here; ``cap=None`` lifts the guard (the CLI's ``--guard-override``).
+"""
 
 
 class GuardExceeded(RuntimeError):
@@ -11,3 +16,21 @@ class InternalCheckError(RuntimeError):
     Raised when redundant formula paths (kept deliberately) produce
     different values; always indicates a bug, never bad user input.
     """
+
+
+GUARDS = {
+    "whitney_n": 4,           # the Whitney sum has 2**(2**n - 1) terms
+    "finite_field_n": 6,      # point counts over n+1 primes: 14.6 s at n=6
+    "chambers_n": 6,          # deletion/restriction: 1.6 s at n=6, 228 s at n=7
+    # Deepest NBC search for each n = 1 .. 7: full depth through n=6.
+    "nbc_depth": {**{n: n for n in range(1, 7)}, 7: 4},
+    "prototype_i": 3,         # Betti index of the full prototype census
+    "prototype_maps": 10**6,  # (i, k)-prototype maps in one enumeration
+    "embed_ambient": 256,     # ambient dimension of a universality embedding
+}
+
+
+def check_guard(what: str, size: int, cap: int | None) -> None:
+    """Raise GuardExceeded when ``size`` is above ``cap``; None lifts it."""
+    if cap is not None and size > cap:
+        raise GuardExceeded(f"{what} capped at {cap} (asked {size})")

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from itertools import combinations
 
 from .arrangement import CharPoly
-from .errors import GuardExceeded
+from .errors import GUARDS, check_guard
 from .linalg import EchelonBasis, _normalize_int_row, _span_solver
 from .masks import mask_vector, validate_mask
 
@@ -32,12 +32,7 @@ __all__ = [
     "nbc_extend",
     "betti_via_nbc",
     "charpoly_via_nbc",
-    "NBC_FULL_CAP",
-    "NBC_DEPTH_CAP",
 ]
-
-NBC_FULL_CAP = 6           # full-depth search
-NBC_DEPTH_CAP = (7, 4)     # (max n, max cardinality) for depth-limited runs
 
 
 def is_broken_circuit(masks, n: int) -> bool:
@@ -161,32 +156,20 @@ def _count_from_root(args):
     return counts
 
 
-def _check_depth_guard(n, i_max, cap_full, cap_depth):
+def betti_via_nbc(
+    n: int, i_max: int, workers: int = 1, cap: dict[int, int] | None = GUARDS["nbc_depth"]
+) -> list[int]:
+    """Betti numbers b_0 .. b_{i_max} by counting NBC sets per cardinality.
+
+    ``cap`` maps each n from 1 to max(cap) to the deepest search allowed.
+    """
+    if n < 1:
+        raise ValueError("n must be positive")
     if not 0 <= i_max <= n:
         raise ValueError(f"cardinality limit i_max={i_max} outside 0..{n}")
-    if cap_full is not None and n <= cap_full:
-        return
-    if cap_depth is not None:
-        cap_n, cap_i = cap_depth
-        if n <= cap_n and i_max <= cap_i:
-            return
-    if cap_full is None and cap_depth is None:
-        return
-    raise GuardExceeded(
-        f"NBC search for n={n}, depth {i_max} exceeds guards "
-        f"(full<=n={cap_full}, depth-limited<={cap_depth})"
-    )
-
-
-def betti_via_nbc(
-    n: int,
-    i_max: int,
-    workers: int = 1,
-    cap_full: int | None = NBC_FULL_CAP,
-    cap_depth: tuple[int, int] | None = NBC_DEPTH_CAP,
-) -> list[int]:
-    """Betti numbers b_0 .. b_{i_max} by counting NBC sets per cardinality."""
-    _check_depth_guard(n, i_max, cap_full, cap_depth)
+    if cap is not None:
+        check_guard("NBC search: n", n, max(cap))
+        check_guard(f"NBC search at n={n}: depth", i_max, cap[n])
     counts = [0] * (i_max + 1)
     counts[0] = 1
     if i_max == 0:
@@ -203,9 +186,8 @@ def betti_via_nbc(
     return counts
 
 
-def charpoly_via_nbc(n: int, workers: int = 1, cap: int | None = NBC_FULL_CAP) -> CharPoly:
+def charpoly_via_nbc(
+    n: int, workers: int = 1, cap: dict[int, int] | None = GUARDS["nbc_depth"]
+) -> CharPoly:
     """Full characteristic polynomial from the NBC f-vector."""
-    if cap is not None and n > cap:
-        raise GuardExceeded(f"full-depth NBC search capped at n={cap} (asked n={n})")
-    betti = betti_via_nbc(n, n, workers=workers, cap_full=None, cap_depth=None)
-    return CharPoly.from_betti(betti)
+    return CharPoly.from_betti(betti_via_nbc(n, n, workers=workers, cap=cap))

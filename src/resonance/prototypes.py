@@ -21,7 +21,7 @@ from functools import lru_cache
 from itertools import permutations
 from math import factorial, perm
 
-from .errors import GuardExceeded, InternalCheckError
+from .errors import GUARDS, InternalCheckError, check_guard
 from .nbc import is_nbc
 from .stirling import StirlingCombination, stirling2
 
@@ -38,12 +38,7 @@ __all__ = [
     "coefficients",
     "betti_via_prototypes",
     "tuple_prototype",
-    "PROTOTYPE_INDEX_CAP",
-    "PROTOTYPE_STREAM_LIMIT",
 ]
-
-PROTOTYPE_INDEX_CAP = 3          # full enumeration for all k
-PROTOTYPE_STREAM_LIMIT = 10**6   # i = 4 allowed per k while under this many maps
 
 
 @dataclass(frozen=True)
@@ -108,23 +103,11 @@ def prototype_count(i: int, k: int) -> int:
     return perm(2**i - 1, k - 1)
 
 
-def _check_prototype_guard(i, k, cap, stream_limit):
-    if cap is not None and i > cap:
-        if i == cap + 1 and stream_limit is not None:
-            if prototype_count(i, k) <= stream_limit:
-                return
-        raise GuardExceeded(
-            f"prototype enumeration for (i={i}, k={k}) exceeds guards "
-            f"({prototype_count(i, k)} maps)"
-        )
-
-
-def enumerate_prototypes(i: int, k: int, cap: int | None = PROTOTYPE_INDEX_CAP,
-                         stream_limit: int | None = PROTOTYPE_STREAM_LIMIT):
+def enumerate_prototypes(i: int, k: int, cap: int | None = GUARDS["prototype_maps"]):
     """Yield every (i, k)-prototype once, lexicographic in the image tuple."""
     if not (i >= 1 and i + 1 <= k <= 2**i):
         raise ValueError(f"need i+1 <= k <= 2^i, got i={i}, k={k}")
-    _check_prototype_guard(i, k, cap, stream_limit)
+    check_guard(f"prototype enumeration (i={i}, k={k}): maps", prototype_count(i, k), cap)
     for images in permutations(range(1, 2**i), k - 1):
         yield Prototype(i, k, images)
 
@@ -213,12 +196,11 @@ def _functional_counts(i: int) -> tuple[tuple[int, int], ...]:
     return tuple(counts)
 
 
-def coefficients(i: int, cap: int | None = PROTOTYPE_INDEX_CAP) -> StirlingCombination:
+def coefficients(i: int, cap: int | None = GUARDS["prototype_i"]) -> StirlingCombination:
     """The Stirling coefficients for Betti index i by full prototype census."""
     if i < 1:
         raise ValueError(f"Betti index i must be positive, got i={i}")
-    if cap is not None and i > cap:
-        raise GuardExceeded(f"coefficient census capped at i={cap} (asked i={i})")
+    check_guard("coefficient census: i", i, cap)
     coeffs = {}
     for k, functional in _functional_counts(i):
         q, r = divmod(functional, factorial(i))
@@ -231,7 +213,7 @@ def coefficients(i: int, cap: int | None = PROTOTYPE_INDEX_CAP) -> StirlingCombi
     return StirlingCombination(i, coeffs)
 
 
-def betti_via_prototypes(i: int, n: int, cap: int | None = PROTOTYPE_INDEX_CAP) -> int:
+def betti_via_prototypes(i: int, n: int, cap: int | None = GUARDS["prototype_i"]) -> int:
     """b_i(A_n) assembled from the prototype census."""
     return sum(c * stirling2(n + 1, k) for k, c in coefficients(i, cap=cap).coefficients.items())
 

@@ -21,6 +21,7 @@ __all__ = [
     "StirlingCombination",
     "betti2_closed",
     "betti3_closed",
+    "betti_closed",
     "fit_stirling_coefficients",
     "betti_upper_bound",
     "betti_bound_holds",
@@ -109,6 +110,17 @@ def betti3_closed(n: int) -> int:
             f"betti3 expressions disagree at n={n}: {via_stirling} vs {via_powers}"
         )
     return via_stirling
+
+
+def betti_closed(i: int, n: int) -> int:
+    """b_i(A_n) in closed form, for i in {1, 2, 3}."""
+    if i not in (1, 2, 3):
+        raise ValueError("closed forms exist for i in {1, 2, 3}")
+    if n < 1:
+        raise ValueError("n must be positive")
+    if i == 1:
+        return (1 << n) - 1
+    return betti2_closed(n) if i == 2 else betti3_closed(n)
 
 
 def fit_stirling_coefficients(i: int, values) -> StirlingCombination:

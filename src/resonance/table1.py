@@ -3,14 +3,16 @@
 The table ships with the package and is never overwritten by
 computations; unknown entries are explicit Nones.  The report
 recomputes every reachable cell by at least one method and marks it
-MATCH or MISMATCH against the golden value.
+MATCH or MISMATCH against the golden value; a cell beyond the default
+size guards is reported as SKIPPED ("needs long run"), not attempted.
 """
 
 from __future__ import annotations
 
 from . import nbc
 from .arrangement import region_count
-from .stirling import betti2_closed, betti3_closed
+from .errors import GuardExceeded
+from .stirling import betti_closed
 
 __all__ = ["GOLDEN_BETTI", "GOLDEN_REGIONS", "golden_betti", "golden_regions", "build_report"]
 
@@ -33,11 +35,6 @@ GOLDEN_REGIONS = {
     9: None,
 }
 
-# Targets judged recomputable on a desktop; anything else is reported
-# as SKIPPED rather than attempted.
-_NBC_B4_MAX_N = 6
-_REGIONS_MAX_N = 6
-
 
 def golden_betti(i: int, n: int):
     return GOLDEN_BETTI.get(i, {}).get(n)
@@ -48,27 +45,21 @@ def golden_regions(n: int):
 
 
 def _compute_betti(i, n, workers):
-    if i == 1:
-        return (1 << n) - 1, "closed form"
-    if i == 2:
-        return betti2_closed(n), "closed form"
-    if i == 3:
-        return betti3_closed(n), "closed form"
-    if i == 4:
-        if i <= n and n <= _NBC_B4_MAX_N:
-            value = nbc.betti_via_nbc(n, 4, workers=workers)[4]
-            return value, "nbc depth 4"
-        if n < i:
-            return 0, "rank bound"
+    if i <= 3:
+        return betti_closed(i, n), "closed form"
+    if n < i:
+        return 0, "rank bound"
+    try:
+        return nbc.betti_via_nbc(n, i, workers=workers)[i], f"nbc depth {i}"
+    except GuardExceeded:
         return None, "needs long run"
-    return None, "no method"
 
 
 def _compute_regions(n, workers):
-    if n > _REGIONS_MAX_N:
+    try:
+        return region_count(nbc.charpoly_via_nbc(n, workers=workers)), "nbc full depth"
+    except GuardExceeded:
         return None, "needs long run"
-    poly = nbc.charpoly_via_nbc(n, workers=workers, cap=None)
-    return region_count(poly), "nbc full depth"
 
 
 def build_report(n_max: int, i_max: int, include_regions: bool = True, workers: int = 1) -> dict:

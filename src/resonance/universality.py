@@ -21,6 +21,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 
+from .errors import GUARDS, check_guard
 from .linalg import EchelonBasis, ExactMatrix, bareiss_rank
 from .masks import format_mask, mask_elements
 
@@ -138,16 +139,20 @@ def _clear_columns(matrix):
     return out
 
 
-def embed(matrix) -> Embedding:
+def embed(matrix, cap: int | None = GUARDS["embed_ambient"]) -> Embedding:
     """Compile a matrix into carrier plus helper 0/1 vectors.
 
     Zero columns are rejected: a loop admits no level-set decomposition
-    with nonempty parts and nothing to pivot on.
+    with nonempty parts and nothing to pivot on.  ``cap`` bounds the
+    ambient dimension, checked before any vector is built.
     """
     cleared = _clear_columns(matrix)
     nrows, ncols = len(cleared), len(cleared[0])
     if nrows >= 60:
         raise ValueError("matrix too tall for single-word row masks")
+    # One coordinate per row, per negative level and per positive level twice.
+    levels = sum(max(0, -min(c)) + 2 * max(0, max(c)) for c in zip(*cleared))
+    check_guard("embedding: ambient dimension", nrows + levels, cap)
     decs = []
     for j in range(ncols):
         col = [cleared[i][j] for i in range(nrows)]

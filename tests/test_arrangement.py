@@ -131,7 +131,7 @@ def test_chamber_bruteforce_small():
 
 def test_chamber_guard():
     with pytest.raises(GuardExceeded):
-        enumerate_chambers_bruteforce(6)
+        enumerate_chambers_bruteforce(7)
 
 
 def test_chambers_agree_with_charpoly():

@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from resonance.cli import main
 from resonance.table1 import build_report
 
@@ -109,6 +111,52 @@ def test_verify_embed_detects_stale_certificate(tmp_path, capsys):
     assert "verified: False" in out
 
 
+EMBED_TEXT = "ambient dimension: 8\ncolumns: v1 r1,-1 r1,-2 r1,+1 r1,++1 v2 r2,-1\n"
+
+
+TEXT_OUTPUT = [
+    (
+        ["charpoly", "--n", "3"],
+        "chi(A_3; t) coefficients (descending): 1 -7 15 -9\n"
+        "betti: 1 7 15 9\n"
+        "regions: 32  (method: nbc)\n",
+    ),
+    (["betti", "--n", "4"], "b_0..b_4 of A_4: 1 15 80 170 104\n"),
+    (["regions", "--n", "4"], "regions of A_4: 370  (method: nbc)\n"),
+    (["closed-form", "--i", "3", "--n", "5"], "b_3(A_5) = 2130\n"),
+    (["fit-coeffs", "--i", "2"], "i=2: c[3]=2 c[4]=3\n"),
+    (["prototypes", "--i", "2"], "i=2: c[3]=2 c[4]=3\n"),
+    (
+        ["circuits-census", "--n", "3"],
+        "intersecting_triples: 13\ntetrahedron_circuits: 1\n"
+        "rectangle_circuits: 3\nb3: 9\n",
+    ),
+    (["embed", "--input", "{mat}"], EMBED_TEXT),
+    (["verify-embed", "--input", "{mat}", "--cert", "{cert}"], EMBED_TEXT + "verified: True\n"),
+    (
+        ["table1", "--n-max", "2", "--i-max", "2"],
+        "b1(A_1): golden=1 computed=1 [MATCH; closed form]\n"
+        "b1(A_2): golden=3 computed=3 [MATCH; closed form]\n"
+        "b2(A_1): golden=0 computed=0 [MATCH; closed form]\n"
+        "b2(A_2): golden=2 computed=2 [MATCH; closed form]\n"
+        "R(A_1): golden=2 computed=2 [MATCH; nbc full depth]\n"
+        "R(A_2): golden=6 computed=6 [MATCH; nbc full depth]\n"
+        "computed cells: 6, mismatches: 0\n",
+    ),
+]
+
+
+@pytest.mark.parametrize("argv, expected", TEXT_OUTPUT, ids=[a[0] for a, _ in TEXT_OUTPUT])
+def test_text_output(tmp_path, capsys, argv, expected):
+    mat = tmp_path / "a.mat"
+    mat.write_text(REFERENCE_MATRIX)
+    cert = tmp_path / "cert.json"
+    assert main(["embed", "--input", str(mat), "--output", str(cert)]) == 0
+    capsys.readouterr()
+    argv = [a.format(mat=mat, cert=cert) for a in argv]
+    assert run_cli(capsys, *argv) == (0, expected)
+
+
 def test_exit_codes(tmp_path, capsys):
     assert main(["charpoly", "--badflag"]) == 1
     assert main(["charpoly", "--n", "9"]) == 2       # guard
@@ -128,9 +176,13 @@ def test_exit_codes(tmp_path, capsys):
     assert main(["prototypes", "--i", "-1"]) == 1
     assert main(["fit-coeffs", "--i", "-1"]) == 1
     assert main(["fit-coeffs", "--i", "40"]) == 1     # no golden row: fails at n=1
+    assert main(["betti", "--n", "0"]) == 1
+    assert main(["charpoly", "--n", "-1"]) == 1
+    assert main(["closed-form", "--i", "1", "--n", "-3"]) == 1
     err = capsys.readouterr().err
     assert "Traceback" not in err
     assert all(line.startswith("error: ") for line in err.splitlines()[-8:])
+    assert err.count("n must be positive") == 3
     assert "i_max=-1" in err and "i=-1" in err
 
 
@@ -144,11 +196,28 @@ def test_guard_override_allows_expensive_run(capsys):
     assert json.loads(out)["betti"] == ["1", "255", "29360"]
 
 
-def test_json_output_round_trips(capsys):
-    code, out = run_cli(capsys, "charpoly", "--n", "2", "--format", "json")
+def test_embed_ambient_guard(tmp_path, capsys):
+    wide = tmp_path / "wide.mat"
+    wide.write_text("1 1\n128\n")  # ambient dimension 1 + 2 * 128 = 257
+    empty = tmp_path / "empty.json"
+    empty.write_text("{}\n")
+    assert main(["embed", "--input", str(wide)]) == 2
+    assert main(["verify-embed", "--input", str(wide), "--cert", str(empty)]) == 2
+    capsys.readouterr()
+    code, out = run_cli(capsys, "embed", "--input", str(wide), "--guard-override", "--format", "json")
+    assert code == 0
+    assert json.loads(out)["ambient_dim"] == 257
+
+
+def test_json_output_round_trips(tmp_path, capsys):
+    written = tmp_path / "chi.json"
+    code, out = run_cli(
+        capsys, "charpoly", "--n", "2", "--format", "json", "--output", str(written)
+    )
     assert code == 0
     payload = json.loads(out)
     assert json.dumps(payload, indent=2, sort_keys=True) == out.rstrip("\n")
+    assert written.read_text() == out
 
 
 def test_thread_count_does_not_change_output(capsys):

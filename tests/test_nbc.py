@@ -142,6 +142,8 @@ def test_guards():
         betti_via_nbc(7, 5)
     with pytest.raises(ValueError):
         betti_via_nbc(3, 4)
+    with pytest.raises(ValueError):
+        betti_via_nbc(0, 0)
 
 
 def test_parallel_workers_match_serial():
