@@ -24,7 +24,10 @@ GUARDS = {
     "chambers_n": 6,          # deletion/restriction: 1.6 s at n=6, 228 s at n=7
     # Deepest NBC search for each n = 1 .. 7: full depth through n=6.
     "nbc_depth": {**{n: n for n in range(1, 7)}, 7: 4},
-    "prototype_i": 3,         # Betti index of the full prototype census
+    # Betti index of the full prototype census.  Its largest enumeration
+    # has (2^i - 1)! maps (5040 at i=3, 15! at i=4), a count too large to
+    # evaluate for big i, so the census is limited by its index.
+    "prototype_i": 3,
     "prototype_maps": 10**6,  # (i, k)-prototype maps in one enumeration
     "embed_ambient": 256,     # ambient dimension of a universality embedding
 }

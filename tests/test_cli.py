@@ -181,7 +181,8 @@ def test_exit_codes(tmp_path, capsys):
     assert main(["closed-form", "--i", "1", "--n", "-3"]) == 1
     err = capsys.readouterr().err
     assert "Traceback" not in err
-    assert all(line.startswith("error: ") for line in err.splitlines()[-8:])
+    # every case after the usage and guard lines prints one "error:" line
+    assert all(line.startswith("error: ") for line in err.splitlines()[-12:])
     assert err.count("n must be positive") == 3
     assert "i_max=-1" in err and "i=-1" in err
 
