@@ -16,6 +16,7 @@ the definition is a test obligation, not an assumption.
 
 from __future__ import annotations
 
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from itertools import combinations
@@ -156,6 +157,17 @@ def _count_from_root(args):
     return counts
 
 
+def _root_counts(jobs, workers):
+    """Per-root counts: in this process for one worker, else in a pool
+    of at most one process per job and per usable core."""
+    size = min(workers, len(jobs), len(os.sched_getaffinity(0)))
+    if size <= 1:
+        yield from map(_count_from_root, jobs)
+        return
+    with ProcessPoolExecutor(max_workers=size) as pool:
+        yield from pool.map(_count_from_root, jobs, chunksize=8)
+
+
 def betti_via_nbc(
     n: int, i_max: int, workers: int = 1, cap: dict[int, int] | None = GUARDS["nbc_depth"]
 ) -> list[int]:
@@ -174,15 +186,10 @@ def betti_via_nbc(
     counts[0] = 1
     if i_max == 0:
         return counts
-    if workers <= 1:
-        cands = _root_candidates(n)
-        _dfs(cands, 0, i_max, counts)
-        return counts
     jobs = [(n, i_max, pos) for pos in range((1 << n) - 1)]
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        for sub in pool.map(_count_from_root, jobs, chunksize=8):
-            for d in range(1, i_max + 1):
-                counts[d] += sub[d]
+    for sub in _root_counts(jobs, workers):
+        for d in range(1, i_max + 1):
+            counts[d] += sub[d]
     return counts
 
 

@@ -31,14 +31,17 @@ __all__ = [
 
 @lru_cache(maxsize=None)
 def stirling2(n: int, k: int) -> int:
-    """S(n, k): partitions of n labeled objects into k nonempty blocks."""
+    """S(n, k): partitions of n labeled objects into k nonempty blocks.
+
+    Runs S(m, j) = j * S(m - 1, j) + S(m - 1, j - 1) row by row for
+    m = 1 .. n, keeping columns j <= k, so large n needs no deep stack.
+    """
     if n < 0 or k < 0:
         raise ValueError("arguments must be nonnegative")
-    if n == 0 and k == 0:
-        return 1
-    if n == 0 or k == 0 or k > n:
-        return 0
-    return k * stirling2(n - 1, k) + stirling2(n - 1, k - 1)
+    row = [1] + [0] * k
+    for _ in range(n):
+        row = [0] + [j * row[j] + row[j - 1] for j in range(1, k + 1)]
+    return row[k]
 
 
 def stirling2_altsum(n: int, k: int) -> int:

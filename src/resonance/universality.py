@@ -12,6 +12,13 @@ ambient space, i.e. hyperplanes of the resonance arrangement there, and
 pivoting the helpers to standard basis vectors exhibits the original
 matrix as the result of restriction plus contraction.  The pivot
 sequence doubles as a machine-checkable certificate.
+
+Column j owns one block of coordinates, and its carrier and helpers
+touch only the base rows and that block.  Each helper pivots on its own
+coordinate of the block, so the pivots of different columns never mix
+and ``verify_embedding`` replays them on one small block per column.
+``minor_matroid_check`` is the independent second route: it compares
+ranks of the whole embedding with ranks of the input matrix.
 """
 
 from __future__ import annotations
@@ -91,10 +98,10 @@ def decompose_column(column) -> ColumnDecomposition:
 class Embedding:
     """The compiled minor presentation of an integer matrix.
 
-    Coordinates come in one ambient block of size r followed by three
-    blocks per column (negative, positive, positive-shadow); every
-    carrier and helper is a nonzero 0/1 vector of the ambient space,
-    stored as a bitmask over the coordinate list.
+    Coordinates come as the r base rows followed by one block per
+    column (see ``_blocks``); every carrier and helper is a nonzero 0/1
+    vector of the ambient space, stored as a bitmask over the coordinate
+    list.
     """
 
     rows: int
@@ -107,18 +114,25 @@ class Embedding:
     decompositions: tuple[ColumnDecomposition, ...]
     cleared_matrix: tuple[tuple[int, ...], ...]
 
-    def assembled_columns(self) -> list[int]:
-        """All columns in certificate order (carriers interleaved with
-        their helpers, as the pivot schedule expects)."""
-        order = []
-        helpers = list(self.helper_vectors)
-        pos = 0
-        for i, dec in enumerate(self.decompositions):
-            order.append(self.carrier_vectors[i])
-            take = len(dec.negative_sets) + 2 * len(dec.positive_sets)
-            order.extend(helpers[pos : pos + take])
-            pos += take
-        return order
+
+def _blocks(decs):
+    """The column blocks of an embedding, in order:
+    (j, decomposition, first, suffixes, pivot order).
+
+    Block j owns coordinates ``rows + first + t`` and helpers ``first + t``
+    for t < len(suffixes); suffix s names coordinate ``e{j},s`` and helper
+    ``r{j},s``.  The suffixes are -k for each negative level, then +k,
+    then ++k for each positive level.  Helper t pivots on coordinate t:
+    the negative helpers first, then each +k just before its ++k.
+    """
+    first = 0
+    for j, dec in enumerate(decs):
+        m, p = len(dec.negative_sets), len(dec.positive_sets)
+        suffixes = [f"-{k}" for k in range(1, m + 1)]
+        suffixes += [f"+{k}" for k in range(1, p + 1)] + [f"++{k}" for k in range(1, p + 1)]
+        pivots = [*range(m), *(t for k in range(m, m + p) for t in (k, k + p))]
+        yield j, dec, first, suffixes, pivots
+        first += len(suffixes)
 
 
 def _clear_columns(matrix):
@@ -164,37 +178,17 @@ def embed(matrix, cap: int | None = GUARDS["embed_ambient"]) -> Embedding:
         decs.append(dec)
 
     names = [f"e{i + 1}" for i in range(nrows)]
-    neg_idx, pos_idx, shadow_idx = {}, {}, {}
-    for j, dec in enumerate(decs):
-        for k in range(len(dec.negative_sets)):
-            neg_idx[(j, k)] = len(names)
-            names.append(f"e{j + 1},-{k + 1}")
-        for k in range(len(dec.positive_sets)):
-            pos_idx[(j, k)] = len(names)
-            names.append(f"e{j + 1},+{k + 1}")
-        for k in range(len(dec.positive_sets)):
-            shadow_idx[(j, k)] = len(names)
-            names.append(f"e{j + 1},++{k + 1}")
-    ambient = len(names)
-
     carriers, helpers, order = [], [], []
-    for j, dec in enumerate(decs):
-        v = 0
-        for k in range(len(dec.positive_sets)):
-            v |= 1 << shadow_idx[(j, k)]
-        for k in range(len(dec.negative_sets)):
-            v |= 1 << neg_idx[(j, k)]
-        carriers.append(v)
-        order.append(f"v{j + 1}")
-        for k, nk in enumerate(dec.negative_sets):
-            helpers.append(nk | (1 << neg_idx[(j, k)]))
-            order.append(f"r{j + 1},-{k + 1}")
-        for k, pk in enumerate(dec.positive_sets):
-            helpers.append(pk | (1 << pos_idx[(j, k)]))
-            order.append(f"r{j + 1},+{k + 1}")
-        for k in range(len(dec.positive_sets)):
-            helpers.append((1 << pos_idx[(j, k)]) | (1 << shadow_idx[(j, k)]))
-            order.append(f"r{j + 1},++{k + 1}")
+    for j, dec, first, suffixes, _ in _blocks(decs):
+        m, p = len(dec.negative_sets), len(dec.positive_sets)
+        names += [f"e{j + 1},{s}" for s in suffixes]
+        order += [f"v{j + 1}"] + [f"r{j + 1},{s}" for s in suffixes]
+        bit = [1 << (nrows + first + t) for t in range(len(suffixes))]
+        carriers.append(sum(bit[:m]) + sum(bit[m + p :]))
+        helpers += [nk | bit[k] for k, nk in enumerate(dec.negative_sets)]
+        helpers += [pk | bit[m + k] for k, pk in enumerate(dec.positive_sets)]
+        helpers += [bit[m + k] | bit[m + p + k] for k in range(p)]
+    ambient = len(names)
 
     vectors = carriers + helpers
     if 0 in vectors or len(set(vectors)) != len(vectors):
@@ -212,70 +206,60 @@ def embed(matrix, cap: int | None = GUARDS["embed_ambient"]) -> Embedding:
     )
 
 
-def _pivot_schedule(emb: Embedding):
-    """(row name, column label) pairs: negative helpers first per column,
-    then the positive and shadow helpers."""
-    schedule = []
-    for j, dec in enumerate(emb.decompositions):
-        for k in range(len(dec.negative_sets)):
-            schedule.append((f"e{j + 1},-{k + 1}", f"r{j + 1},-{k + 1}"))
-        for k in range(len(dec.positive_sets)):
-            schedule.append((f"e{j + 1},+{k + 1}", f"r{j + 1},+{k + 1}"))
-            schedule.append((f"e{j + 1},++{k + 1}", f"r{j + 1},++{k + 1}"))
-    return schedule
-
-
 def verify_embedding(emb: Embedding, matrix) -> tuple[bool, dict]:
-    """Run the pivot schedule and check the minor equals the input matrix.
+    """Replay the pivots block by block and check the minor equals the input.
+
+    Block j is the 0/1 matrix of column j's carrier and helpers on the r
+    base rows and block j's own coordinates.  Every vector is first
+    checked to lie there.  Then a pivot of block j leaves every other
+    block's columns unchanged: its pivot row is zero on them, and it
+    only adds to rows that are nonzero in its pivot column, which are
+    base rows and block j's own.  So pivoting each small block yields the
+    same columns as pivoting the whole ambient matrix, and the checks
+    below (nonzero pivots, helpers reduced to unit vectors, residual
+    equal to the input) are the same checks.
 
     Returns (ok, certificate); the certificate always records the
     assembled data and every executed pivot, plus the reason on failure.
     """
     cleared = tuple(tuple(r) for r in _clear_columns(matrix))
     cert = certificate_dict(emb)
-    if cleared != emb.cleared_matrix:
+
+    def fail(reason):
         cert["verified"] = False
-        cert["failure"] = "matrix does not match the one the embedding was built for"
+        cert["failure"] = reason
         return False, cert
 
-    columns = emb.assembled_columns()
-    col_pos = {label: idx for idx, label in enumerate(emb.column_order)}
-    row_pos = {name: idx for idx, name in enumerate(emb.coordinate_names)}
-    work = [[(col >> i) & 1 for col in columns] for i in range(emb.ambient_dim)]
-    mat = ExactMatrix(work)
-    executed = []
-    for row_name, col_label in _pivot_schedule(emb):
-        r, c = row_pos[row_name], col_pos[col_label]
-        if mat.entries[r][c] == 0:
-            cert["verified"] = False
-            cert["pivots"] = executed
-            cert["failure"] = f"zero pivot at row {row_name}, column {col_label}"
-            return False, cert
-        mat = mat.pivot(r, c)
-        executed.append([row_name, col_label])
-    cert["pivots"] = executed
-
-    for row_name, col_label in _pivot_schedule(emb):
-        c = col_pos[col_label]
-        col = mat.column(c)
-        if any(x != (1 if i == row_pos[row_name] else 0) for i, x in enumerate(col)):
-            cert["verified"] = False
-            cert["failure"] = f"column {col_label} did not reduce to a basis vector"
-            return False, cert
-    residual = [
-        [mat.entries[i][col_pos[f"v{j + 1}"]] for j in range(emb.cols)]
-        for i in range(emb.rows)
-    ]
-    cert["residual_matrix"] = [[str(x) for x in row] for row in residual]
-    ok = all(
-        residual[i][j] == emb.cleared_matrix[i][j]
-        for i in range(emb.rows)
-        for j in range(emb.cols)
-    )
-    cert["verified"] = ok
-    if not ok:
-        cert["failure"] = "residual minor differs from the input matrix"
-    return ok, cert
+    if cleared != emb.cleared_matrix:
+        return fail("matrix does not match the one the embedding was built for")
+    r = emb.rows
+    cert["pivots"] = executed = []
+    residual = []
+    for j, _, first, suffixes, pivots in _blocks(emb.decompositions):
+        size = len(suffixes)
+        labels = [f"v{j + 1}"] + [f"r{j + 1},{s}" for s in suffixes]
+        vectors = [emb.carrier_vectors[j], *emb.helper_vectors[first : first + size]]
+        coords = [*range(r), *range(r + first, r + first + size)]
+        own = sum(1 << i for i in coords)
+        stray = next((lab for lab, v in zip(labels, vectors) if v & ~own), None)
+        if stray is not None:
+            return fail(f"vector {stray} leaves column block {j + 1}")
+        mat = ExactMatrix([[v >> i & 1 for v in vectors] for i in coords])
+        for t in pivots:
+            row_name, col_label = f"e{j + 1},{suffixes[t]}", labels[1 + t]
+            if mat.entries[r + t][1 + t] == 0:
+                return fail(f"zero pivot at row {row_name}, column {col_label}")
+            mat = mat.pivot(r + t, 1 + t)
+            executed.append([row_name, col_label])
+        for t in range(size):
+            if mat.column(1 + t) != [int(i == r + t) for i in range(r + size)]:
+                return fail(f"column {labels[1 + t]} did not reduce to a basis vector")
+        residual.append(mat.column(0)[:r])
+    cert["residual_matrix"] = [[str(x) for x in row] for row in zip(*residual)]
+    if residual != [list(col) for col in zip(*emb.cleared_matrix)]:
+        return fail("residual minor differs from the input matrix")
+    cert["verified"] = True
+    return True, cert
 
 
 def minor_matroid_check(
@@ -332,10 +316,9 @@ def certificate_dict(emb: Embedding) -> dict:
         "column_order": list(emb.column_order),
         "carriers": {f"v{j + 1}": bits(v) for j, v in enumerate(emb.carrier_vectors)},
         "helpers": {
-            lab: bits(v)
-            for lab, v in zip(
-                [l for l in emb.column_order if l.startswith("r")], emb.helper_vectors
-            )
+            f"r{j + 1},{s}": bits(emb.helper_vectors[first + t])
+            for j, _, first, suffixes, _ in _blocks(emb.decompositions)
+            for t, s in enumerate(suffixes)
         },
         "decompositions": [
             {

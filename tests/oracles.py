@@ -181,3 +181,32 @@ def stirling_oracle(n, k):
 
     rec(1, [1])
     return count
+
+
+def certificate_columns(emb):
+    """The embedding's 0/1 column masks in ``column_order``: each carrier
+    v_j followed by the helpers listed after it."""
+    carriers, helpers = iter(emb.carrier_vectors), iter(emb.helper_vectors)
+    return [next(carriers if lab.startswith("v") else helpers) for lab in emb.column_order]
+
+
+def dense_pivot_replay(emb, pivots):
+    """Gauss-Jordan over Q on the whole ambient matrix of the embedding.
+
+    Pivots the ambient_dim x (carriers + helpers) 0/1 matrix at each
+    [row name, column label] pair in turn and returns the pivoted
+    columns by label.
+    """
+    labels = list(emb.column_order)
+    cols = certificate_columns(emb)
+    rows = [[Fraction(c >> i & 1) for c in cols] for i in range(emb.ambient_dim)]
+    row_of = {name: i for i, name in enumerate(emb.coordinate_names)}
+    col_of = {lab: j for j, lab in enumerate(labels)}
+    for name, lab in pivots:
+        r, c = row_of[name], col_of[lab]
+        pr = [x / rows[r][c] for x in rows[r]]
+        rows = [
+            pr if i == r else [a - row[c] * b for a, b in zip(row, pr)]
+            for i, row in enumerate(rows)
+        ]
+    return {lab: [row[j] for row in rows] for j, lab in enumerate(labels)}

@@ -157,34 +157,48 @@ def test_text_output(tmp_path, capsys, argv, expected):
     assert run_cli(capsys, *argv) == (0, expected)
 
 
-def test_exit_codes(tmp_path, capsys):
-    assert main(["charpoly", "--badflag"]) == 1
-    assert main(["charpoly", "--n", "9"]) == 2       # guard
-    assert main(["closed-form", "--i", "4", "--n", "3"]) == 1
-    missing = tmp_path / "missing.mat"
-    assert main(["embed", "--input", str(missing)]) == 1
-    assert main(["charpoly", "--n", "3", "--method", "ff", "--primes", "x,y"]) == 1
-    zero_den = tmp_path / "zero.mat"
-    zero_den.write_text("1 2\n1 1/0\n")
-    assert main(["embed", "--input", str(zero_den)]) == 1
-    mat = tmp_path / "a.mat"
-    mat.write_text(REFERENCE_MATRIX)
-    listed = tmp_path / "list.json"
-    listed.write_text("[1, 2]\n")
-    assert main(["verify-embed", "--input", str(mat), "--cert", str(listed)]) == 1
-    assert main(["betti", "--n", "3", "--i-max", "-1"]) == 1
-    assert main(["prototypes", "--i", "-1"]) == 1
-    assert main(["fit-coeffs", "--i", "-1"]) == 1
-    assert main(["fit-coeffs", "--i", "40"]) == 1     # no golden row: fails at n=1
-    assert main(["betti", "--n", "0"]) == 1
-    assert main(["charpoly", "--n", "-1"]) == 1
-    assert main(["closed-form", "--i", "1", "--n", "-3"]) == 1
+# (argv, exit code, part of the one "error: " line, or None for the
+# argparse usage error and the guard, which print their own formats)
+EXIT_CASES = {
+    "badflag": (["charpoly", "--badflag"], 1, None),
+    "guard": (["charpoly", "--n", "9"], 2, None),
+    "closed-form-i4": (["closed-form", "--i", "4", "--n", "3"], 1, "i in {1, 2, 3}"),
+    "missing-file": (["embed", "--input", "{missing}"], 1, "No such file"),
+    "bad-primes": (["charpoly", "--n", "3", "--method", "ff", "--primes", "x,y"], 1, "'x'"),
+    "zero-denominator": (["embed", "--input", "{zero}"], 1, "zero denominator"),
+    "list-certificate": (
+        ["verify-embed", "--input", "{mat}", "--cert", "{listed}"],
+        1,
+        "JSON object",
+    ),
+    "betti-i-max": (["betti", "--n", "3", "--i-max", "-1"], 1, "i_max=-1"),
+    "prototypes-i": (["prototypes", "--i", "-1"], 1, "i=-1"),
+    "fit-coeffs-i": (["fit-coeffs", "--i", "-1"], 1, "i=-1"),
+    "fit-coeffs-40": (["fit-coeffs", "--i", "40"], 1, "up to n="),  # no golden row
+    "betti-n0": (["betti", "--n", "0"], 1, "n must be positive"),
+    "charpoly-n-1": (["charpoly", "--n", "-1"], 1, "n must be positive"),
+    "closed-form-n-3": (["closed-form", "--i", "1", "--n", "-3"], 1, "n must be positive"),
+}
+
+
+@pytest.mark.parametrize("case", EXIT_CASES)
+def test_exit_codes(tmp_path, capsys, case):
+    argv, code, message = EXIT_CASES[case]
+    files = {
+        "missing": tmp_path / "missing.mat",
+        "zero": tmp_path / "zero.mat",
+        "mat": tmp_path / "a.mat",
+        "listed": tmp_path / "list.json",
+    }
+    files["zero"].write_text("1 2\n1 1/0\n")
+    files["mat"].write_text(REFERENCE_MATRIX)
+    files["listed"].write_text("[1, 2]\n")
+    assert main([a.format(**files) for a in argv]) == code
     err = capsys.readouterr().err
     assert "Traceback" not in err
-    # every case after the usage and guard lines prints one "error:" line
-    assert all(line.startswith("error: ") for line in err.splitlines()[-12:])
-    assert err.count("n must be positive") == 3
-    assert "i_max=-1" in err and "i=-1" in err
+    if message is not None:
+        assert len(err.splitlines()) == 1
+        assert err.startswith("error: ") and message in err
 
 
 def test_guard_override_allows_expensive_run(capsys):

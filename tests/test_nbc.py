@@ -3,6 +3,7 @@ from itertools import combinations
 
 import pytest
 
+from resonance import nbc
 from resonance.errors import GuardExceeded
 from resonance.masks import mask_from_elements as M
 from resonance.nbc import (
@@ -148,5 +149,28 @@ def test_guards():
 
 def test_parallel_workers_match_serial():
     serial = betti_via_nbc(5, 3)
-    parallel = betti_via_nbc(5, 3, workers=3)
-    assert serial == parallel
+    for workers in (2, 3):
+        assert betti_via_nbc(5, 3, workers=workers) == serial
+
+
+def test_pool_size_bounded_by_jobs_and_cores(monkeypatch):
+    sizes = []
+
+    class SerialPool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, jobs, chunksize=1):
+            return map(fn, jobs)
+
+    monkeypatch.setattr(nbc, "ProcessPoolExecutor", SerialPool)
+    monkeypatch.setattr(nbc.os, "sched_getaffinity", lambda pid: {0, 1, 2, 3})
+    assert betti_via_nbc(3, 2, workers=10**6) == betti_via_nbc(3, 2) == [1, 7, 15]
+    assert betti_via_nbc(2, 2, workers=10**6) == betti_via_nbc(2, 2)
+    assert sizes == [4, 3]  # four usable cores; A_2 has three root jobs

@@ -43,6 +43,12 @@ def test_recurrence_agrees_with_alternating_sum():
             assert stirling2(n, k) == stirling2_altsum(n, k)
 
 
+def test_large_n_needs_no_deep_recursion():
+    for k in range(0, 9):
+        assert stirling2(501, k) == stirling2_altsum(501, k)
+    assert betti3_closed(600) > 0
+
+
 def test_recurrence_identity_holds():
     for n in range(1, 20):
         for k in range(1, n + 1):

@@ -1,3 +1,4 @@
+import dataclasses
 import random
 from fractions import Fraction
 from itertools import product
@@ -13,7 +14,7 @@ from resonance.universality import (
     verify_embedding,
 )
 
-from oracles import fraction_rank
+from oracles import certificate_columns, dense_pivot_replay, fraction_rank
 
 # The worked 3x2 example: columns (1,-2,-1) and (-1,0,-1).
 EXAMPLE = [[1, -1], [-2, 0], [-1, -1]]
@@ -82,7 +83,7 @@ def test_embed_example_matches_display():
     assert emb.ambient_dim == 8
     assert len(emb.helper_vectors) == 5
     assert emb.column_order == ("v1", "r1,-1", "r1,-2", "r1,+1", "r1,++1", "v2", "r2,-1")
-    cols = emb.assembled_columns()
+    cols = certificate_columns(emb)
     got = [[(c >> i) & 1 for c in cols] for i in range(8)]
     assert got == EXAMPLE_BEFORE
 
@@ -138,6 +139,16 @@ def test_verify_example_reproduces_pivoted_matrix():
     assert cert["residual_matrix"] == [["1", "-1"], ["-2", "0"], ["-1", "-1"]]
 
 
+def test_pivots_pair_each_positive_level_with_its_shadow():
+    _, cert = verify_embedding(embed([[2]]), [[2]])
+    assert cert["pivots"] == [
+        ["e1,+1", "r1,+1"],
+        ["e1,++1", "r1,++1"],
+        ["e1,+2", "r1,+2"],
+        ["e1,++2", "r1,++2"],
+    ]
+
+
 def test_verify_detects_tampering():
     emb = embed(EXAMPLE)
     flipped = list(emb.helper_vectors)
@@ -156,6 +167,16 @@ def test_verify_detects_tampering():
     ok, cert = verify_embedding(tampered, EXAMPLE)
     assert not ok
     assert "failure" in cert
+
+
+def test_verify_rejects_vector_outside_its_block():
+    emb = embed(EXAMPLE)
+    flipped = list(emb.helper_vectors)
+    flipped[0] |= 1 << emb.coordinate_names.index("e2,-1")  # block 2's coordinate
+    tampered = dataclasses.replace(emb, helper_vectors=tuple(flipped))
+    ok, cert = verify_embedding(tampered, EXAMPLE)
+    assert not ok and cert["verified"] is False
+    assert cert["failure"] == "vector r1,-1 leaves column block 1"
 
 
 def test_minor_check_example_exhaustive():
@@ -201,9 +222,19 @@ def test_random_matrices_verify_and_contract():
             if all(any(matrix[i][j] for i in range(r)) for j in range(n)):
                 break
         emb = embed(matrix)
-        ok, _ = verify_embedding(emb, matrix)
+        ok, cert = verify_embedding(emb, matrix)
         assert ok
         assert minor_matroid_check(emb, matrix)
+        # the block-local replay agrees with pivoting the whole ambient matrix
+        replay = dense_pivot_replay(emb, cert["pivots"])
+        carriers = [replay[f"v{j + 1}"] for j in range(n)]
+        assert [[str(c[i]) for c in carriers] for i in range(r)] == cert["residual_matrix"]
+        assert sorted(lab for _, lab in cert["pivots"]) == sorted(
+            lab for lab in emb.column_order if lab.startswith("r")
+        )
+        for row_name, lab in cert["pivots"]:
+            unit = emb.coordinate_names.index(row_name)
+            assert replay[lab] == [int(i == unit) for i in range(emb.ambient_dim)]
         # independent spot check of one rank identity via the oracle
         dim = emb.ambient_dim
         helpers = [[(h >> i) & 1 for i in range(dim)] for h in emb.helper_vectors]
