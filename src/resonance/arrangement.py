@@ -10,9 +10,11 @@ from __future__ import annotations
 
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
+from math import comb
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import GUARDS, InternalCheckError, check_guard
 from .linalg import EchelonBasis, _normalize_int_row, span_coefficients
@@ -149,71 +151,99 @@ def default_primes(n: int, count: int | None = None):
     return primes
 
 
-def _count_rows(table, k, n, q, chunk):
-    """Expand a table of surviving subset-sum prefixes one coordinate.
+# Parent rows expanded in one step.  A step holds up to _CHUNK * (q - 1)
+# children of q bytes each, 2.2 MB at q = 67.
+_CHUNK = 512
+# Primes from here on are refused: a row mask takes q bytes, and below it
+# every int64 chunk sum in _count_sorted stays under 2**63.
+_MAX_PRIME = 2**31
 
-    ``table`` has one row per partial point and one column per subset of
-    the fixed coordinates; all nonempty-subset columns are nonzero mod q.
+
+def _check_prime(n: int, q: int) -> None:
+    if n not in MAX_01_DETERMINANT:
+        raise ValueError(f"no determinant bound tabulated for n={n}")
+    bound = MAX_01_DETERMINANT[n]
+    if q <= bound:
+        raise ValueError(f"prime {q} must exceed {bound} for n={n}")
+    if q >= _MAX_PRIME:
+        raise ValueError(f"prime {q} is too large for the point count (limit 2^31)")
+    if not _is_prime(q):
+        raise ValueError(f"{q} is not prime")
+
+
+def _count_sorted(sums, last, run, weight, m, n, q):
+    """Weighted count of the sorted completions of a table of prefixes.
+
+    Row i is a prefix (1, x_2 <= ... <= x_{m+1}) with no zero subset sum:
+    ``sums[i]`` marks its subset sums in F_q (the empty sum 0 included),
+    ``last[i]`` is x_{m+1}, ``run[i]`` the multiplicity of x_{m+1} and
+    ``weight[i]`` = m! / prod(mult!), the orderings of x_2 .. x_{m+1}.
+    Every row of a chunk is expanded at once.
     """
-    rows = table.shape[0]
-    if rows == 0:
-        return 0
-    if k == n:
-        return rows
-    if rows > chunk:
-        return sum(
-            _count_rows(table[i : i + chunk], k, n, q, chunk) for i in range(0, rows, chunk)
-        )
-    if k + 1 == n:
-        # A value v kills a row iff q - v appears among its entries, so
-        # each row admits (q - 1) minus its distinct nonzero entry count.
-        srt = np.sort(table, axis=1)
-        distinct = (srt[:, 1:] != srt[:, :-1]).sum()
-        return rows * (q - 1) - int(distinct)
+    values = np.arange(1, q)
     total = 0
-    for v in range(1, q):  # v = 0 dies on the new singleton subset
-        ok = ~(table == q - v).any(axis=1)
-        if not ok.any():
+    for s in range(0, len(sums), _CHUNK):
+        S, L, r, w = (a[s : s + _CHUNK] for a in (sums, last, run, weight))
+        # ok[i, v - 1]: v >= last and -v is not a subset sum, so v may follow.
+        ok = ~S[:, :0:-1] & (values >= L[:, None])
+        if m + 2 == n:
+            # Last coordinate, counted without expansion: each allowed
+            # v > last has weight w(m+1), and v = last has w(m+1)/(run+1).
+            same = ok[np.arange(len(L)), L - 1]
+            above = ok.sum(axis=1) - same
+            # Per row at most (q - 1) * (n - 1)! < 2**31 * 7! < 2**44, so
+            # the chunk's int64 sum is below 512 * 2**44 = 2**53.
+            total += int((above * w * (m + 1) + same * (w * (m + 1) // (r + 1))).sum())
             continue
-        kept = table[ok]
-        shifted = kept + v
-        shifted[shifted >= q] -= q
-        total += _count_rows(np.hstack((kept, shifted)), k + 1, n, q, chunk)
+        i, j = np.nonzero(ok)
+        v = j + 1
+        new_run = np.where(v == L[i], r[i] + 1, 1)
+        # The child's subset sums are S | (S + v); S + v is a window of S twice over.
+        shifted = sliding_window_view(np.concatenate((S, S), axis=1), q, axis=1)[i, q - v]
+        total += _count_sorted(S[i] | shifted, v, new_run, w[i] * (m + 1) // new_run, m + 1, n, q)
     return total
+
+
+def _count_slice(x2, n, q):
+    """Weighted count of the sorted points (1, x2 <= x_3 <= ... <= x_n)."""
+    sums = np.zeros(q, dtype=bool)
+    sums[[0, 1]] = True  # subset sums of (1,)
+    if sums[q - x2]:
+        return 0
+    if n == 2:
+        return 1
+    one = np.ones(1, dtype=np.int64)
+    return _count_sorted((sums | np.roll(sums, x2))[None], np.array([x2]), one, one, 1, n, q)
 
 
 def count_points_avoiding(n: int, q: int, threads: int = 1) -> int:
     """Points of F_q^n with every nonempty subset sum nonzero.
 
     Valid points have x_1 != 0 and scaling by any nonzero constant is a
-    bijection on them, so only the x_1 = 1 slice is enumerated and the
-    count is multiplied by q - 1.
+    bijection on them, so only the x_1 = 1 slice is counted and the
+    count is multiplied by q - 1.  On that slice the condition does not
+    change when x_2 .. x_n are permuted, so only sorted x_2 <= ... <= x_n
+    are enumerated, each weighted by its (n-1)! / prod(mult!) distinct
+    orderings.  This is exact: every point of the slice is an ordering
+    of exactly one sorted point, and every ordering of a valid sorted
+    point is valid.  The weights are integers throughout: appending v
+    multiplies one by k / (run + 1), where k is the new number of free
+    coordinates and run the multiplicity of v so far, and the quotient
+    is the new weight, itself an integer.
+
+    The slice is split on x_2, its smallest free coordinate.  One thread
+    counts the parts with ``map``, more threads with ``pool.map``; both
+    sum them in x_2 order.
     """
-    if n not in MAX_01_DETERMINANT or q <= MAX_01_DETERMINANT[n]:
-        raise ValueError(f"prime {q} too small for n={n}")
-    if not _is_prime(q):
-        raise ValueError(f"{q} is not prime")
-    dtype = np.int8 if 2 * q - 2 <= 127 else np.int16 if 2 * q - 2 <= 32767 else np.int64
-    chunk = 1 << 19
-    base = np.array([[0, 1]], dtype=dtype)  # sums for the empty set and {1}
+    _check_prime(n, q)
     if n == 1:
         return q - 1
-    if threads <= 1:
-        inner = _count_rows(base, 1, n, q, chunk)
-    else:
-        # Split on the second coordinate; summing in v-order keeps the
-        # result independent of scheduling.
-        def job(v):
-            shifted = base + v
-            shifted[shifted >= q] -= q
-            if (shifted == 0).any():
-                return 0
-            t = np.hstack((base, shifted))
-            return _count_rows(t, 2, n, q, chunk) if n > 2 else t.shape[0]
-
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            inner = sum(pool.map(job, range(1, q)))
-    return (q - 1) * inner
+    count = partial(_count_slice, n=n, q=q)
+    workers = min(threads, q - 1)
+    if workers <= 1:
+        return (q - 1) * sum(map(count, range(1, q)))
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        return (q - 1) * sum(pool.map(count, range(1, q)))
 
 
 def _interpolate_integer_poly(points, degree):
@@ -231,11 +261,15 @@ def finite_field_charpoly(
     primes=None,
     cap: int | None = GUARDS["finite_field_n"],
     threads: int = 1,
+    points_cap: int | None = GUARDS["finite_field_points"],
 ) -> CharPoly:
     """Characteristic polynomial through point counts over n+1 prime fields.
 
     For admissible primes the count of points avoiding every hyperplane
     equals the polynomial evaluated at q, so n+1 counts determine it.
+    Primes beyond the first n+1 are counted too, and each must agree
+    with the interpolant.  ``points_cap`` bounds the sorted slice of
+    C(q+n-3, n-1) points that the count at q walks.
     """
     check_guard("finite-field method: n", n, cap)
     if n not in MAX_01_DETERMINANT:
@@ -245,14 +279,17 @@ def finite_field_charpoly(
     primes = sorted(set(primes))
     if len(primes) < n + 1:
         raise ValueError(f"need at least {n + 1} distinct primes, got {len(primes)}")
-    bound = MAX_01_DETERMINANT[n]
     for q in primes:
-        if not _is_prime(q):
-            raise ValueError(f"{q} is not prime")
-        if q <= bound:
-            raise ValueError(f"prime {q} must exceed {bound} for n={n}")
-    pts = [(q, count_points_avoiding(n, q, threads=threads)) for q in primes[: n + 1]]
-    return CharPoly(tuple(_interpolate_integer_poly(pts, n)))
+        slice_size = comb(max(q + n - 3, 0), n - 1)
+        check_guard(f"finite-field method at q={q}: sorted points", slice_size, points_cap)
+    for q in primes:
+        _check_prime(n, q)
+    pts = [(q, count_points_avoiding(n, q, threads=threads)) for q in primes]
+    poly = CharPoly(tuple(_interpolate_integer_poly(pts[: n + 1], n)))
+    for q, count in pts[n + 1 :]:
+        if poly(q) != count:
+            raise InternalCheckError(f"{count} points at q={q}; the interpolant gives {poly(q)}")
+    return poly
 
 
 @lru_cache(maxsize=None)

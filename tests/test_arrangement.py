@@ -1,5 +1,6 @@
 import pytest
 
+from resonance import arrangement
 from resonance.arrangement import (
     CharPoly,
     build_arrangement,
@@ -10,8 +11,9 @@ from resonance.arrangement import (
     region_count,
     whitney_charpoly,
 )
-from resonance.errors import GuardExceeded
+from resonance.errors import GuardExceeded, InternalCheckError
 from resonance.nbc import charpoly_via_nbc
+from resonance.table1 import GOLDEN_BETTI, GOLDEN_REGIONS
 
 from oracles import count_points_oracle
 
@@ -56,8 +58,30 @@ def test_whitney_guard():
 
 
 def test_point_count_matches_naive_loop():
-    for n, q in ((1, 2), (2, 3), (2, 5), (3, 3), (3, 5), (3, 7)):
+    # (4, 5), (4, 7) and (5, 7) have points with repeated coordinates,
+    # which the sorted count weights by their multiplicities.
+    for n, q in ((1, 2), (2, 3), (2, 5), (3, 3), (3, 5), (3, 7), (4, 5), (4, 7), (5, 7)):
         assert count_points_avoiding(n, q) == count_points_oracle(n, q)
+
+
+def golden_chi(n):
+    """chi(A_n) from golden b_0..b_4, the region count and chi(1) = 0."""
+    head = [1] + [GOLDEN_BETTI[i][n] for i in range(1, 5)]
+    rest = GOLDEN_REGIONS[n] - sum(head)  # b_5 + b_6
+    b6 = (rest - sum((-1) ** i * b for i, b in enumerate(head))) // 2
+    return CharPoly.from_betti(head + [rest - b6, b6])
+
+
+def test_point_counts_at_default_primes_match_golden_a6():
+    chi = golden_chi(6)
+    assert chi(1) == 0
+    for q in default_primes(6):
+        assert count_points_avoiding(6, q) == chi(q)
+
+
+def test_point_count_refuses_oversized_prime():
+    with pytest.raises(ValueError, match="too large"):
+        count_points_avoiding(2, 2**31 + 11)  # refused before any primality test
 
 
 def test_point_count_rejects_bad_primes():
@@ -101,6 +125,36 @@ def test_finite_field_threads_match_serial():
     serial = finite_field_charpoly(4)
     threaded = finite_field_charpoly(4, threads=3)
     assert serial == threaded
+    assert finite_field_charpoly(6, threads=2) == finite_field_charpoly(6)
+
+
+def test_finite_field_a7_matches_golden_values():
+    poly = finite_field_charpoly(7)
+    assert poly.betti[:5] == (1,) + tuple(GOLDEN_BETTI[i][7] for i in range(1, 5))
+    assert region_count(poly) == GOLDEN_REGIONS[7]
+    assert poly(1) == 0
+
+
+def test_finite_field_extra_primes_are_checked(monkeypatch):
+    primes = [5, 7, 11, 13, 17, 19]
+    assert finite_field_charpoly(3, primes=primes).coeffs == CHI_A3
+    exact = arrangement.count_points_avoiding
+
+    def off_at_19(n, q, threads=1):
+        return exact(n, q, threads) + (q == 19)
+
+    monkeypatch.setattr(arrangement, "count_points_avoiding", off_at_19)
+    with pytest.raises(InternalCheckError, match="q=19"):
+        finite_field_charpoly(3, primes=primes)
+
+
+def test_finite_field_point_guard():
+    huge = 1000000000000000003
+    with pytest.raises(GuardExceeded, match="sorted points"):
+        finite_field_charpoly(2, primes=[3, 5, huge])
+    with pytest.raises(GuardExceeded):
+        finite_field_charpoly(8, cap=None)  # C(64, 7) sorted points at q=59
+    assert finite_field_charpoly(2, primes=[3, 5, 7], points_cap=6).coeffs == (2, -3, 1)
 
 
 def test_default_primes_exceed_determinant_bound():

@@ -157,11 +157,17 @@ def test_text_output(tmp_path, capsys, argv, expected):
     assert run_cli(capsys, *argv) == (0, expected)
 
 
-# (argv, exit code, part of the one "error: " line, or None for the
-# argparse usage error and the guard, which print their own formats)
+# (argv, exit code, part of the one stderr line, or None for the argparse
+# usage error, which prints its own format).  The line starts with
+# "guard violation: " for exit code 2 and "error: " otherwise.
 EXIT_CASES = {
     "badflag": (["charpoly", "--badflag"], 1, None),
-    "guard": (["charpoly", "--n", "9"], 2, None),
+    "guard": (["charpoly", "--n", "9"], 2, "n capped at 7"),
+    "huge-prime": (
+        ["charpoly", "--n", "2", "--method", "ff", "--primes", "3,5,1000000000000000003"],
+        2,
+        "sorted points capped at",
+    ),
     "closed-form-i4": (["closed-form", "--i", "4", "--n", "3"], 1, "i in {1, 2, 3}"),
     "missing-file": (["embed", "--input", "{missing}"], 1, "No such file"),
     "bad-primes": (["charpoly", "--n", "3", "--method", "ff", "--primes", "x,y"], 1, "'x'"),
@@ -198,7 +204,8 @@ def test_exit_codes(tmp_path, capsys, case):
     assert "Traceback" not in err
     if message is not None:
         assert len(err.splitlines()) == 1
-        assert err.startswith("error: ") and message in err
+        assert err.startswith("guard violation: " if code == 2 else "error: ")
+        assert message in err
 
 
 def test_guard_override_allows_expensive_run(capsys):
