@@ -261,15 +261,14 @@ def finite_field_charpoly(
     primes=None,
     cap: int | None = GUARDS["finite_field_n"],
     threads: int = 1,
-    points_cap: int | None = GUARDS["finite_field_points"],
 ) -> CharPoly:
     """Characteristic polynomial through point counts over n+1 prime fields.
 
     For admissible primes the count of points avoiding every hyperplane
     equals the polynomial evaluated at q, so n+1 counts determine it.
     Primes beyond the first n+1 are counted too, and each must agree
-    with the interpolant.  ``points_cap`` bounds the sorted slice of
-    C(q+n-3, n-1) points that the count at q walks.
+    with the interpolant.  ``cap`` bounds n; the ``finite_field_points``
+    guard bounds the work of each count, and ``cap=None`` lifts both.
     """
     check_guard("finite-field method: n", n, cap)
     if n not in MAX_01_DETERMINANT:
@@ -279,9 +278,12 @@ def finite_field_charpoly(
     primes = sorted(set(primes))
     if len(primes) < n + 1:
         raise ValueError(f"need at least {n + 1} distinct primes, got {len(primes)}")
+    work_cap = None if cap is None else GUARDS["finite_field_points"]
     for q in primes:
-        slice_size = comb(max(q + n - 3, 0), n - 1)
-        check_guard(f"finite-field method at q={q}: sorted points", slice_size, points_cap)
+        # The count walks C(q+n-3, n-1) sorted points in q - 1 jobs, one per
+        # x_2, and each job first sets up a q-byte mask.
+        work = comb(max(q + n - 3, 0), n - 1) + (q - 1) * q * (n > 1)
+        check_guard(f"finite-field method at q={q}: point-count work", work, work_cap)
     for q in primes:
         _check_prime(n, q)
     pts = [(q, count_points_avoiding(n, q, threads=threads)) for q in primes]

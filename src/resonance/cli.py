@@ -42,11 +42,7 @@ def _charpoly(args):
     methods = {
         "whitney": lambda: whitney_charpoly(args.n, cap=_cap(args, "whitney_n")),
         "ff": lambda: finite_field_charpoly(
-            args.n,
-            primes=primes,
-            cap=_cap(args, "finite_field_n"),
-            threads=args.threads,
-            points_cap=_cap(args, "finite_field_points"),
+            args.n, primes=primes, cap=_cap(args, "finite_field_n"), threads=args.threads
         ),
         "nbc": lambda: nbc.charpoly_via_nbc(
             args.n, workers=args.threads, cap=_cap(args, "nbc_depth")

@@ -3,7 +3,6 @@
 ``GUARDS`` is the one table of default input-size limits.  Every
 guarded entry point takes a ``cap`` parameter that defaults to its row
 here; ``cap=None`` lifts the guard (the CLI's ``--guard-override``).
-The finite-field method has a second one, ``points_cap``.
 """
 
 
@@ -22,8 +21,10 @@ class InternalCheckError(RuntimeError):
 GUARDS = {
     "whitney_n": 4,           # the Whitney sum has 2**(2**n - 1) terms
     "finite_field_n": 7,      # point counts over n+1 primes: 0.05 s at n=6, 7 s at n=7
-    # Sorted points C(q+n-3, n-1) one finite-field count walks: 1.4e8 at
-    # n=7, q=67 (2.5 s); n=8's smallest prime, 59, would walk 6.2e8.
+    # Work of one finite-field count: C(q+n-3, n-1) sorted points plus a
+    # q-byte mask for each of its q-1 jobs.  1.4e8 at n=7, q=67 (2.5 s);
+    # n=8's smallest prime, 59, needs 6.2e8; n=2 allows q <= 14142.  It
+    # lifts with the finite-field method's ``cap``.
     "finite_field_points": 2 * 10**8,
     "chambers_n": 6,          # deletion/restriction: 1.6 s at n=6, 228 s at n=7
     # Deepest NBC search for each n = 1 .. 7: full depth through n=6.

@@ -150,11 +150,16 @@ def test_finite_field_extra_primes_are_checked(monkeypatch):
 
 def test_finite_field_point_guard():
     huge = 1000000000000000003
-    with pytest.raises(GuardExceeded, match="sorted points"):
+    with pytest.raises(GuardExceeded, match="point-count work"):
         finite_field_charpoly(2, primes=[3, 5, huge])
-    with pytest.raises(GuardExceeded):
-        finite_field_charpoly(8, cap=None)  # C(64, 7) sorted points at q=59
-    assert finite_field_charpoly(2, primes=[3, 5, 7], points_cap=6).coeffs == (2, -3, 1)
+    with pytest.raises(GuardExceeded, match="q=59"):
+        finite_field_charpoly(8, cap=8)  # C(64, 7) sorted points at q=59
+    # At n=2 the q - 1 per-x_2 masks of q bytes are the work: 14107 is the
+    # largest prime the guard allows, and its 14106 jobs take well under 1 s.
+    assert finite_field_charpoly(2, primes=[3, 5, 14107]).coeffs == (2, -3, 1)
+    with pytest.raises(GuardExceeded, match="q=14143"):
+        finite_field_charpoly(2, primes=[3, 5, 14143])
+    assert finite_field_charpoly(2, primes=[3, 5, 14143], cap=None).coeffs == (2, -3, 1)
 
 
 def test_default_primes_exceed_determinant_bound():

@@ -166,7 +166,7 @@ EXIT_CASES = {
     "huge-prime": (
         ["charpoly", "--n", "2", "--method", "ff", "--primes", "3,5,1000000000000000003"],
         2,
-        "sorted points capped at",
+        "point-count work capped at",
     ),
     "closed-form-i4": (["closed-form", "--i", "4", "--n", "3"], 1, "i in {1, 2, 3}"),
     "missing-file": (["embed", "--input", "{missing}"], 1, "No such file"),
