@@ -19,35 +19,17 @@ from .arrangement import (
     whitney_charpoly,
 )
 from .circuits import (
-    CircuitTag,
-    CircuitType,
     SideMidpointTuple,
     b3_via_circuits,
-    classify_relevant_4circuit,
     count_intersecting_triples,
     count_rectangle_circuits,
     count_tetrahedron_circuits,
     rectangle_from_sides,
-    sides_from_rectangle,
 )
 from .errors import GuardExceeded, InternalCheckError
-from .linalg import (
-    EchelonBasis,
-    ExactMatrix,
-    closure,
-    fundamental_circuit,
-    is_independent,
-    mask_rank,
-)
-from .masks import format_mask, mask_elements, mask_from_elements, mask_vector
-from .nbc import (
-    NbcSet,
-    betti_via_nbc,
-    charpoly_via_nbc,
-    is_broken_circuit,
-    is_nbc,
-    nbc_extend,
-)
+from .linalg import EchelonBasis, ExactMatrix
+from .masks import format_mask, mask_elements, mask_vector
+from .nbc import betti_via_nbc, charpoly_via_nbc, is_broken_circuit, is_nbc
 from .prototypes import (
     Partition,
     Prototype,
@@ -57,19 +39,14 @@ from .prototypes import (
     coefficients,
     enumerate_prototypes,
     realize,
-    tuple_prototype,
 )
 from .stirling import (
     StirlingCombination,
     betti2_closed,
     betti3_closed,
     betti_closed,
-    betti_bound_holds,
-    betti_upper_bound,
     fit_stirling_coefficients,
-    region_log2_bound,
     stirling2,
-    stirling2_altsum,
 )
 from .universality import (
     ColumnDecomposition,

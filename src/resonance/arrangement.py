@@ -8,7 +8,8 @@ chamber counter that serves as an oracle for the region count.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
+import os
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import lru_cache, partial
 from math import comb
@@ -216,7 +217,7 @@ def _count_slice(x2, n, q):
     return _count_sorted((sums | np.roll(sums, x2))[None], np.array([x2]), one, one, 1, n, q)
 
 
-def count_points_avoiding(n: int, q: int, threads: int = 1) -> int:
+def count_points_avoiding(n: int, q: int, workers: int = 1) -> int:
     """Points of F_q^n with every nonempty subset sum nonzero.
 
     Valid points have x_1 != 0 and scaling by any nonzero constant is a
@@ -231,19 +232,30 @@ def count_points_avoiding(n: int, q: int, threads: int = 1) -> int:
     coordinates and run the multiplicity of v so far, and the quotient
     is the new weight, itself an integer.
 
-    The slice is split on x_2, its smallest free coordinate.  One thread
-    counts the parts with ``map``, more threads with ``pool.map``; both
-    sum them in x_2 order.
+    The slice is split on x_2, its smallest free coordinate, into q - 1
+    jobs.  ``run_jobs`` counts them, in a process pool when ``workers``
+    allows one, and the parts are summed in x_2 order, so the count does
+    not depend on ``workers``.
     """
     _check_prime(n, q)
     if n == 1:
         return q - 1
-    count = partial(_count_slice, n=n, q=q)
-    workers = min(threads, q - 1)
-    if workers <= 1:
-        return (q - 1) * sum(map(count, range(1, q)))
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return (q - 1) * sum(pool.map(count, range(1, q)))
+    return (q - 1) * sum(run_jobs(partial(_count_slice, n=n, q=q), range(1, q), workers))
+
+
+def run_jobs(fn, jobs, workers: int):
+    """Yield ``fn(job)`` for each job, in job order.
+
+    The pool has min(workers, jobs, usable cores) processes.  With one,
+    the jobs run in this process through ``map``; otherwise ``fn`` and
+    the jobs must pickle.
+    """
+    size = min(workers, len(jobs), len(os.sched_getaffinity(0)))
+    if size <= 1:
+        yield from map(fn, jobs)
+        return
+    with ProcessPoolExecutor(max_workers=size) as pool:
+        yield from pool.map(fn, jobs, chunksize=8)
 
 
 def _interpolate_integer_poly(points, degree):
@@ -260,7 +272,7 @@ def finite_field_charpoly(
     n: int,
     primes=None,
     cap: int | None = GUARDS["finite_field_n"],
-    threads: int = 1,
+    workers: int = 1,
 ) -> CharPoly:
     """Characteristic polynomial through point counts over n+1 prime fields.
 
@@ -286,7 +298,7 @@ def finite_field_charpoly(
         check_guard(f"finite-field method at q={q}: point-count work", work, work_cap)
     for q in primes:
         _check_prime(n, q)
-    pts = [(q, count_points_avoiding(n, q, threads=threads)) for q in primes]
+    pts = [(q, count_points_avoiding(n, q, workers=workers)) for q in primes]
     poly = CharPoly(tuple(_interpolate_integer_poly(pts[: n + 1], n)))
     for q, count in pts[n + 1 :]:
         if poly(q) != count:

@@ -16,47 +16,22 @@ each opposite pair.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from enum import Enum
-from itertools import combinations
 
 from .errors import InternalCheckError
-from .masks import validate_mask
 from .prototypes import partitions_into_blocks
 from .stirling import stirling2
 
 __all__ = [
-    "CircuitTag",
-    "CircuitType",
     "SideMidpointTuple",
     "count_intersecting_triples",
-    "classify_relevant_4circuit",
     "count_tetrahedron_circuits",
     "tetrahedron_circuits",
     "rectangle_from_sides",
-    "sides_from_rectangle",
     "side_midpoint_tuples",
     "count_rectangle_circuits",
     "rectangle_circuit_families",
     "b3_via_circuits",
 ]
-
-
-class CircuitTag(Enum):
-    TYPE_I = "tetrahedron"
-    TYPE_II = "midpoint-symmdiff"
-    TYPE_III = "midpoint-union"
-    TYPE_IV = "shifted-rectangle"
-    NOT_RELEVANT = "not-a-relevant-circuit"
-
-
-@dataclass(frozen=True)
-class CircuitType:
-    """Classification result with the witnessing pair (and shift set)."""
-
-    tag: CircuitTag
-    a1: int | None = None
-    a3: int | None = None
-    x: int | None = None
 
 
 def count_intersecting_triples(n: int) -> int:
@@ -81,44 +56,6 @@ def count_intersecting_triples(n: int) -> int:
             f"triple-count expressions disagree at n={n}: {via_powers} vs {via_stirling}"
         )
     return via_powers
-
-
-def _pairwise_intersecting(masks) -> bool:
-    return all(a & b for a, b in combinations(masks, 2))
-
-
-def classify_relevant_4circuit(family, n: int) -> CircuitType:
-    """Match a four-element family against the relevant-circuit patterns.
-
-    The maximum element must complete the pattern; the three smaller
-    sets must be pairwise intersecting.  The shift set of the fourth
-    pattern is required nonempty and inside the symmetric difference.
-    """
-    fam = sorted(set(family))
-    if len(fam) != 4:
-        raise ValueError("need four distinct masks")
-    for m in fam:
-        validate_mask(m, n)
-    top = fam[3]
-    rest = fam[:3]
-    if not _pairwise_intersecting(rest):
-        return CircuitType(CircuitTag.NOT_RELEVANT)
-    for a1_idx, a3_idx in ((0, 1), (0, 2), (1, 2)):
-        a1, a3 = rest[a1_idx], rest[a3_idx]
-        a2 = rest[3 - a1_idx - a3_idx]
-        inter, sdiff, union = a1 & a3, a1 ^ a3, a1 | a3
-        if not (inter and a1 & ~a3 and a3 & ~a1):
-            continue
-        if a2 == sdiff and top == union:
-            return CircuitType(CircuitTag.TYPE_I, a1, a3)
-        if a2 == inter and top == sdiff:
-            return CircuitType(CircuitTag.TYPE_II, a1, a3)
-        if a2 == inter and top == union:
-            return CircuitType(CircuitTag.TYPE_III, a1, a3)
-        x = a2 & ~inter
-        if x and a2 == inter | x and x & ~sdiff == 0 and top == union & ~x:
-            return CircuitType(CircuitTag.TYPE_IV, a1, a3, x)
-    return CircuitType(CircuitTag.NOT_RELEVANT)
 
 
 def tetrahedron_circuits(n: int):
@@ -181,31 +118,6 @@ def rectangle_from_sides(t: SideMidpointTuple) -> tuple[int, int, int, int]:
     its two incident sides (cyclic order)."""
     s = t.sides
     return tuple(t.midpoint | s[i - 1] | s[i] for i in range(4))
-
-
-def sides_from_rectangle(family, n: int) -> SideMidpointTuple:
-    """Recover the side-midpoint tuple from an ordered rectangle circuit.
-
-    The input is the cyclic vertex order (a1, a2, a3, a4) with opposite
-    pairs (a1, a3) and (a2, a4) satisfying the rectangle indicator
-    relation."""
-    quad = tuple(family)
-    if len(quad) != 4 or len(set(quad)) != 4:
-        raise ValueError("need four distinct masks")
-    for m in quad:
-        validate_mask(m, n)
-    if not _pairwise_intersecting(quad):
-        raise ValueError("vertices must be pairwise intersecting")
-    a1, a2, a3, a4 = quad
-    for e in range(n):
-        bit = 1 << e
-        if bool(a1 & bit) + bool(a3 & bit) != bool(a2 & bit) + bool(a4 & bit):
-            raise ValueError("vertices do not satisfy the rectangle relation")
-    mid = a1 & a2 & a3 & a4
-    if mid == 0:
-        raise ValueError("vertices have empty common intersection")
-    sides = tuple(quad[i] & quad[(i + 1) % 4] & ~mid for i in range(4))
-    return SideMidpointTuple(sides, mid)
 
 
 def side_midpoint_tuples(n: int):

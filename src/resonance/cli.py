@@ -42,7 +42,7 @@ def _charpoly(args):
     methods = {
         "whitney": lambda: whitney_charpoly(args.n, cap=_cap(args, "whitney_n")),
         "ff": lambda: finite_field_charpoly(
-            args.n, primes=primes, cap=_cap(args, "finite_field_n"), threads=args.threads
+            args.n, primes=primes, cap=_cap(args, "finite_field_n"), workers=args.threads
         ),
         "nbc": lambda: nbc.charpoly_via_nbc(
             args.n, workers=args.threads, cap=_cap(args, "nbc_depth")
@@ -90,13 +90,15 @@ def _coefficients(combo):
 
 
 def _fit_coeffs(args):
+    # The fit needs b_i(A_1) .. b_i(A_{2^i}).  Stop at the first value the
+    # table lacks; the shift tests len(values) < 2**i without forming 2**i.
     # A negative i reaches the fit with no values and is rejected there.
-    size = 2**args.i if args.i >= 0 else 0
     values = []
-    for n in range(1, size + 1):
-        v = table1.golden_betti(args.i, n)
+    while args.i >= 0 and len(values) >> args.i == 0:
+        v = table1.golden_betti(args.i, len(values) + 1)
         if v is None:
-            raise ValueError(f"golden Betti values for i={args.i} are not known up to n={size}")
+            i = args.i
+            raise ValueError(f"golden Betti values for i={i} are not known up to n=2^{i}")
         values.append(v)
     combo = fit_stirling_coefficients(args.i, values)
     return {"inputs": [str(v) for v in values], **_coefficients(combo)}
@@ -249,7 +251,9 @@ def _build_parser() -> argparse.ArgumentParser:
     for name, (help_text, arguments, _, _) in COMMANDS.items():
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--format", choices=("text", "json"), default="text")
-        p.add_argument("--threads", type=int, default=1)
+        p.add_argument("--threads", type=int, default=1,
+                       help="worker processes for the NBC search and the point count; "
+                       "results do not depend on it")
         p.add_argument("--guard-override", action="store_true",
                        help="run beyond the default size guards (expensive)")
         p.add_argument("--output", help="write JSON payload to this path")

@@ -1,9 +1,9 @@
-"""Exact rank, span, circuit and pivot computations over the rationals.
+"""Exact rank, span and pivot computations over the rationals.
 
 One elimination kernel serves every general job: ``EchelonBasis``, an
 incrementally built, fully reduced integer row basis.  Rank, span
-membership, closure, the coefficients expressing a vector over others
-and square solves all go through it.  ``ExactMatrix.pivot`` is the one
+membership, the coefficients expressing a vector over others and square
+solves all go through it.  ``ExactMatrix.pivot`` is the one
 other elimination step; it replays the pivots an embedding certificate
 prescribes.  Everything is exact: ints and Fractions, never floats.
 """
@@ -13,17 +13,13 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd, lcm
 
-from .masks import mask_vector, validate_mask
+from .masks import validate_mask
 
 __all__ = [
     "ExactMatrix",
     "EchelonBasis",
     "bareiss_rank",
     "span_coefficients",
-    "mask_rank",
-    "is_independent",
-    "closure",
-    "fundamental_circuit",
 ]
 
 
@@ -101,10 +97,6 @@ class EchelonBasis:
         self._pivots.append(p)
         return True
 
-    def add_masks(self, masks, n) -> None:
-        for m in masks:
-            self.add(mask_vector(m, n))
-
 
 def bareiss_rank(rows) -> int:
     """Rank of a matrix of ints or Fractions, by an ``EchelonBasis``.
@@ -157,58 +149,6 @@ def span_coefficients(vectors, target):
     """Exact coefficients c with sum c_i * vectors[i] == target, or None
     when ``target`` lies outside the span of the integer ``vectors``."""
     return _span_solver(vectors)[1](target)
-
-
-def _validated_masks(masks, n):
-    out = list(masks)
-    for m in out:
-        validate_mask(m, n)
-    return out
-
-
-def mask_rank(masks, n: int) -> int:
-    """Rank over Q of a collection of 0/1 normal vectors."""
-    basis = EchelonBasis(n)
-    basis.add_masks(_validated_masks(masks, n), n)
-    return basis.rank
-
-
-def is_independent(masks, n: int) -> bool:
-    cols = list(masks)
-    return mask_rank(cols, n) == len(cols)
-
-
-def closure(subset, universe, n: int):
-    """All hyperplanes of ``universe`` lying in the span of ``subset``."""
-    sub = _validated_masks(subset, n)
-    uni = _validated_masks(universe, n)
-    uniset = set(uni)
-    for m in sub:
-        if m not in uniset:
-            raise ValueError(f"mask {m} not in the universe")
-    basis = EchelonBasis(n)
-    basis.add_masks(sub, n)
-    return {h for h in uni if basis.contains(mask_vector(h, n))}
-
-
-def fundamental_circuit(independent_masks, e: int, n: int):
-    """The unique circuit inside ``independent_masks + [e]`` through e.
-
-    Returns a frozenset; raises if e already belongs to the set or lies
-    outside its span.
-    """
-    base = _validated_masks(independent_masks, n)
-    validate_mask(e, n)
-    if e in base:
-        raise ValueError("element already belongs to the independent set")
-    rank, solve = _span_solver([mask_vector(m, n) for m in base])
-    if rank < len(base):
-        raise ValueError("base set is not independent")
-    coeffs = solve(mask_vector(e, n))
-    if coeffs is None:
-        raise ValueError("element does not lie in the closure of the base set")
-    support = [bm for bm, c in zip(base, coeffs) if c]
-    return frozenset(support) | {e}
 
 
 def _as_exact(x):

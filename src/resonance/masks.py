@@ -25,16 +25,6 @@ def validate_mask(mask: int, n: int) -> int:
     return mask
 
 
-def mask_from_elements(elements) -> int:
-    """Build a mask from an iterable of 1-based elements."""
-    m = 0
-    for e in elements:
-        if e < 1:
-            raise ValueError("elements are 1-based")
-        m |= 1 << (e - 1)
-    return m
-
-
 def mask_elements(mask: int) -> list[int]:
     """1-based elements of a mask, ascending."""
     out = []

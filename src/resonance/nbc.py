@@ -16,21 +16,16 @@ the definition is a test obligation, not an assumption.
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
 from itertools import combinations
 
-from .arrangement import CharPoly
+from .arrangement import CharPoly, run_jobs
 from .errors import GUARDS, check_guard
-from .linalg import EchelonBasis, _normalize_int_row, _span_solver
+from .linalg import _normalize_int_row, _span_solver
 from .masks import mask_vector, validate_mask
 
 __all__ = [
-    "NbcSet",
     "is_broken_circuit",
     "is_nbc",
-    "nbc_extend",
     "betti_via_nbc",
     "charpoly_via_nbc",
 ]
@@ -78,41 +73,6 @@ def is_nbc(masks, n: int) -> bool:
     return True
 
 
-@dataclass(frozen=True)
-class NbcSet:
-    """A validated no-broken-circuit set, elements strictly increasing."""
-
-    elements: tuple[int, ...]
-    n: int
-
-    def __post_init__(self):
-        if list(self.elements) != sorted(set(self.elements)):
-            raise ValueError("elements must be strictly increasing")
-        if not is_nbc(self.elements, self.n):
-            raise ValueError("set contains a broken circuit")
-
-
-def nbc_extend(masks, e: int, n: int) -> bool:
-    """Incremental test: does appending e keep the set NBC?
-
-    Requires e above the current maximum and the input already NBC.
-    """
-    S = sorted(masks)
-    validate_mask(e, n)
-    if S and e <= S[-1]:
-        raise ValueError("new element must exceed the current maximum")
-    old = EchelonBasis(n)
-    old.add_masks(S, n)
-    new = old.copy()
-    if not new.add(mask_vector(e, n)):
-        return False
-    for f in range(e + 1, 1 << n):
-        fv = mask_vector(f, n)
-        if new.contains(fv) and not old.contains(fv):
-            return False
-    return True
-
-
 def _reduced_tail(cands, res):
     """One elimination step of every candidate residual against ``res``."""
     p = next(j for j, x in enumerate(res) if x)
@@ -157,17 +117,6 @@ def _count_from_root(args):
     return counts
 
 
-def _root_counts(jobs, workers):
-    """Per-root counts: in this process for one worker, else in a pool
-    of at most one process per job and per usable core."""
-    size = min(workers, len(jobs), len(os.sched_getaffinity(0)))
-    if size <= 1:
-        yield from map(_count_from_root, jobs)
-        return
-    with ProcessPoolExecutor(max_workers=size) as pool:
-        yield from pool.map(_count_from_root, jobs, chunksize=8)
-
-
 def betti_via_nbc(
     n: int, i_max: int, workers: int = 1, cap: dict[int, int] | None = GUARDS["nbc_depth"]
 ) -> list[int]:
@@ -187,7 +136,7 @@ def betti_via_nbc(
     if i_max == 0:
         return counts
     jobs = [(n, i_max, pos) for pos in range((1 << n) - 1)]
-    for sub in _root_counts(jobs, workers):
+    for sub in run_jobs(_count_from_root, jobs, workers):
         for d in range(1, i_max + 1):
             counts[d] += sub[d]
     return counts

@@ -37,7 +37,6 @@ __all__ = [
     "classify",
     "coefficients",
     "betti_via_prototypes",
-    "tuple_prototype",
 ]
 
 
@@ -216,37 +215,3 @@ def coefficients(i: int, cap: int | None = GUARDS["prototype_i"]) -> StirlingCom
 def betti_via_prototypes(i: int, n: int, cap: int | None = GUARDS["prototype_i"]) -> int:
     """b_i(A_n) assembled from the prototype census."""
     return sum(c * stirling2(n + 1, k) for k, c in coefficients(i, cap=cap).coefficients.items())
-
-
-def tuple_prototype(masks, n: int) -> tuple[Prototype, Partition]:
-    """Inverse construction: recover (prototype, partition) from a tuple
-    of pairwise distinct nonempty subsets of [n].
-
-    Elements of {1..n+1} are grouped by the set of tuple positions
-    containing them; the groups are the partition blocks and the
-    signatures of the non-leftover blocks are the prototype images.
-    Tuples spanning fewer than i+1 groups are dependent (their sets live
-    in the span of at most i-1 indicator vectors) and have no prototype.
-    """
-    tup = list(masks)
-    if len(set(tup)) != len(tup) or 0 in tup:
-        raise ValueError("need pairwise distinct nonempty subsets")
-    i = len(tup)
-    signatures: dict[int, int] = {}
-    for e in range(1, n + 2):
-        sig = 0
-        for j, m in enumerate(tup):
-            if e <= n and m >> (e - 1) & 1:
-                sig |= 1 << j
-        signatures.setdefault(sig, 0)
-        signatures[sig] |= 1 << (e - 1)
-    block_of = {blk: sig for sig, blk in signatures.items()}
-    blocks = sorted(block_of)
-    if block_of[blocks[-1]] != 0:
-        raise InternalCheckError("leftover block is not last in mask order")
-    k = len(blocks)
-    if k <= i:
-        raise ValueError(f"tuple is dependent: only {k} blocks for an {i}-tuple")
-    part = Partition(n + 1, tuple(blocks))
-    images = tuple(block_of[b] for b in blocks[:-1])
-    return Prototype(i, k, images), part

@@ -17,15 +17,11 @@ from .linalg import _span_solver
 
 __all__ = [
     "stirling2",
-    "stirling2_altsum",
     "StirlingCombination",
     "betti2_closed",
     "betti3_closed",
     "betti_closed",
     "fit_stirling_coefficients",
-    "betti_upper_bound",
-    "betti_bound_holds",
-    "region_log2_bound",
 ]
 
 
@@ -42,19 +38,6 @@ def stirling2(n: int, k: int) -> int:
     for _ in range(n):
         row = [0] + [j * row[j] + row[j - 1] for j in range(1, k + 1)]
     return row[k]
-
-
-def stirling2_altsum(n: int, k: int) -> int:
-    """S(n, k) via the alternating binomial sum; exact integer division."""
-    if n < 0 or k < 0:
-        raise ValueError("arguments must be nonnegative")
-    if k == 0:
-        return 1 if n == 0 else 0
-    total = sum((-1) ** i * comb(k, i) * (k - i) ** n for i in range(k + 1))
-    q, r = divmod(total, factorial(k))
-    if r:
-        raise InternalCheckError(f"alternating sum for S({n},{k}) not divisible by {k}!")
-    return q
 
 
 @dataclass(frozen=True)
@@ -155,31 +138,3 @@ def fit_stirling_coefficients(i: int, values) -> StirlingCombination:
         elif c:
             coeffs[k] = c
     return StirlingCombination(i, coeffs)
-
-
-def betti_upper_bound(i: int, n: int) -> int:
-    """floor(2**(i*n) / i!), the strict upper bound value for b_i(A_n)."""
-    if i < 0 or n < 1:
-        raise ValueError("need i >= 0 and n >= 1")
-    return 2 ** (i * n) // factorial(i)
-
-
-def betti_bound_holds(i: int, n: int, betti_value: int) -> bool:
-    """Exact check of b_i(A_n) < 2**(i*n) / i! (no floor rounding)."""
-    return betti_value * factorial(i) < 2 ** (i * n)
-
-
-def region_log2_bound(n: int) -> tuple[int, bool]:
-    """The exponent n**2 - n + 1 and whether the summed Betti bounds
-    stay below 2 to that exponent.
-
-    The summed form is looser than the bound on the chamber count
-    itself and genuinely fails at n = 2 (13 > 8) even though
-    log2(R_2) < 3 holds; callers comparing chamber counts should test
-    R_n < 2**exponent directly.
-    """
-    if n <= 1:
-        raise ValueError("n must be at least 2")
-    exponent = n * n - n + 1
-    total = sum(betti_upper_bound(i, n) for i in range(n + 1))
-    return exponent, total < 2**exponent

@@ -3,15 +3,17 @@
 The table ships with the package and is never overwritten by
 computations; unknown entries are explicit Nones.  The report
 recomputes every reachable cell by at least one method and marks it
-MATCH or MISMATCH against the golden value; a cell beyond the default
-size guards is reported as SKIPPED ("needs long run"), not attempted.
+MATCH or MISMATCH against the golden value; a region count is computed
+by every route the default size guards allow, and the routes must
+agree.  A cell beyond the default size guards is reported as SKIPPED
+("needs long run"), not attempted.
 """
 
 from __future__ import annotations
 
 from . import nbc
-from .arrangement import region_count
-from .errors import GuardExceeded
+from .arrangement import finite_field_charpoly, region_count
+from .errors import GuardExceeded, InternalCheckError
 from .stirling import betti_closed
 
 __all__ = ["GOLDEN_BETTI", "GOLDEN_REGIONS", "golden_betti", "golden_regions", "build_report"]
@@ -56,10 +58,21 @@ def _compute_betti(i, n, workers):
 
 
 def _compute_regions(n, workers):
-    try:
-        return region_count(nbc.charpoly_via_nbc(n, workers=workers)), "nbc full depth"
-    except GuardExceeded:
+    routes = {
+        "nbc full depth": lambda: nbc.charpoly_via_nbc(n, workers=workers),
+        "ff": lambda: finite_field_charpoly(n, workers=workers),
+    }
+    values = {}
+    for method, route in routes.items():
+        try:
+            values[method] = region_count(route())
+        except GuardExceeded:
+            pass
+    if not values:
         return None, "needs long run"
+    if len(set(values.values())) > 1:
+        raise InternalCheckError(f"region counts of A_{n} disagree: {values}")
+    return next(iter(values.values())), " + ".join(values)
 
 
 def build_report(n_max: int, i_max: int, include_regions: bool = True, workers: int = 1) -> dict:

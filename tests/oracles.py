@@ -1,11 +1,24 @@
 """Brute-force reference implementations used to cross-check the library.
 
-Everything here is written from definitions with Fraction arithmetic
-and full enumeration, independent of the production code paths.
+Everything here is written from definitions with Fraction arithmetic,
+full enumeration or closed formulas, independent of the production code
+paths.  Test helpers built on the package's own kernels live in
+``kernel_helpers``.
 """
 
 from fractions import Fraction
 from itertools import combinations
+from math import comb, factorial
+
+
+def mask_from_elements(elements) -> int:
+    """Build a mask from an iterable of 1-based elements."""
+    m = 0
+    for e in elements:
+        if e < 1:
+            raise ValueError("elements are 1-based")
+        m |= 1 << (e - 1)
+    return m
 
 
 def mask_vec(mask, n):
@@ -181,6 +194,47 @@ def stirling_oracle(n, k):
 
     rec(1, [1])
     return count
+
+
+def stirling2_altsum(n: int, k: int) -> int:
+    """S(n, k) via the alternating binomial sum; exact integer division."""
+    if n < 0 or k < 0:
+        raise ValueError("arguments must be nonnegative")
+    if k == 0:
+        return 1 if n == 0 else 0
+    total = sum((-1) ** i * comb(k, i) * (k - i) ** n for i in range(k + 1))
+    q, r = divmod(total, factorial(k))
+    if r:
+        raise ArithmeticError(f"alternating sum for S({n},{k}) not divisible by {k}!")
+    return q
+
+
+def betti_upper_bound(i: int, n: int) -> int:
+    """floor(2**(i*n) / i!), the strict upper bound value for b_i(A_n)."""
+    if i < 0 or n < 1:
+        raise ValueError("need i >= 0 and n >= 1")
+    return 2 ** (i * n) // factorial(i)
+
+
+def betti_bound_holds(i: int, n: int, betti_value: int) -> bool:
+    """Exact check of b_i(A_n) < 2**(i*n) / i! (no floor rounding)."""
+    return betti_value * factorial(i) < 2 ** (i * n)
+
+
+def region_log2_bound(n: int) -> tuple[int, bool]:
+    """The exponent n**2 - n + 1 and whether the summed Betti bounds
+    stay below 2 to that exponent.
+
+    The summed form is looser than the bound on the chamber count
+    itself and genuinely fails at n = 2 (13 > 8) even though
+    log2(R_2) < 3 holds; callers comparing chamber counts should test
+    R_n < 2**exponent directly.
+    """
+    if n <= 1:
+        raise ValueError("n must be at least 2")
+    exponent = n * n - n + 1
+    total = sum(betti_upper_bound(i, n) for i in range(n + 1))
+    return exponent, total < 2**exponent
 
 
 def certificate_columns(emb):

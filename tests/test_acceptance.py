@@ -23,11 +23,10 @@ from resonance.circuits import (
     rectangle_circuit_families,
     rectangle_from_sides,
     side_midpoint_tuples,
-    sides_from_rectangle,
     tetrahedron_circuits,
 )
 from resonance.cli import main
-from resonance.nbc import betti_via_nbc, charpoly_via_nbc, is_nbc, nbc_extend
+from resonance.nbc import betti_via_nbc, charpoly_via_nbc, is_nbc
 from resonance.prototypes import (
     Partition,
     Prototype,
@@ -36,15 +35,12 @@ from resonance.prototypes import (
     coefficients,
     realize,
 )
-from resonance.stirling import (
-    betti2_closed,
-    betti3_closed,
-    betti_bound_holds,
-    fit_stirling_coefficients,
-    region_log2_bound,
-)
+from resonance.stirling import betti2_closed, betti3_closed, fit_stirling_coefficients
 from resonance.table1 import GOLDEN_BETTI, GOLDEN_REGIONS
 from resonance.universality import embed, minor_matroid_check, verify_embedding
+
+from kernel_helpers import nbc_extend, sides_from_rectangle
+from oracles import betti_bound_holds, region_log2_bound
 
 CHI_A3 = (-9, 15, -7, 1)
 

@@ -123,9 +123,9 @@ def test_finite_field_needs_enough_primes():
 
 def test_finite_field_threads_match_serial():
     serial = finite_field_charpoly(4)
-    threaded = finite_field_charpoly(4, threads=3)
+    threaded = finite_field_charpoly(4, workers=3)
     assert serial == threaded
-    assert finite_field_charpoly(6, threads=2) == finite_field_charpoly(6)
+    assert finite_field_charpoly(6, workers=2) == finite_field_charpoly(6)
 
 
 def test_finite_field_a7_matches_golden_values():
@@ -140,8 +140,8 @@ def test_finite_field_extra_primes_are_checked(monkeypatch):
     assert finite_field_charpoly(3, primes=primes).coeffs == CHI_A3
     exact = arrangement.count_points_avoiding
 
-    def off_at_19(n, q, threads=1):
-        return exact(n, q, threads) + (q == 19)
+    def off_at_19(n, q, workers=1):
+        return exact(n, q, workers) + (q == 19)
 
     monkeypatch.setattr(arrangement, "count_points_avoiding", off_at_19)
     with pytest.raises(InternalCheckError, match="q=19"):

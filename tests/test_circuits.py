@@ -3,24 +3,21 @@ from itertools import combinations
 import pytest
 
 from resonance.circuits import (
-    CircuitTag,
     SideMidpointTuple,
     b3_via_circuits,
-    classify_relevant_4circuit,
     count_intersecting_triples,
     count_rectangle_circuits,
     count_tetrahedron_circuits,
     rectangle_circuit_families,
     rectangle_from_sides,
     side_midpoint_tuples,
-    sides_from_rectangle,
     tetrahedron_circuits,
 )
-from resonance.masks import mask_from_elements as M
 from resonance.nbc import is_nbc
 from resonance.stirling import betti3_closed, stirling2
 
-from oracles import intersecting_triples_bruteforce, is_dependent
+from kernel_helpers import CircuitTag, classify_relevant_4circuit, sides_from_rectangle
+from oracles import intersecting_triples_bruteforce, is_dependent, mask_from_elements as M
 
 
 def relevant_circuits_by_linear_algebra(n):

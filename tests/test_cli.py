@@ -139,8 +139,8 @@ TEXT_OUTPUT = [
         "b1(A_2): golden=3 computed=3 [MATCH; closed form]\n"
         "b2(A_1): golden=0 computed=0 [MATCH; closed form]\n"
         "b2(A_2): golden=2 computed=2 [MATCH; closed form]\n"
-        "R(A_1): golden=2 computed=2 [MATCH; nbc full depth]\n"
-        "R(A_2): golden=6 computed=6 [MATCH; nbc full depth]\n"
+        "R(A_1): golden=2 computed=2 [MATCH; nbc full depth + ff]\n"
+        "R(A_2): golden=6 computed=6 [MATCH; nbc full depth + ff]\n"
         "computed cells: 6, mismatches: 0\n",
     ),
 ]
@@ -181,6 +181,7 @@ EXIT_CASES = {
     "prototypes-i": (["prototypes", "--i", "-1"], 1, "i=-1"),
     "fit-coeffs-i": (["fit-coeffs", "--i", "-1"], 1, "i=-1"),
     "fit-coeffs-40": (["fit-coeffs", "--i", "40"], 1, "up to n="),  # no golden row
+    "fit-coeffs-20000": (["fit-coeffs", "--i", "20000"], 1, "golden Betti values"),
     "betti-n0": (["betti", "--n", "0"], 1, "n must be positive"),
     "charpoly-n-1": (["charpoly", "--n", "-1"], 1, "n must be positive"),
     "closed-form-n-3": (["closed-form", "--i", "1", "--n", "-3"], 1, "n must be positive"),
@@ -250,6 +251,14 @@ def test_thread_count_does_not_change_output(capsys):
     assert one == four
 
 
+def test_ff_worker_count_does_not_change_output(capsys):
+    argv = ["charpoly", "--n", "5", "--method", "ff", "--format", "json"]
+    _, one = run_cli(capsys, *argv, "--threads", "1")
+    _, two = run_cli(capsys, *argv, "--threads", "2")
+    assert json.loads(one)["method"] == "ff"
+    assert one == two
+
+
 def test_table1_report_small():
     report = build_report(4, 4)
     assert report["mismatches"] == 0
@@ -300,4 +309,5 @@ def test_table1_depth_limited_row(capsys):
     cell = next(c for c in payload["cells"] if c["row"] == "b3" and c["n"] == 7)
     assert cell["status"] == "MATCH" and cell["computed"] == "215439"
     r7 = next(c for c in payload["cells"] if c["row"] == "R" and c["n"] == 7)
-    assert r7["status"] == "SKIPPED"
+    assert r7["status"] == "MATCH" and r7["computed"] == "347326352"
+    assert r7["method"] == "ff"  # full-depth NBC is guarded at n=7

@@ -8,15 +8,17 @@ from resonance.linalg import (
     EchelonBasis,
     ExactMatrix,
     bareiss_rank,
-    closure,
-    fundamental_circuit,
-    is_independent,
-    mask_rank,
     span_coefficients,
 )
-from resonance.masks import mask_from_elements as M
 
-from oracles import fraction_rank, mask_rank_oracle, rank_mod_p, span_coefficients_oracle
+from kernel_helpers import closure, fundamental_circuit, is_independent, mask_rank
+from oracles import (
+    fraction_rank,
+    mask_from_elements as M,
+    mask_rank_oracle,
+    rank_mod_p,
+    span_coefficients_oracle,
+)
 
 
 def test_rank_empty():

@@ -3,21 +3,13 @@ from itertools import combinations
 
 import pytest
 
-from resonance import nbc
+from resonance import arrangement
 from resonance.errors import GuardExceeded
-from resonance.masks import mask_from_elements as M
-from resonance.nbc import (
-    NbcSet,
-    betti_via_nbc,
-    charpoly_via_nbc,
-    is_broken_circuit,
-    is_nbc,
-    nbc_extend,
-)
-from resonance.arrangement import region_count, whitney_charpoly
-from resonance.linalg import is_independent
+from resonance.nbc import betti_via_nbc, charpoly_via_nbc, is_broken_circuit, is_nbc
+from resonance.arrangement import count_points_avoiding, region_count, whitney_charpoly
 
-from oracles import broken_circuits_oracle, nbc_counts_oracle
+from kernel_helpers import NbcSet, is_independent, nbc_extend
+from oracles import broken_circuits_oracle, mask_from_elements as M, nbc_counts_oracle
 
 
 def test_broken_pairs_are_disjoint_pairs():
@@ -169,8 +161,12 @@ def test_pool_size_bounded_by_jobs_and_cores(monkeypatch):
         def map(self, fn, jobs, chunksize=1):
             return map(fn, jobs)
 
-    monkeypatch.setattr(nbc, "ProcessPoolExecutor", SerialPool)
-    monkeypatch.setattr(nbc.os, "sched_getaffinity", lambda pid: {0, 1, 2, 3})
+    monkeypatch.setattr(arrangement, "ProcessPoolExecutor", SerialPool)
+    monkeypatch.setattr(arrangement.os, "sched_getaffinity", lambda pid: {0, 1, 2, 3})
     assert betti_via_nbc(3, 2, workers=10**6) == betti_via_nbc(3, 2) == [1, 7, 15]
     assert betti_via_nbc(2, 2, workers=10**6) == betti_via_nbc(2, 2)
-    assert sizes == [4, 3]  # four usable cores; A_2 has three root jobs
+    assert count_points_avoiding(3, 5, workers=10**6) == count_points_avoiding(3, 5)
+    assert count_points_avoiding(3, 3, workers=10**6) == count_points_avoiding(3, 3)
+    # Four usable cores; A_2 has three root jobs; the point count at q has
+    # one job per x_2 in 1 .. q-1.
+    assert sizes == [4, 3, 4, 2]

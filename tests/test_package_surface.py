@@ -1,0 +1,76 @@
+"""The package exports only code that the package or the benchmark runs.
+
+Every name that ``resonance/__init__.py`` imports and every name in a
+module's ``__all__`` must be referenced somewhere in ``src/resonance``
+(``__init__.py`` aside) or ``perfbench/``, outside its own top-level
+definition and the export lists.  Code that only the tests call lives
+in ``tests/``.
+"""
+
+import ast
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "resonance"
+MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+SOURCES = MODULES + sorted((ROOT / "perfbench").glob("*.py"))
+
+
+def _tree(path):
+    return ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+
+
+def _exported():
+    """``{name: where}`` for each name ``__init__`` imports or an ``__all__`` lists."""
+    names = {}
+    for node in _tree(PACKAGE / "__init__.py").body:
+        if isinstance(node, ast.ImportFrom):
+            names.update((a.asname or a.name, "__init__") for a in node.names)
+    for path in MODULES:
+        for node in _tree(path).body:
+            if isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+            ):
+                where = f"{path.stem}.__all__"
+                names.update((ast.literal_eval(e), where) for e in node.value.elts)
+    return names
+
+
+def _references():
+    """Names read as variables or attributes, outside the top-level
+    statement that defines the same name."""
+    found = set()
+    for path in SOURCES:
+        for top in _tree(path).body:
+            own = getattr(top, "name", None)
+            for node in ast.walk(top):
+                if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                    name = node.id
+                elif isinstance(node, ast.Attribute):
+                    name = node.attr
+                else:
+                    continue
+                if name != own:
+                    found.add(name)
+    return found
+
+
+def test_every_exported_name_is_used_outside_the_tests():
+    used = _references()
+    unused = {name: where for name, where in _exported().items() if name not in used}
+    assert unused == {}
+
+
+def test_one_module_imports_concurrent_futures():
+    importers = []
+    for path in MODULES:
+        for node in ast.walk(_tree(path)):
+            if isinstance(node, ast.ImportFrom):
+                modules = [node.module or ""]
+            elif isinstance(node, ast.Import):
+                modules = [a.name for a in node.names]
+            else:
+                continue
+            if any(m.startswith("concurrent") for m in modules):
+                importers.append(path.name)
+    assert len(importers) == 1, importers

@@ -18,9 +18,10 @@ from resonance.prototypes import (
     prototype_count,
     realize,
     singleton_partition,
-    tuple_prototype,
 )
 from resonance.stirling import stirling2
+
+from kernel_helpers import tuple_prototype
 
 
 def random_partition(rng, size, k):

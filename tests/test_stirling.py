@@ -6,16 +6,18 @@ from resonance.stirling import (
     StirlingCombination,
     betti2_closed,
     betti3_closed,
-    betti_bound_holds,
-    betti_upper_bound,
     fit_stirling_coefficients,
-    region_log2_bound,
     stirling2,
-    stirling2_altsum,
 )
 from resonance.table1 import GOLDEN_BETTI, GOLDEN_REGIONS
 
-from oracles import stirling_oracle
+from oracles import (
+    betti_bound_holds,
+    betti_upper_bound,
+    region_log2_bound,
+    stirling2_altsum,
+    stirling_oracle,
+)
 
 B2_ROW = GOLDEN_BETTI[2]
 B3_ROW = GOLDEN_BETTI[3]
