@@ -18,7 +18,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import GUARDS, InternalCheckError, check_guard
-from .linalg import EchelonBasis, _normalize_int_row, span_coefficients
+from .linalg import EchelonBasis, restrict, span_coefficients
 from .masks import mask_vector
 
 __all__ = [
@@ -138,14 +138,13 @@ def _is_prime(q: int) -> bool:
     return True
 
 
-def default_primes(n: int, count: int | None = None):
-    """The smallest admissible primes for the rank-n arrangement."""
+def default_primes(n: int):
+    """The n+1 smallest admissible primes for the rank-n arrangement."""
     if n not in MAX_01_DETERMINANT:
         raise ValueError(f"no determinant bound tabulated for n={n}")
-    need = count if count is not None else n + 1
     primes = []
     q = MAX_01_DETERMINANT[n] + 1
-    while len(primes) < need:
+    while len(primes) < n + 1:
         if _is_prime(q):
             primes.append(q)
         q += 1
@@ -307,26 +306,22 @@ def finite_field_charpoly(
 
 
 @lru_cache(maxsize=None)
-def _count_regions(normals: tuple, dim: int) -> int:
-    """Deletion/restriction recursion on the region count.
+def _count_regions(normals: tuple) -> int:
+    """Regions of the arrangement of the normalized integer ``normals``.
 
-    Removing one hyperplane and adding back the regions it cuts (one per
-    region of the arrangement induced on it) counts every chamber once.
+    Deletion/restriction: removing the first hyperplane h and adding
+    back the regions it cuts, one per region of the arrangement induced
+    on h, counts every chamber once.  ``restrict`` eliminates the pivot
+    p of h from the other normals, which are then zero at p, so deleting
+    coordinate p gives normals on h.  They stay normalized, so parallel
+    ones meet in the set; sorting it makes the memo key canonical.
     """
     if not normals:
         return 1
     h, rest = normals[0], normals[1:]
-    on_h = EchelonBasis(dim)
-    on_h.add(h)
     p = next(j for j, x in enumerate(h) if x)
-    induced = set()
-    for v in rest:
-        # Coordinates on h: eliminate the pivot p of h from v, then drop it.
-        w = on_h.residual(v)
-        w = _normalize_int_row(w[:p] + w[p + 1 :])
-        if w is not None:
-            induced.add(w)
-    return _count_regions(rest, dim) + _count_regions(tuple(sorted(induced)), dim - 1)
+    induced = {w[:p] + w[p + 1 :] for w in restrict(rest, h)}
+    return _count_regions(rest) + _count_regions(tuple(sorted(induced)))
 
 
 def enumerate_chambers_bruteforce(n: int, cap: int | None = GUARDS["chambers_n"]) -> int:
@@ -334,4 +329,4 @@ def enumerate_chambers_bruteforce(n: int, cap: int | None = GUARDS["chambers_n"]
     check_guard("chamber enumeration: n", n, cap)
     arr = build_arrangement(n)
     normals = tuple(mask_vector(h, n) for h in arr.hyperplanes)
-    return _count_regions(normals, n)
+    return _count_regions(normals)

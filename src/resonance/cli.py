@@ -17,6 +17,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from math import log10
 
 from . import circuits, nbc, table1, universality
 from .arrangement import (
@@ -84,6 +85,20 @@ def _regions(args):
     return {"n": args.n, "method": method, "regions": str(count)}
 
 
+def _check_printable(what, bits):
+    """Refuse, before any work, a result below 2**bits that could have more
+    decimal digits than this interpreter converts an int to (0: no limit)."""
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if limit and bits * log10(2) > limit:
+        raise ValueError(f"{what} may have more than {limit} decimal digits, "
+                         "the interpreter's limit for printing an int")
+
+
+def _closed_form(args):
+    _check_printable(f"b_{args.i}(A_{args.n})", args.i * args.n)  # b_i(A_n) < 2^(i n)
+    return {"i": args.i, "n": args.n, "value": str(betti_closed(args.i, args.n))}
+
+
 def _coefficients(combo):
     pairs = sorted(combo.coefficients.items())
     return {"i": combo.index, "coefficients": {str(k): str(c) for k, c in pairs}}
@@ -105,6 +120,7 @@ def _fit_coeffs(args):
 
 
 def _circuits_census(args):
+    _check_printable(f"circuit counts of A_{args.n}", 3 * args.n)  # each count < 8^n
     return {
         "n": args.n,
         "intersecting_triples": str(circuits.count_intersecting_triples(args.n)),
@@ -199,7 +215,7 @@ COMMANDS = {
     "closed-form": (
         "closed-form Betti numbers (i <= 3)",
         [_I, _N],
-        lambda args: {"i": args.i, "n": args.n, "value": str(betti_closed(args.i, args.n))},
+        _closed_form,
         lambda p: f"b_{p['i']}(A_{p['n']}) = {p['value']}",
     ),
     "fit-coeffs": (

@@ -3,9 +3,12 @@
 One elimination kernel serves every general job: ``EchelonBasis``, an
 incrementally built, fully reduced integer row basis.  Rank, span
 membership, the coefficients expressing a vector over others and square
-solves all go through it.  ``ExactMatrix.pivot`` is the one
-other elimination step; it replays the pivots an embedding certificate
-prescribes.  Everything is exact: ints and Fractions, never floats.
+solves all go through it.  ``restrict`` is its row-update step on its
+own: it restricts a list of integer normals to the hyperplane with
+normal ``h``, and the NBC search and the region recursion use it too.
+``ExactMatrix.pivot`` is the one other elimination step; it replays the
+pivots an embedding certificate prescribes.  Everything is exact: ints
+and Fractions, never floats.
 """
 
 from __future__ import annotations
@@ -13,12 +16,11 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd, lcm
 
-from .masks import validate_mask
-
 __all__ = [
     "ExactMatrix",
     "EchelonBasis",
     "bareiss_rank",
+    "restrict",
     "span_coefficients",
 ]
 
@@ -40,6 +42,29 @@ def _normalize_int_row(row):
                 g = -g
             break
     return tuple(x // g for x in row)
+
+
+def restrict(rows, h):
+    """Eliminate the pivot of the normalized row ``h`` from every row.
+
+    The pivot is the first nonzero position p of ``h``.  A row with a
+    nonzero entry at p becomes ``h[p] * row - row[p] * h``, normalized,
+    and is dropped when that is zero (the row was proportional to h);
+    a row that is zero at p comes back as the same tuple.  The order is
+    kept.  Every result is zero at p, so equal rows stay equal and
+    normalized rows stay normalized.
+    """
+    p = next(j for j, x in enumerate(h) if x)
+    a = h[p]
+    out = []
+    for v in rows:
+        c = v[p]
+        if c:
+            v = _normalize_int_row([a * x - c * y for x, y in zip(v, h)])
+            if v is None:
+                continue
+        out.append(v)
+    return out
 
 
 class EchelonBasis:
@@ -79,22 +104,15 @@ class EchelonBasis:
                 v = [a * x - c * y for x, y in zip(v, row)]
         return tuple(v)
 
-    def contains(self, vec) -> bool:
-        return not any(self.residual(vec))
-
     def add(self, vec) -> bool:
         """Extend the span by ``vec``; False if it was already contained."""
         res = _normalize_int_row(self.residual(vec))
         if res is None:
             return False
-        p = next(j for j, x in enumerate(res) if x)
-        a = res[p]
-        for i, row in enumerate(self._rows):
-            c = row[p]
-            if c:
-                self._rows[i] = _normalize_int_row([a * x - c * y for x, y in zip(row, res)])
+        # The stored rows are independent of res, so restrict drops none.
+        self._rows = restrict(self._rows, res)
         self._rows.append(res)
-        self._pivots.append(p)
+        self._pivots.append(next(j for j, x in enumerate(res) if x))
         return True
 
 
@@ -172,20 +190,8 @@ class ExactMatrix:
         self.rows = len(data)
         self.cols = len(data[0]) if data else 0
 
-    @classmethod
-    def identity(cls, n: int) -> "ExactMatrix":
-        return cls([[1 if i == j else 0 for j in range(n)] for i in range(n)])
-
-    @classmethod
-    def from_mask_columns(cls, masks, n: int) -> "ExactMatrix":
-        cols = [validate_mask(m, n) for m in masks]
-        return cls([[(m >> i) & 1 for m in cols] for i in range(n)])
-
     def column(self, j: int):
         return [row[j] for row in self.entries]
-
-    def rank(self) -> int:
-        return bareiss_rank(self.entries)
 
     def pivot(self, row: int, col: int) -> "ExactMatrix":
         """Scale ``row`` so entry (row, col) becomes 1, clear the rest of

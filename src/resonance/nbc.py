@@ -8,20 +8,30 @@ Enumeration trick: adding hyperplanes in increasing binary order, a set
 S extends to an NBC set S + {e} iff e is independent of S and no later
 hyperplane f > e enters the closure at e.  Working with residuals
 modulo span(S), "f enters the closure at e" means the residuals of f
-and e are proportional, so at every search node the candidates are
-grouped by normalized residual direction and only the largest member of
-each group may be added.  The equivalence of the incremental rule with
-the definition is a test obligation, not an assumption.
+and e are proportional, so among the later hyperplanes with one
+residual direction only the last may be added.  The equivalence of the
+incremental rule with the definition is a test obligation, not an
+assumption.
+
+A search node is the list of residual directions of the hyperplanes
+after max(S), each normalized (``linalg.restrict`` keeps them so) and
+held once, at the position of its last copy; zero residuals, the
+hyperplanes in span(S), are dropped.  Every member is then an
+extension, and a child is the tail after one member, restricted to it.
+Dropping an earlier copy loses nothing: equal rows stay equal under
+``restrict``, so at every node below it the copy still has a later
+twin, which the rule would add instead of it.
 """
 
 from __future__ import annotations
 
+from functools import partial
 from itertools import combinations
 
 from .arrangement import CharPoly, run_jobs
 from .errors import GUARDS, check_guard
-from .linalg import _normalize_int_row, _span_solver
-from .masks import mask_vector, validate_mask
+from .linalg import _span_solver, restrict
+from .masks import MAX_GROUND_SET, mask_vector, validate_mask
 
 __all__ = [
     "is_broken_circuit",
@@ -73,47 +83,26 @@ def is_nbc(masks, n: int) -> bool:
     return True
 
 
-def _reduced_tail(cands, res):
-    """One elimination step of every candidate residual against ``res``."""
-    p = next(j for j, x in enumerate(res) if x)
-    a = res[p]
-    out = []
-    for mask, v in cands:
-        if v is None:
-            out.append((mask, None))
-            continue
-        c = v[p]
-        if c:
-            v = _normalize_int_row([a * x - c * y for x, y in zip(v, res)])
-        out.append((mask, v))
-    return out
+def _last_copies(rows):
+    """Each row once, at the position of its last copy."""
+    return list(dict.fromkeys(rows[::-1]))[::-1]
 
 
 def _dfs(cands, depth, max_depth, counts):
-    last = {}
-    for pos, (_, res) in enumerate(cands):
-        if res is not None:
-            last[res] = pos
-    for pos, (_, res) in enumerate(cands):
-        if res is None or last[res] != pos:
-            continue
-        counts[depth + 1] += 1
-        if depth + 1 < max_depth:
-            _dfs(_reduced_tail(cands[pos + 1 :], res), depth + 1, max_depth, counts)
+    """Count the NBC sets below a node whose set has ``depth`` elements."""
+    counts[depth + 1] += len(cands)
+    if depth + 1 < max_depth:
+        for pos, res in enumerate(cands):
+            _dfs(_last_copies(restrict(cands[pos + 1 :], res)), depth + 1, max_depth, counts)
 
 
-def _root_candidates(n):
-    return [(m, mask_vector(m, n)) for m in range(1, 1 << n)]
-
-
-def _count_from_root(args):
-    n, max_depth, root_pos = args
-    cands = _root_candidates(n)
+def _count_from_root(root, n, max_depth):
+    """NBC sets per cardinality whose least hyperplane is ``root``."""
     counts = [0] * (max_depth + 1)
     counts[1] = 1
     if max_depth > 1:
-        _, res = cands[root_pos]
-        _dfs(_reduced_tail(cands[root_pos + 1 :], res), 1, max_depth, counts)
+        tail = [mask_vector(m, n) for m in range(root + 1, 1 << n)]
+        _dfs(_last_copies(restrict(tail, mask_vector(root, n))), 1, max_depth, counts)
     return counts
 
 
@@ -124,8 +113,8 @@ def betti_via_nbc(
 
     ``cap`` maps each n from 1 to max(cap) to the deepest search allowed.
     """
-    if n < 1:
-        raise ValueError("n must be positive")
+    if not 1 <= n <= MAX_GROUND_SET:
+        raise ValueError(f"n must be positive and at most {MAX_GROUND_SET}, got {n}")
     if not 0 <= i_max <= n:
         raise ValueError(f"cardinality limit i_max={i_max} outside 0..{n}")
     if cap is not None:
@@ -135,8 +124,8 @@ def betti_via_nbc(
     counts[0] = 1
     if i_max == 0:
         return counts
-    jobs = [(n, i_max, pos) for pos in range((1 << n) - 1)]
-    for sub in run_jobs(_count_from_root, jobs, workers):
+    jobs = range(1, 1 << n)
+    for sub in run_jobs(partial(_count_from_root, n=n, max_depth=i_max), jobs, workers):
         for d in range(1, i_max + 1):
             counts[d] += sub[d]
     return counts

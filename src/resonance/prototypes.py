@@ -23,7 +23,7 @@ from math import factorial, perm
 
 from .errors import GUARDS, InternalCheckError, check_guard
 from .nbc import is_nbc
-from .stirling import StirlingCombination, stirling2
+from .stirling import StirlingCombination
 
 __all__ = [
     "Prototype",
@@ -214,4 +214,4 @@ def coefficients(i: int, cap: int | None = GUARDS["prototype_i"]) -> StirlingCom
 
 def betti_via_prototypes(i: int, n: int, cap: int | None = GUARDS["prototype_i"]) -> int:
     """b_i(A_n) assembled from the prototype census."""
-    return sum(c * stirling2(n + 1, k) for k, c in coefficients(i, cap=cap).coefficients.items())
+    return coefficients(i, cap=cap).evaluate(n)

@@ -75,7 +75,7 @@ def _compute_regions(n, workers):
     return next(iter(values.values())), " + ".join(values)
 
 
-def build_report(n_max: int, i_max: int, include_regions: bool = True, workers: int = 1) -> dict:
+def build_report(n_max: int, i_max: int, workers: int = 1) -> dict:
     """Recompute reachable golden cells and compare; never mutates the table."""
     if not 1 <= n_max <= 9:
         raise ValueError("n_max must be in 1..9")
@@ -90,13 +90,12 @@ def build_report(n_max: int, i_max: int, include_regions: bool = True, workers: 
             cells.append(_cell(f"b{i}", n, golden, value, method))
             if cells[-1]["status"] == "MISMATCH":
                 mismatches += 1
-    if include_regions:
-        for n in range(1, n_max + 1):
-            golden = golden_regions(n)
-            value, method = _compute_regions(n, workers)
-            cells.append(_cell("R", n, golden, value, method))
-            if cells[-1]["status"] == "MISMATCH":
-                mismatches += 1
+    for n in range(1, n_max + 1):
+        golden = golden_regions(n)
+        value, method = _compute_regions(n, workers)
+        cells.append(_cell("R", n, golden, value, method))
+        if cells[-1]["status"] == "MISMATCH":
+            mismatches += 1
     return {
         "n_max": n_max,
         "i_max": i_max,

@@ -262,15 +262,17 @@ def verify_embedding(emb: Embedding, matrix) -> tuple[bool, dict]:
     return True, cert
 
 
-def minor_matroid_check(
-    emb: Embedding, matrix, sample_budget: int = 4096, seed: int = 0
-) -> bool:
+_SAMPLE_BUDGET = 4096  # most subsets of carrier columns minor_matroid_check compares
+
+
+def minor_matroid_check(emb: Embedding, matrix) -> bool:
     """Rank-identity check: contracting the helpers must reproduce the
     matroid of the input columns.
 
     For every sampled subset S of carrier columns,
     rank(S + helpers) - rank(helpers) must equal the rank of the
-    matching input columns.  Exhaustive when 2**cols fits the budget.
+    matching input columns.  Exhaustive when 2**cols fits
+    ``_SAMPLE_BUDGET``; otherwise a sample of that size, seeded with 0.
     """
     cleared = _clear_columns(matrix)
     if tuple(tuple(r) for r in cleared) != emb.cleared_matrix:
@@ -286,11 +288,11 @@ def minor_matroid_check(
         for v in emb.carrier_vectors
     ]
     ncols = emb.cols
-    if (1 << ncols) <= sample_budget:
+    if (1 << ncols) <= _SAMPLE_BUDGET:
         subsets = range(1 << ncols)
     else:
-        rng = random.Random(seed)
-        subsets = [rng.randrange(1 << ncols) for _ in range(sample_budget)]
+        rng = random.Random(0)
+        subsets = [rng.randrange(1 << ncols) for _ in range(_SAMPLE_BUDGET)]
     for s in subsets:
         chosen = [j for j in range(ncols) if s >> j & 1]
         big_rank = bareiss_rank([residuals[j] for j in chosen])

@@ -51,7 +51,7 @@ def closure(subset, universe, n: int):
         if m not in uniset:
             raise ValueError(f"mask {m} not in the universe")
     basis = _basis_of(sub, n)
-    return {h for h in uni if basis.contains(mask_vector(h, n))}
+    return {h for h in uni if not any(basis.residual(mask_vector(h, n)))}
 
 
 def fundamental_circuit(independent_masks, e: int, n: int):
@@ -89,7 +89,7 @@ def nbc_extend(masks, e: int, n: int) -> bool:
         return False
     for f in range(e + 1, 1 << n):
         fv = mask_vector(f, n)
-        if new.contains(fv) and not old.contains(fv):
+        if not any(new.residual(fv)) and any(old.residual(fv)):
             return False
     return True
 

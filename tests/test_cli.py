@@ -54,6 +54,11 @@ def test_closed_form(capsys):
     code, out = run_cli(capsys, "closed-form", "--i", "3", "--n", "9", "--format", "json")
     assert code == 0
     assert json.loads(out)["value"] == "17153460"
+    # b_3(A_4000) < 2^12000 has at most 3613 digits, under the default limit of 4300.
+    code, out = run_cli(capsys, "closed-form", "--i", "3", "--n", "4000", "--format", "json")
+    assert code == 0
+    value = json.loads(out)["value"]
+    assert 3000 < len(value) <= 3613 and value.isdigit()
 
 
 def test_fit_coeffs_from_golden_rows(capsys):
@@ -183,8 +188,13 @@ EXIT_CASES = {
     "fit-coeffs-40": (["fit-coeffs", "--i", "40"], 1, "up to n="),  # no golden row
     "fit-coeffs-20000": (["fit-coeffs", "--i", "20000"], 1, "golden Betti values"),
     "betti-n0": (["betti", "--n", "0"], 1, "n must be positive"),
+    "betti-n64": (["betti", "--n", "64", "--i-max", "1", "--guard-override"], 1, "at most 63"),
     "charpoly-n-1": (["charpoly", "--n", "-1"], 1, "n must be positive"),
     "closed-form-n-3": (["closed-form", "--i", "1", "--n", "-3"], 1, "n must be positive"),
+    # Values that could not be printed in decimal are refused before any work.
+    "closed-form-i3-huge": (["closed-form", "--i", "3", "--n", "200000"], 1, "decimal digits"),
+    "census-huge": (["circuits-census", "--n", "200000"], 1, "decimal digits"),
+    "closed-form-i2-huge": (["closed-form", "--i", "2", "--n", "20000"], 1, "decimal digits"),
 }
 
 

@@ -1,6 +1,7 @@
 import random
 from fractions import Fraction
 from itertools import combinations
+from math import gcd
 
 import pytest
 
@@ -8,6 +9,7 @@ from resonance.linalg import (
     EchelonBasis,
     ExactMatrix,
     bareiss_rank,
+    restrict,
     span_coefficients,
 )
 
@@ -198,7 +200,7 @@ def test_span_coefficients_edge_cases():
 
 
 def test_pivot_identity():
-    ident = ExactMatrix.identity(3)
+    ident = ExactMatrix([[1, 0, 0], [0, 1, 0], [0, 0, 1]])
     assert ident.pivot(0, 0) == ident
 
 
@@ -234,10 +236,11 @@ def test_pivot_preserves_column_matroid():
 
 
 def test_exact_matrix_rank():
-    assert ExactMatrix.identity(4).rank() == 4
-    assert ExactMatrix([[1, 2], [2, 4]]).rank() == 1
-    assert ExactMatrix([[Fraction(1, 2), 1], [1, 2]]).rank() == 1
-    assert ExactMatrix.from_mask_columns([1, 2, 3], 2).rank() == 2
+    assert bareiss_rank([[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]]) == 4
+    assert bareiss_rank([[1, 2], [2, 4]]) == 1
+    assert bareiss_rank([[Fraction(1, 2), 1], [1, 2]]) == 1
+    # Columns are the masks 1, 2, 3 over n = 2: {1}, {2} and {1, 2}.
+    assert bareiss_rank([[1, 0, 1], [0, 1, 1]]) == 2
 
 
 def test_echelon_basis_tracks_rank():
@@ -246,5 +249,36 @@ def test_echelon_basis_tracks_rank():
     assert basis.add((1, 1, 0))
     assert not basis.add((0, 1, 0))  # already spanned
     assert basis.rank == 2
-    assert basis.contains((2, 3, 0))
-    assert not basis.contains((0, 0, 1))
+    assert not any(basis.residual((2, 3, 0)))
+    assert any(basis.residual((0, 0, 1)))
+
+
+def test_restrict_keeps_order_drops_zeros_and_normalizes():
+    h = (0, 2, 1)  # normalized, pivot at position 1
+    same = (1, 0, 5)
+    rows = [(1, 1, 0), same, (0, 4, 2), (0, 1, 1), (3, 0, 0), (0, -2, -1)]
+    out = restrict(rows, h)
+    # 2*(1,1,0) - 1*h, 2*(0,1,1) - 1*h; rows proportional to h are dropped.
+    assert out == [(2, 0, -1), same, (0, 0, 1), (3, 0, 0)]
+    assert out[1] is same and out[3] is rows[4]
+    assert restrict([], h) == []
+    rng = random.Random(11)
+    for _ in range(200):
+        size = rng.randint(1, 6)
+        h = (0,) * size
+        while not any(h):
+            h = tuple(rng.randint(-4, 4) for _ in range(size))
+        if next(x for x in h if x) < 0:
+            h = tuple(-x for x in h)
+        h = tuple(x // gcd(*h) for x in h)
+        p = next(j for j, x in enumerate(h) if x)
+        rows = [tuple(rng.randint(-4, 4) for _ in range(size)) for _ in range(6)]
+        out = iter(restrict(rows, h))
+        for r in rows:
+            if not r[p]:
+                assert next(out) is r
+            elif fraction_rank([h, r]) == 2:
+                w = next(out)
+                assert w[p] == 0 and fraction_rank([h, r, w]) == 2
+                assert gcd(*w) == 1 and next(x for x in w if x) > 0
+        assert next(out, None) is None

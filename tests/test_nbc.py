@@ -90,7 +90,8 @@ def test_nbcset_validates():
 
 
 def test_counts_match_bruteforce_filter():
-    for n in (2, 3):
+    # n = 4 checks the one-copy-per-direction search beyond n = 3 (3 s).
+    for n in (2, 3, 4):
         assert betti_via_nbc(n, n) == nbc_counts_oracle(n)
 
 

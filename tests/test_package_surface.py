@@ -3,8 +3,9 @@
 Every name that ``resonance/__init__.py`` imports and every name in a
 module's ``__all__`` must be referenced somewhere in ``src/resonance``
 (``__init__.py`` aside) or ``perfbench/``, outside its own top-level
-definition and the export lists.  Code that only the tests call lives
-in ``tests/``.
+definition and the export lists.  Every public method or property of a
+class in ``src/resonance`` must be read as an attribute there or in
+``perfbench/``.  Code that only the tests call lives in ``tests/``.
 """
 
 import ast
@@ -59,6 +60,29 @@ def test_every_exported_name_is_used_outside_the_tests():
     used = _references()
     unused = {name: where for name, where in _exported().items() if name not in used}
     assert unused == {}
+
+
+def test_every_public_method_is_read_outside_the_tests():
+    """The check goes by name: a method escapes it when an attribute of
+    the same name is read anywhere, e.g. ``ExactMatrix.rank`` would
+    escape because ``EchelonBasis.rank`` is read."""
+    reads = {
+        node.attr
+        for path in SOURCES
+        for node in ast.walk(_tree(path))
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+    }
+    unread = [
+        f"{path.stem}.{cls.name}.{item.name}"
+        for path in MODULES
+        for cls in _tree(path).body
+        if isinstance(cls, ast.ClassDef)
+        for item in cls.body
+        if isinstance(item, ast.FunctionDef)
+        and not item.name.startswith("_")
+        and item.name not in reads
+    ]
+    assert unread == []
 
 
 def test_one_module_imports_concurrent_futures():
