@@ -20,12 +20,7 @@ import sys
 from math import log10
 
 from . import circuits, nbc, table1, universality
-from .arrangement import (
-    enumerate_chambers_bruteforce,
-    finite_field_charpoly,
-    region_count,
-    whitney_charpoly,
-)
+from .arrangement import finite_field_charpoly, region_count, whitney_charpoly
 from .errors import GUARDS, GuardExceeded, InternalCheckError
 from .prototypes import coefficients
 from .stirling import betti_closed, fit_stirling_coefficients
@@ -38,10 +33,9 @@ def _cap(args, name):
 
 
 def _charpoly(args):
-    """chi(A_n) and its method; "auto" is NBC unless its guard refuses n."""
     primes = [int(x) for x in args.primes.split(",") if x.strip()] if args.primes else None
     methods = {
-        "whitney": lambda: whitney_charpoly(args.n, cap=_cap(args, "whitney_n")),
+        "whitney": lambda: whitney_charpoly(args.n, cap=_cap(args, "deletion_restriction_n")),
         "ff": lambda: finite_field_charpoly(
             args.n, primes=primes, cap=_cap(args, "finite_field_n"), workers=args.threads
         ),
@@ -49,19 +43,14 @@ def _charpoly(args):
             args.n, workers=args.threads, cap=_cap(args, "nbc_depth")
         ),
     }
-    if args.method != "auto":
-        return methods[args.method](), args.method
-    try:
-        return methods["nbc"](), "nbc"
-    except GuardExceeded:
-        return methods["ff"](), "ff"
+    return methods[args.method]()
 
 
 def _charpoly_payload(args):
-    poly, method = _charpoly(args)
+    poly = _charpoly(args)
     return {
         "n": args.n,
-        "method": method,
+        "method": args.method,
         "coeffs": [str(c) for c in reversed(poly.coeffs)],
         "betti": [str(b) for b in poly.betti],
         "regions": str(region_count(poly)),
@@ -76,13 +65,7 @@ def _betti(args):
 
 
 def _regions(args):
-    if args.method == "chambers":
-        count = enumerate_chambers_bruteforce(args.n, cap=_cap(args, "chambers_n"))
-        method = "chambers"
-    else:
-        poly, method = _charpoly(args)
-        count = region_count(poly)
-    return {"n": args.n, "method": method, "regions": str(count)}
+    return {"n": args.n, "method": args.method, "regions": str(region_count(_charpoly(args)))}
 
 
 def _check_printable(what, bits):
@@ -187,7 +170,7 @@ def _render_table1(p):
 
 _N = ("--n", {"type": int, "required": True})
 _I = ("--i", {"type": int, "required": True})
-_METHODS = ("auto", "whitney", "ff", "nbc")
+_METHODS = ("--method", {"choices": ("whitney", "ff", "nbc"), "default": "ff"})
 _PRIMES = ("--primes", {"help": "comma-separated primes for the ff method"})
 _INPUT = ("--input", {"required": True})
 _CENSUS = ("intersecting_triples", "tetrahedron_circuits", "rectangle_circuits", "b3")
@@ -195,7 +178,7 @@ _CENSUS = ("intersecting_triples", "tetrahedron_circuits", "rectangle_circuits",
 COMMANDS = {
     "charpoly": (
         "characteristic polynomial of A_n",
-        [_N, ("--method", {"choices": _METHODS, "default": "auto"}), _PRIMES],
+        [_N, _METHODS, _PRIMES],
         _charpoly_payload,
         lambda p: f"chi(A_{p['n']}; t) coefficients (descending): {' '.join(p['coeffs'])}\n"
         f"betti: {' '.join(p['betti'])}\nregions: {p['regions']}  (method: {p['method']})",
@@ -208,7 +191,7 @@ COMMANDS = {
     ),
     "regions": (
         "chamber count of A_n",
-        [_N, ("--method", {"choices": _METHODS + ("chambers",), "default": "auto"}), _PRIMES],
+        [_N, _METHODS, _PRIMES],
         _regions,
         lambda p: f"regions of A_{p['n']}: {p['regions']}  (method: {p['method']})",
     ),

@@ -19,14 +19,15 @@ class InternalCheckError(RuntimeError):
 
 
 GUARDS = {
-    "whitney_n": 4,           # the Whitney sum has 2**(2**n - 1) terms
     "finite_field_n": 7,      # point counts over n+1 primes: 0.05 s at n=6, 7 s at n=7
     # Work of one finite-field count: C(q+n-3, n-1) sorted points plus a
     # q-byte mask for each of its q-1 jobs.  1.4e8 at n=7, q=67 (2.5 s);
     # n=8's smallest prime, 59, needs 6.2e8; n=2 allows q <= 14142.  It
     # lifts with the finite-field method's ``cap``.
     "finite_field_points": 2 * 10**8,
-    "chambers_n": 6,          # deletion/restriction: 1.6 s at n=6, 228 s at n=7
+    # Deletion/restriction, for both chi(A_n) and the chamber count: 0.6 s
+    # and 33223 memo entries at n=6; 228 s, 1.36 GB and 2.97M entries at n=7.
+    "deletion_restriction_n": 6,
     # Deepest NBC search for each n = 1 .. 7: full depth through n=6.
     "nbc_depth": {**{n: n for n in range(1, 7)}, 7: 4},
     # Betti index of the full prototype census.  Its largest enumeration

@@ -83,13 +83,6 @@ class EchelonBasis:
         self._rows: list[tuple[int, ...]] = []
         self._pivots: list[int] = []
 
-    def copy(self) -> "EchelonBasis":
-        other = EchelonBasis.__new__(EchelonBasis)
-        other.size = self.size
-        other._rows = list(self._rows)
-        other._pivots = list(self._pivots)
-        return other
-
     @property
     def rank(self) -> int:
         return len(self._rows)

@@ -3,16 +3,16 @@
 The table ships with the package and is never overwritten by
 computations; unknown entries are explicit Nones.  The report
 recomputes every reachable cell by at least one method and marks it
-MATCH or MISMATCH against the golden value; a region count is computed
-by every route the default size guards allow, and the routes must
-agree.  A cell beyond the default size guards is reported as SKIPPED
-("needs long run"), not attempted.
+MATCH or MISMATCH against the golden value; a region count comes from
+chi(A_n) computed by every route the default size guards allow, and the
+routes must agree on the whole polynomial.  A cell beyond the default
+size guards is reported as SKIPPED ("needs long run"), not attempted.
 """
 
 from __future__ import annotations
 
 from . import nbc
-from .arrangement import finite_field_charpoly, region_count
+from .arrangement import finite_field_charpoly, region_count, whitney_charpoly
 from .errors import GuardExceeded, InternalCheckError
 from .stirling import betti_closed
 
@@ -61,18 +61,20 @@ def _compute_regions(n, workers):
     routes = {
         "nbc full depth": lambda: nbc.charpoly_via_nbc(n, workers=workers),
         "ff": lambda: finite_field_charpoly(n, workers=workers),
+        "deletion/restriction": lambda: whitney_charpoly(n),
     }
-    values = {}
+    polys = {}
     for method, route in routes.items():
         try:
-            values[method] = region_count(route())
+            polys[method] = route()
         except GuardExceeded:
             pass
-    if not values:
+    if not polys:
         return None, "needs long run"
-    if len(set(values.values())) > 1:
-        raise InternalCheckError(f"region counts of A_{n} disagree: {values}")
-    return next(iter(values.values())), " + ".join(values)
+    if len(set(polys.values())) > 1:
+        betti = {method: p.betti for method, p in polys.items()}
+        raise InternalCheckError(f"chi(A_{n}) differs between routes: {betti}")
+    return region_count(next(iter(polys.values()))), " + ".join(polys)
 
 
 def build_report(n_max: int, i_max: int, workers: int = 1) -> dict:

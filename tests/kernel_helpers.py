@@ -84,7 +84,7 @@ def nbc_extend(masks, e: int, n: int) -> bool:
     if S and e <= S[-1]:
         raise ValueError("new element must exceed the current maximum")
     old = _basis_of(S, n)
-    new = old.copy()
+    new = _basis_of(S, n)
     if not new.add(mask_vector(e, n)):
         return False
     for f in range(e + 1, 1 << n):

@@ -170,6 +170,34 @@ def count_points_oracle(n, q):
     return count
 
 
+def whitney_charpoly_oracle(n):
+    """Coefficients of chi(A_n), ``coeffs[d]`` of t**d, by Whitney's sum
+    over all 2**(2**n - 1) subsets S of the hyperplanes of
+    (-1)**|S| * t**(n - rank S).
+
+    The subsets are walked depth first.  A node carries the rows it has
+    reduced so far, each zero at the pivots of the rows before it, so a
+    new vector is reduced in one pass and a child shares its parent's rows.
+    """
+    vectors = [mask_vec(h, n) for h in range(1, 1 << n)]
+    coeffs = [0] * (n + 1)
+
+    def walk(idx, rows, sign):
+        if idx == len(vectors):
+            coeffs[n - len(rows)] += sign
+            return
+        walk(idx + 1, rows, sign)
+        v = vectors[idx]
+        for p, row in rows:
+            if v[p]:
+                v = [row[p] * a - v[p] * b for a, b in zip(v, row)]
+        p = next((j for j, x in enumerate(v) if x), None)
+        walk(idx + 1, rows if p is None else rows + ((p, v),), -sign)
+
+    walk(0, (), 1)
+    return tuple(coeffs)
+
+
 def stirling_oracle(n, k):
     """Count partitions of {1..n} into k blocks by explicit enumeration."""
     if n == 0:

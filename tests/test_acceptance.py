@@ -57,7 +57,7 @@ def test_criterion_1_chi_a3_three_methods():
     assert finite_field_charpoly(3).coeffs == CHI_A3
     assert charpoly_via_nbc(3).coeffs == CHI_A3
     assert time.time() - t < 1.0
-    report("criterion 1 chi(A_3) by whitney/ff/nbc", t)
+    report("criterion 1 chi(A_3) by deletion-restriction/ff/nbc", t)
 
 
 def test_criterion_2_table_betti_rows():

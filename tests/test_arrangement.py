@@ -15,7 +15,7 @@ from resonance.errors import GuardExceeded, InternalCheckError
 from resonance.nbc import charpoly_via_nbc
 from resonance.table1 import GOLDEN_BETTI, GOLDEN_REGIONS
 
-from oracles import count_points_oracle
+from oracles import count_points_oracle, whitney_charpoly_oracle
 
 CHI_A3 = (-9, 15, -7, 1)
 
@@ -51,9 +51,20 @@ def test_whitney_small():
     assert whitney_charpoly(4).betti == (1, 15, 80, 170, 104)
 
 
+def test_deletion_restriction_matches_whitney_sum_oracle():
+    for n in range(1, 5):
+        assert whitney_charpoly(n).coeffs == whitney_charpoly_oracle(n)
+
+
+def test_deletion_restriction_matches_golden_a5_a6():
+    for n in (5, 6):
+        assert whitney_charpoly(n) == golden_chi(n)
+        assert enumerate_chambers_bruteforce(n) == GOLDEN_REGIONS[n]
+
+
 def test_whitney_guard():
     with pytest.raises(GuardExceeded):
-        whitney_charpoly(5)
+        whitney_charpoly(7)
     assert whitney_charpoly(2, cap=None).coeffs == (2, -3, 1)
 
 
@@ -65,10 +76,15 @@ def test_point_count_matches_naive_loop():
 
 
 def golden_chi(n):
-    """chi(A_n) from golden b_0..b_4, the region count and chi(1) = 0."""
+    """chi(A_5) or chi(A_6) from golden b_0..b_4, the region count and
+    chi(1) = 0."""
     head = [1] + [GOLDEN_BETTI[i][n] for i in range(1, 5)]
-    rest = GOLDEN_REGIONS[n] - sum(head)  # b_5 + b_6
-    b6 = (rest - sum((-1) ** i * b for i, b in enumerate(head))) // 2
+    rest = GOLDEN_REGIONS[n] - sum(head)  # b_5, plus b_6 at n = 6
+    alternating = sum((-1) ** i * b for i, b in enumerate(head))  # b_5 - b_6
+    if n == 5:
+        assert rest == alternating
+        return CharPoly.from_betti(head + [rest])
+    b6 = (rest - alternating) // 2
     return CharPoly.from_betti(head + [rest - b6, b6])
 
 
@@ -160,6 +176,14 @@ def test_finite_field_point_guard():
     with pytest.raises(GuardExceeded, match="q=14143"):
         finite_field_charpoly(2, primes=[3, 5, 14143])
     assert finite_field_charpoly(2, primes=[3, 5, 14143], cap=None).coeffs == (2, -3, 1)
+
+
+def test_jobs_run_without_sched_getaffinity(monkeypatch):
+    # macOS and Windows have no os.sched_getaffinity; os.cpu_count() stands in.
+    monkeypatch.delattr(arrangement.os, "sched_getaffinity")
+    assert count_points_avoiding(4, 7, workers=2) == count_points_avoiding(4, 7) == 90
+    assert finite_field_charpoly(3, workers=2) == finite_field_charpoly(3)
+    assert charpoly_via_nbc(3, workers=2) == charpoly_via_nbc(3) == CharPoly(CHI_A3)
 
 
 def test_default_primes_exceed_determinant_bound():

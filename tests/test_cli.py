@@ -2,7 +2,9 @@ import json
 
 import pytest
 
+from resonance.arrangement import CharPoly
 from resonance.cli import main
+from resonance.errors import InternalCheckError
 from resonance.table1 import build_report
 
 REFERENCE_MATRIX = "3 2\n1 -1\n-2 0\n-1 -1\n"
@@ -39,9 +41,9 @@ def test_regions_value(capsys):
 
 
 def test_regions_chamber_method(capsys):
-    code, out = run_cli(capsys, "regions", "--n", "3", "--method", "chambers", "--format", "json")
+    code, out = run_cli(capsys, "regions", "--n", "3", "--method", "whitney", "--format", "json")
     assert code == 0
-    assert json.loads(out)["regions"] == "32"
+    assert json.loads(out) == {"command": "regions", "method": "whitney", "n": 3, "regions": "32"}
 
 
 def test_betti_depth_limited(capsys):
@@ -124,10 +126,10 @@ TEXT_OUTPUT = [
         ["charpoly", "--n", "3"],
         "chi(A_3; t) coefficients (descending): 1 -7 15 -9\n"
         "betti: 1 7 15 9\n"
-        "regions: 32  (method: nbc)\n",
+        "regions: 32  (method: ff)\n",
     ),
     (["betti", "--n", "4"], "b_0..b_4 of A_4: 1 15 80 170 104\n"),
-    (["regions", "--n", "4"], "regions of A_4: 370  (method: nbc)\n"),
+    (["regions", "--n", "4"], "regions of A_4: 370  (method: ff)\n"),
     (["closed-form", "--i", "3", "--n", "5"], "b_3(A_5) = 2130\n"),
     (["fit-coeffs", "--i", "2"], "i=2: c[3]=2 c[4]=3\n"),
     (["prototypes", "--i", "2"], "i=2: c[3]=2 c[4]=3\n"),
@@ -144,8 +146,8 @@ TEXT_OUTPUT = [
         "b1(A_2): golden=3 computed=3 [MATCH; closed form]\n"
         "b2(A_1): golden=0 computed=0 [MATCH; closed form]\n"
         "b2(A_2): golden=2 computed=2 [MATCH; closed form]\n"
-        "R(A_1): golden=2 computed=2 [MATCH; nbc full depth + ff]\n"
-        "R(A_2): golden=6 computed=6 [MATCH; nbc full depth + ff]\n"
+        "R(A_1): golden=2 computed=2 [MATCH; nbc full depth + ff + deletion/restriction]\n"
+        "R(A_2): golden=6 computed=6 [MATCH; nbc full depth + ff + deletion/restriction]\n"
         "computed cells: 6, mismatches: 0\n",
     ),
 ]
@@ -300,6 +302,18 @@ def test_golden_mismatch_exits_three(monkeypatch, capsys):
     monkeypatch.setitem(t1.GOLDEN_BETTI[2], 3, 14)  # wrong on purpose
     assert main(["table1", "--n-max", "3", "--i-max", "2"]) == 3
     capsys.readouterr()
+
+
+def test_table1_region_routes_must_agree_on_chi(monkeypatch):
+    from resonance import table1 as t1
+
+    exact = t1.whitney_charpoly
+    # Same region count 32 as chi(A_3), other Betti numbers.
+    off = CharPoly.from_betti((1, 7, 14, 10))
+    monkeypatch.setattr(t1, "whitney_charpoly", lambda n: off if n == 3 else exact(n))
+    assert build_report(2, 1)["mismatches"] == 0
+    with pytest.raises(InternalCheckError, match="chi\\(A_3\\) differs"):
+        build_report(3, 1)
 
 
 def test_table1_region_row_through_six(capsys):
