@@ -42,10 +42,12 @@ MAX_01_DETERMINANT = {1: 1, 2: 1, 3: 2, 4: 3, 5: 5, 6: 9, 7: 32, 8: 56}
 
 @dataclass(frozen=True)
 class Arrangement:
-    """All nonempty subset masks of [n] in increasing binary order."""
+    """All nonempty subset masks of [n] in increasing binary order, as a
+    lazy ``range``: n = 63 has 2**63 - 1 of them, which ``len`` still
+    reports."""
 
     n: int
-    hyperplanes: tuple[int, ...]
+    hyperplanes: range
 
     def __len__(self):
         return len(self.hyperplanes)
@@ -54,7 +56,7 @@ class Arrangement:
 def build_arrangement(n: int) -> Arrangement:
     if not 1 <= n <= 63:
         raise ValueError(f"n must be in 1..63, got {n}")
-    return Arrangement(n, tuple(range(1, 1 << n)))
+    return Arrangement(n, range(1, 1 << n))
 
 
 @dataclass(frozen=True)

@@ -33,6 +33,8 @@ def _cap(args, name):
 
 
 def _charpoly(args):
+    if args.primes is not None and args.method != "ff":
+        raise ValueError(f"--primes applies only to --method ff, not {args.method}")
     primes = [int(x) for x in args.primes.split(",") if x.strip()] if args.primes else None
     methods = {
         "whitney": lambda: whitney_charpoly(args.n, cap=_cap(args, "deletion_restriction_n")),
@@ -122,6 +124,8 @@ def _embed(args):
     cert["minor_matroid_check"] = universality.minor_matroid_check(emb, matrix)
     if not ok:
         raise InternalCheckError("embedding failed its own verification")
+    if not cert["minor_matroid_check"]:
+        raise InternalCheckError("embedding failed the minor matroid check")
     return cert
 
 
@@ -136,7 +140,8 @@ def _verify_embed(args):
     stale = any(stored.get(k) != fresh[k] for k in ("carriers", "helpers", "column_order"))
     ok, cert = universality.verify_embedding(emb, matrix)
     cert["certificate_consistent"] = not stale
-    cert["verified"] = ok and not stale
+    cert["minor_matroid_check"] = universality.minor_matroid_check(emb, matrix)
+    cert["verified"] = ok and not stale and cert["minor_matroid_check"]
     return cert
 
 

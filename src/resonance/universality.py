@@ -17,13 +17,14 @@ Column j owns one block of coordinates, and its carrier and helpers
 touch only the base rows and that block.  Each helper pivots on its own
 coordinate of the block, so the pivots of different columns never mix
 and ``verify_embedding`` replays them on one small block per column.
-``minor_matroid_check`` is the independent second route: it compares
-ranks of the whole embedding with ranks of the input matrix.
+``minor_matroid_check`` is the independent second route, exact and blind
+to the block layout: one elimination of all helpers, with the base rows
+ordered last, then one reduction per carrier, which must leave a nonzero
+multiple of the input column on the base rows and nothing elsewhere.
 """
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
@@ -162,8 +163,6 @@ def embed(matrix, cap: int | None = GUARDS["embed_ambient"]) -> Embedding:
     """
     cleared = _clear_columns(matrix)
     nrows, ncols = len(cleared), len(cleared[0])
-    if nrows >= 60:
-        raise ValueError("matrix too tall for single-word row masks")
     # One coordinate per row, per negative level and per positive level twice.
     levels = sum(max(0, -min(c)) + 2 * max(0, max(c)) for c in zip(*cleared))
     check_guard("embedding: ambient dimension", nrows + levels, cap)
@@ -262,44 +261,43 @@ def verify_embedding(emb: Embedding, matrix) -> tuple[bool, dict]:
     return True, cert
 
 
-_SAMPLE_BUDGET = 4096  # most subsets of carrier columns minor_matroid_check compares
-
-
 def minor_matroid_check(emb: Embedding, matrix) -> bool:
-    """Rank-identity check: contracting the helpers must reproduce the
-    matroid of the input columns.
+    """Second route: contracting the helpers must reproduce the input's matroid.
 
-    For every sampled subset S of carrier columns,
-    rank(S + helpers) - rank(helpers) must equal the rank of the
-    matching input columns.  Exhaustive when 2**cols fits
-    ``_SAMPLE_BUDGET``; otherwise a sample of that size, seeded with 0.
+    The coordinates are taken with the r base rows last, and the helpers
+    enter one ``EchelonBasis``; they must be independent.  A fraction-free
+    reduction turns each carrier v into d*v plus helpers (d != 0), zero at
+    every helper pivot, so the residuals' span meets the helpers' span only
+    in 0, and for every set S of columns
+    rank(S + helpers) - rank(helpers) is the rank of S's residuals.  Each
+    residual must vanish off the base rows, and its base-row part must be
+    a nonzero multiple of the matching column of the cleared input.
+    Scaling a column keeps the matroid, so the two matroids then agree on
+    every subset.  The identity is sufficient, not necessary: a carrier
+    whose residual is another column with the same matroid is refused.
+    The check reads nothing from ``_blocks``, so it does not depend on the
+    certificate's layout.
     """
     cleared = _clear_columns(matrix)
     if tuple(tuple(r) for r in cleared) != emb.cleared_matrix:
         return False
-    dim = emb.ambient_dim
+    r, dim = emb.rows, emb.ambient_dim
+    if len(emb.carrier_vectors) != len(cleared[0]) or any(
+        v >> dim for v in emb.carrier_vectors + emb.helper_vectors
+    ):
+        return False  # one carrier per column, every vector in the ambient space
+    order = [*range(r, dim), *range(r)]  # helper coordinates first, base rows last
     helper_basis = EchelonBasis(dim)
     for h in emb.helper_vectors:
-        helper_basis.add([(h >> i) & 1 for i in range(dim)])
+        helper_basis.add([h >> i & 1 for i in order])
     if helper_basis.rank != len(emb.helper_vectors):
         return False  # helpers must be independent for contraction
-    residuals = [
-        helper_basis.residual([(v >> i) & 1 for i in range(dim)])
-        for v in emb.carrier_vectors
-    ]
-    ncols = emb.cols
-    if (1 << ncols) <= _SAMPLE_BUDGET:
-        subsets = range(1 << ncols)
-    else:
-        rng = random.Random(0)
-        subsets = [rng.randrange(1 << ncols) for _ in range(_SAMPLE_BUDGET)]
-    for s in subsets:
-        chosen = [j for j in range(ncols) if s >> j & 1]
-        big_rank = bareiss_rank([residuals[j] for j in chosen])
-        small_rank = bareiss_rank(
-            [[cleared[i][j] for j in chosen] for i in range(emb.rows)]
-        )
-        if big_rank != small_rank:
+    for j, v in enumerate(emb.carrier_vectors):
+        residual = helper_basis.residual([v >> i & 1 for i in order])
+        part, column = residual[dim - r :], [row[j] for row in cleared]
+        if any(residual[: dim - r]) or not any(part) or not any(column):
+            return False
+        if bareiss_rank([part, column]) != 1:
             return False
     return True
 

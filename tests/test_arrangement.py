@@ -21,11 +21,17 @@ CHI_A3 = (-9, 15, -7, 1)
 
 
 def test_build_arrangement_small():
-    assert build_arrangement(1).hyperplanes == (1,)
-    assert build_arrangement(2).hyperplanes == (1, 2, 3)
+    assert tuple(build_arrangement(1).hyperplanes) == (1,)
+    assert tuple(build_arrangement(2).hyperplanes) == (1, 2, 3)
     arr = build_arrangement(3)
     assert len(arr) == 7
     assert arr.hyperplanes[-1] == 7
+
+
+def test_build_arrangement_is_lazy():
+    arr = build_arrangement(63)
+    assert len(arr) == 2**63 - 1
+    assert arr.hyperplanes[-1] == 2**63 - 1
 
 
 def test_build_arrangement_range():

@@ -106,6 +106,26 @@ def test_embed_and_verify_cycle(tmp_path, capsys):
     assert "verified: True" in out
 
 
+def test_embed_commands_enforce_the_minor_check(tmp_path, capsys, monkeypatch):
+    from resonance import universality
+
+    mat = tmp_path / "a.mat"
+    mat.write_text(REFERENCE_MATRIX)
+    cert = tmp_path / "cert.json"
+    assert main(["embed", "--input", str(mat), "--output", str(cert)]) == 0
+    capsys.readouterr()
+    monkeypatch.setattr(universality, "minor_matroid_check", lambda emb, matrix: False)
+    assert main(["embed", "--input", str(mat), "--verify"]) == 3
+    assert "minor matroid check" in capsys.readouterr().err
+    code, out = run_cli(capsys, "verify-embed", "--input", str(mat), "--cert", str(cert),
+                        "--format", "json")
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["certificate_consistent"] is True
+    assert payload["minor_matroid_check"] is False
+    assert payload["verified"] is False
+
+
 def test_verify_embed_detects_stale_certificate(tmp_path, capsys):
     mat = tmp_path / "a.mat"
     mat.write_text(REFERENCE_MATRIX)
@@ -178,6 +198,12 @@ EXIT_CASES = {
     "closed-form-i4": (["closed-form", "--i", "4", "--n", "3"], 1, "i in {1, 2, 3}"),
     "missing-file": (["embed", "--input", "{missing}"], 1, "No such file"),
     "bad-primes": (["charpoly", "--n", "3", "--method", "ff", "--primes", "x,y"], 1, "'x'"),
+    "primes-whitney": (
+        ["charpoly", "--n", "3", "--method", "whitney", "--primes", "5,7,11,13"],
+        1,
+        "--primes applies only to --method ff",
+    ),
+    "primes-nbc": (["regions", "--n", "3", "--method", "nbc", "--primes", "x"], 1, "not nbc"),
     "zero-denominator": (["embed", "--input", "{zero}"], 1, "zero denominator"),
     "list-certificate": (
         ["verify-embed", "--input", "{mat}", "--cert", "{listed}"],

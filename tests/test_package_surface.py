@@ -85,16 +85,30 @@ def test_every_public_method_is_read_outside_the_tests():
     assert unread == []
 
 
+def _imports(path):
+    """Dotted names a module imports, ``from m import x`` giving ``m`` and ``m.x``."""
+    names = []
+    for node in ast.walk(_tree(path)):
+        if isinstance(node, ast.ImportFrom):
+            names.append(node.module or "")
+            names += [f"{node.module or ''}.{a.name}" for a in node.names]
+        elif isinstance(node, ast.Import):
+            names += [a.name for a in node.names]
+    return names
+
+
 def test_one_module_imports_concurrent_futures():
-    importers = []
-    for path in MODULES:
-        for node in ast.walk(_tree(path)):
-            if isinstance(node, ast.ImportFrom):
-                modules = [node.module or ""]
-            elif isinstance(node, ast.Import):
-                modules = [a.name for a in node.names]
-            else:
-                continue
-            if any(m.startswith("concurrent") for m in modules):
-                importers.append(path.name)
+    importers = [
+        path.name for path in MODULES if any(m.startswith("concurrent") for m in _imports(path))
+    ]
     assert len(importers) == 1, importers
+
+
+def test_no_module_imports_random():
+    """Checks in the package are exact: none of them samples."""
+    importers = [
+        path.name
+        for path in MODULES + [PACKAGE / "__init__.py"]
+        if any("random" in m.split(".") for m in _imports(path))
+    ]
+    assert importers == []

@@ -200,6 +200,42 @@ def test_minor_check_detects_duplicate_carrier():
     assert not minor_matroid_check(broken, EXAMPLE)
 
 
+def test_minor_check_sees_a_rank_change_only_the_full_set_shows():
+    # 13 unit columns and their sum, over 14 rows whose last is zero.  Adding
+    # the zero row's bit to the sum's carrier raises the rank of the full set
+    # of 14 columns alone; no proper subset's rank changes.
+    n = 14
+    matrix = [[int(i < n - 1 and j in (i, n - 1)) for j in range(n)] for i in range(n)]
+    emb = embed(matrix)
+    assert minor_matroid_check(emb, matrix)
+    carriers = list(emb.carrier_vectors)
+    carriers[-1] |= 1 << (n - 1)
+    tampered = dataclasses.replace(emb, carrier_vectors=tuple(carriers))
+    assert not verify_embedding(tampered, matrix)[0]
+    assert not minor_matroid_check(tampered, matrix)
+
+
+def test_minor_check_rejects_a_missing_carrier_or_a_stray_bit():
+    emb = embed(EXAMPLE)
+    assert not minor_matroid_check(
+        dataclasses.replace(emb, carrier_vectors=emb.carrier_vectors[:1]), EXAMPLE
+    )
+    stray = emb.carrier_vectors[1] | 1 << emb.ambient_dim
+    assert not minor_matroid_check(
+        dataclasses.replace(emb, carrier_vectors=(emb.carrier_vectors[0], stray)), EXAMPLE
+    )
+
+
+def test_embed_has_no_row_limit():
+    # 70 rows of entries +-1: one coordinate per row, one per column of -1s
+    # and two per column of +1s, so ambient 70 + 3 * 3 = 79.
+    matrix = [[(-1) ** (i * j + i // 7) for j in range(3)] for i in range(70)]
+    emb = embed(matrix)
+    assert emb.ambient_dim == 79
+    assert verify_embedding(emb, matrix)[0]
+    assert minor_matroid_check(emb, matrix)
+
+
 def test_helpers_are_independent():
     rng = random.Random(32)
     for _ in range(20):
