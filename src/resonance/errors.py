@@ -42,4 +42,6 @@ GUARDS = {
 def check_guard(what: str, size: int, cap: int | None) -> None:
     """Raise GuardExceeded when ``size`` is above ``cap``; None lifts it."""
     if cap is not None and size > cap:
-        raise GuardExceeded(f"{what} capped at {cap} (asked {size})")
+        # Past 256 bits the decimal form may be too long to print.
+        asked = size if size.bit_length() <= 256 else f"a {size.bit_length()}-bit number"
+        raise GuardExceeded(f"{what} capped at {cap} (asked {asked})")

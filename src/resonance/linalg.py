@@ -1,4 +1,4 @@
-"""Exact rank, span and pivot computations over the rationals.
+"""Exact rank, span and pivot computations on integer matrices.
 
 One elimination kernel serves every general job: ``EchelonBasis``, an
 incrementally built, fully reduced integer row basis.  Rank, span
@@ -7,14 +7,14 @@ solves all go through it.  ``restrict`` is its row-update step on its
 own: it restricts a list of integer normals to the hyperplane with
 normal ``h``, and the NBC search and the region recursion use it too.
 ``ExactMatrix.pivot`` is the one other elimination step; it replays the
-pivots an embedding certificate prescribes.  Everything is exact: ints
-and Fractions, never floats.
+pivots an embedding certificate prescribes, each on an entry equal to 1.
+Every elimination is in ints, never floats; the only rationals are the
+coefficients ``span_coefficients`` returns.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
-from math import gcd, lcm
+from math import gcd
 
 __all__ = [
     "ExactMatrix",
@@ -110,18 +110,14 @@ class EchelonBasis:
 
 
 def bareiss_rank(rows) -> int:
-    """Rank of a matrix of ints or Fractions, by an ``EchelonBasis``.
+    """Rank of an integer matrix, by an ``EchelonBasis``.
 
-    A row holding Fractions is first scaled by the lcm of its
-    denominators, which keeps the rank.  The historical name stays
-    because callers and the spans in ``perfbench/`` bind it.
+    The historical name stays because callers and the spans in
+    ``perfbench/`` bind it.
     """
     rows = list(rows)
     basis = EchelonBasis(len(rows[0]) if rows else 0)
     for row in rows:
-        if any(isinstance(x, Fraction) for x in row):
-            mult = lcm(*(x.denominator for x in row))
-            row = [int(x * mult) for x in row]
         basis.add(row)
     return basis.rank
 
@@ -136,6 +132,7 @@ def _span_solver(vectors):
     every pivot.  Its first block vanishes iff t is in the span, and then
     t = sum (-m_i / d) v_i.  Rows pivoting in the first block count the rank.
     """
+    from fractions import Fraction
     vecs = [list(v) for v in vectors]
     k = len(vecs)
     size = len(vecs[0]) if vecs else 0
@@ -162,21 +159,14 @@ def span_coefficients(vectors, target):
     return _span_solver(vectors)[1](target)
 
 
-def _as_exact(x):
-    if isinstance(x, Fraction):
-        return int(x) if x.denominator == 1 else x
-    if isinstance(x, int) and not isinstance(x, bool):
-        return x
-    raise ValueError(f"entries must be ints or Fractions, got {type(x).__name__}")
-
-
 class ExactMatrix:
-    """Dense matrix of exact rationals (ints, Fractions where needed)."""
+    """Dense matrix of ints, held as row tuples that the matrices
+    ``pivot`` derives from one another share."""
 
     __slots__ = ("rows", "cols", "entries")
 
     def __init__(self, entries):
-        data = [[_as_exact(x) for x in row] for row in entries]
+        data = [tuple(row) for row in entries]
         if data and any(len(r) != len(data[0]) for r in data):
             raise ValueError("ragged rows")
         self.entries = data
@@ -187,20 +177,17 @@ class ExactMatrix:
         return [row[j] for row in self.entries]
 
     def pivot(self, row: int, col: int) -> "ExactMatrix":
-        """Scale ``row`` so entry (row, col) becomes 1, clear the rest of
-        the column with row operations.  Column-matroid preserving."""
-        p = self.entries[row][col]
-        if p == 0:
-            raise ValueError(f"zero pivot entry at ({row}, {col})")
-        out = [list(r) for r in self.entries]
-        if p != 1:
-            out[row] = [_as_exact(Fraction(x, 1) / p) for x in out[row]]
-        pr = out[row]
-        for i in range(self.rows):
-            if i != row and out[i][col]:
-                f = out[i][col]
-                out[i] = [_as_exact(a - f * b) for a, b in zip(out[i], pr)]
-        return ExactMatrix(out)
+        """Clear column ``col`` off ``row`` by subtracting integer multiples
+        of ``row``, whose entry there must be exactly 1, so nothing is
+        scaled.  Rows zero in ``col`` are shared, not copied.
+        Column-matroid preserving."""
+        pr = self.entries[row]
+        if pr[col] != 1:
+            raise ValueError(f"pivot entry at ({row}, {col}) is {pr[col]}, not 1")
+        return ExactMatrix(
+            r if i == row or not r[col] else tuple(a - r[col] * b for a, b in zip(r, pr))
+            for i, r in enumerate(self.entries)
+        )
 
     def __eq__(self, other):
         if not isinstance(other, ExactMatrix):

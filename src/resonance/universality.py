@@ -25,6 +25,7 @@ multiple of the input column on the base rows and nothing elsewhere.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
@@ -68,31 +69,18 @@ class ColumnDecomposition:
         return tuple(col)
 
 
+def _level_sets(col):
+    """Masks of the rows where ``col`` is >= 1, >= 2, ... up to its maximum."""
+    return tuple(
+        sum(1 << row for row, x in enumerate(col) if x >= level)
+        for level in range(1, max(col, default=0) + 1)
+    )
+
+
 def decompose_column(column) -> ColumnDecomposition:
     """Slice an integer vector into positive and negative level sets."""
     col = [int(x) for x in column]
-    pos, neg = [], []
-    level = 1
-    while True:
-        m = 0
-        for row, x in enumerate(col):
-            if x >= level:
-                m |= 1 << row
-        if not m:
-            break
-        pos.append(m)
-        level += 1
-    level = 1
-    while True:
-        m = 0
-        for row, x in enumerate(col):
-            if x <= -level:
-                m |= 1 << row
-        if not m:
-            break
-        neg.append(m)
-        level += 1
-    return ColumnDecomposition(tuple(pos), tuple(neg))
+    return ColumnDecomposition(_level_sets(col), _level_sets([-x for x in col]))
 
 
 @dataclass(frozen=True)
@@ -215,8 +203,13 @@ def verify_embedding(emb: Embedding, matrix) -> tuple[bool, dict]:
     only adds to rows that are nonzero in its pivot column, which are
     base rows and block j's own.  So pivoting each small block yields the
     same columns as pivoting the whole ambient matrix, and the checks
-    below (nonzero pivots, helpers reduced to unit vectors, residual
-    equal to the input) are the same checks.
+    below (pivot entries equal to 1, helpers reduced to unit vectors,
+    residual equal to the input) are the same checks.
+
+    In a block ``embed`` builds, coordinate t's row is nonzero only in
+    helper t's column and, for +k, in ++k's, pivoted after it; so no
+    coordinate row changes before its own pivot, each pivot entry is the
+    1 ``embed`` put there, and the replay stays integral with no scaling.
 
     Returns (ok, certificate); the certificate always records the
     assembled data and every executed pivot, plus the reason on failure.
@@ -246,8 +239,9 @@ def verify_embedding(emb: Embedding, matrix) -> tuple[bool, dict]:
         mat = ExactMatrix([[v >> i & 1 for v in vectors] for i in coords])
         for t in pivots:
             row_name, col_label = f"e{j + 1},{suffixes[t]}", labels[1 + t]
-            if mat.entries[r + t][1 + t] == 0:
-                return fail(f"zero pivot at row {row_name}, column {col_label}")
+            entry = mat.entries[r + t][1 + t]
+            if entry != 1:
+                return fail(f"pivot entry {entry} at row {row_name}, column {col_label} is not 1")
             mat = mat.pivot(r + t, 1 + t)
             executed.append([row_name, col_label])
         for t in range(size):
@@ -333,7 +327,8 @@ def certificate_dict(emb: Embedding) -> dict:
 
 def parse_matrix_text(text: str):
     """Matrix file format: first line "r n", then r rows of n entries;
-    '#' starts a comment line.  Entries may be integers or fractions."""
+    '#' starts a comment line.  Each entry is an integer or ``p/q``, with
+    an optional sign."""
     lines = [
         ln.strip()
         for ln in text.splitlines()
@@ -350,14 +345,16 @@ def parse_matrix_text(text: str):
     if len(lines) != r + 1:
         raise ValueError(f"expected {r} data rows, found {len(lines) - 1}")
     rows = []
-    for ln in lines[1:]:
+    for i, ln in enumerate(lines[1:], 1):
         parts = ln.split()
         if len(parts) != n:
             raise ValueError(f"expected {n} entries per row, got {len(parts)}")
+        if not all(re.fullmatch(r"[+-]?[0-9]+(/[0-9]+)?", p) for p in parts):
+            raise ValueError(f"row {i}: entries must be integers or p/q")
         try:
             rows.append([Fraction(p) for p in parts])
         except ZeroDivisionError:
-            raise ValueError(f"zero denominator in row {len(rows) + 1}") from None
+            raise ValueError(f"zero denominator in row {i}") from None
     return rows
 
 

@@ -205,6 +205,11 @@ EXIT_CASES = {
     ),
     "primes-nbc": (["regions", "--n", "3", "--method", "nbc", "--primes", "x"], 1, "not nbc"),
     "zero-denominator": (["embed", "--input", "{zero}"], 1, "zero denominator"),
+    # Refused by the entry syntax before 10^(10^7) is built.
+    "exponent-entry": (["embed", "--input", "{exponent}"], 1, "row 1: entries must be"),
+    # The cleared column has ~6000-digit entries; the guard reports the
+    # asked ambient dimension by its bit length, not in decimal.
+    "huge-denominators": (["embed", "--input", "{huge}"], 2, "(asked a 19933-bit number)"),
     "list-certificate": (
         ["verify-embed", "--input", "{mat}", "--cert", "{listed}"],
         1,
@@ -234,8 +239,12 @@ def test_exit_codes(tmp_path, capsys, case):
         "zero": tmp_path / "zero.mat",
         "mat": tmp_path / "a.mat",
         "listed": tmp_path / "list.json",
+        "exponent": tmp_path / "exponent.mat",
+        "huge": tmp_path / "huge.mat",
     }
     files["zero"].write_text("1 2\n1 1/0\n")
+    files["exponent"].write_text("1 1\n1e10000000\n")
+    files["huge"].write_text("3 1\n" + "".join(f"1/{10**3000 + k}\n" for k in (1, 3, 7)))
     files["mat"].write_text(REFERENCE_MATRIX)
     files["listed"].write_text("[1, 2]\n")
     assert main([a.format(**files) for a in argv]) == code

@@ -112,3 +112,14 @@ def test_no_module_imports_random():
         if any("random" in m.split(".") for m in _imports(path))
     ]
     assert importers == []
+
+
+def test_only_linalg_and_universality_import_fractions():
+    """Elimination is in ints: rationals enter only where input is cleared
+    (``universality``) and where span coefficients are returned (``linalg``)."""
+    importers = [
+        path.stem
+        for path in MODULES + [PACKAGE / "__init__.py"]
+        if any("fractions" in m.split(".") for m in _imports(path))
+    ]
+    assert sorted(importers) == ["linalg", "universality"]

@@ -179,6 +179,30 @@ def test_verify_rejects_vector_outside_its_block():
     assert cert["failure"] == "vector r1,-1 leaves column block 1"
 
 
+def test_verify_refuses_a_pivot_entry_other_than_one():
+    # For [[1]] the coordinates are e1, e1,+1, e1,++1.  Moving the bit of
+    # e1,++1 from helper r1,++1 to helper r1,+1 makes the first pivot
+    # subtract row e1,+1 from row e1,++1, which leaves -1 at the next pivot.
+    emb = embed([[1]])
+    plus, shadow = emb.helper_vectors
+    tampered = dataclasses.replace(emb, helper_vectors=(plus | 0b100, shadow & ~0b100))
+    ok, cert = verify_embedding(tampered, [[1]])
+    assert not ok and cert["verified"] is False
+    assert cert["failure"] == "pivot entry -1 at row e1,++1, column r1,++1 is not 1"
+    assert cert["pivots"] == [["e1,+1", "r1,+1"]]
+
+
+@pytest.mark.parametrize("entry, ambient", [(127, 255), (-255, 256)])
+def test_largest_single_entries_verify_both_ways(entry, ambient):
+    # One block of ambient - 1 coordinates, the largest the embed guard allows.
+    emb = embed([[entry]])
+    assert emb.ambient_dim == ambient
+    ok, cert = verify_embedding(emb, [[entry]])
+    assert ok and cert["residual_matrix"] == [[str(entry)]]
+    assert len(cert["pivots"]) == ambient - 1
+    assert minor_matroid_check(emb, [[entry]])
+
+
 def test_minor_check_example_exhaustive():
     emb = embed(EXAMPLE)
     assert minor_matroid_check(emb, EXAMPLE)
@@ -283,6 +307,8 @@ def test_random_matrices_verify_and_contract():
 def test_parse_matrix_text():
     rows = parse_matrix_text("# comment\n3 2\n1 -1\n-2 0\n-1 -1\n")
     assert rows == [[1, -1], [-2, 0], [-1, -1]]
+    rows = parse_matrix_text("2 2\n+3 -3/4\n0 +7/2\n")
+    assert rows == [[3, Fraction(-3, 4)], [0, Fraction(7, 2)]]
 
 
 def test_parse_matrix_text_errors():
@@ -294,3 +320,8 @@ def test_parse_matrix_text_errors():
         parse_matrix_text("1 2\n1 0 0\n")
     with pytest.raises(ValueError):
         parse_matrix_text("banana\n1\n")
+    # Only an integer or p/q, with an optional sign, is an entry: an exponent
+    # is refused before any number is built.
+    for entry in ("1e10000000", "1.5", "3/-4", "0x10", "1_000", "inf"):
+        with pytest.raises(ValueError, match="row 1: entries must be integers or p/q"):
+            parse_matrix_text(f"1 1\n{entry}\n")
