@@ -202,9 +202,14 @@ def test_pivot_identity():
     assert ident.pivot(0, 0) == ident
 
 
+def test_pivot_zero_entry_rejected():
+    with pytest.raises(ValueError):
+        ExactMatrix([[0, 1], [1, 0]]).pivot(0, 0)
+
+
 def test_pivot_refuses_entries_other_than_one():
     # The pivot never scales a row, so it needs the entry to be exactly 1.
-    for entry in (2, 0, -1):
+    for entry in (2, -1):
         with pytest.raises(ValueError, match=f"is {entry}, not 1"):
             ExactMatrix([[entry, 1], [1, 1]]).pivot(0, 0)
 
