@@ -8,9 +8,7 @@ matrix's matroid as a minor of a large enough resonance matroid.
 """
 
 from .arrangement import (
-    Arrangement,
     CharPoly,
-    build_arrangement,
     count_points_avoiding,
     default_primes,
     enumerate_chambers_bruteforce,
@@ -30,16 +28,7 @@ from .errors import GuardExceeded, InternalCheckError
 from .linalg import EchelonBasis, ExactMatrix
 from .masks import format_mask, mask_elements, mask_vector
 from .nbc import betti_via_nbc, charpoly_via_nbc, is_broken_circuit, is_nbc
-from .prototypes import (
-    Partition,
-    Prototype,
-    PrototypeClass,
-    betti_via_prototypes,
-    classify,
-    coefficients,
-    enumerate_prototypes,
-    realize,
-)
+from .prototypes import betti_via_prototypes, coefficients
 from .stirling import (
     StirlingCombination,
     betti2_closed,

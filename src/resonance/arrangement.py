@@ -23,9 +23,7 @@ from .linalg import restrict, span_coefficients
 from .masks import mask_vector
 
 __all__ = [
-    "Arrangement",
     "CharPoly",
-    "build_arrangement",
     "whitney_charpoly",
     "finite_field_charpoly",
     "count_points_avoiding",
@@ -38,25 +36,6 @@ __all__ = [
 # Largest determinant of an n x n 0/1 matrix.  Any prime strictly above
 # this bound preserves every rank among 0/1 columns when reducing mod p.
 MAX_01_DETERMINANT = {1: 1, 2: 1, 3: 2, 4: 3, 5: 5, 6: 9, 7: 32, 8: 56}
-
-
-@dataclass(frozen=True)
-class Arrangement:
-    """All nonempty subset masks of [n] in increasing binary order, as a
-    lazy ``range``: n = 63 has 2**63 - 1 of them, which ``len`` still
-    reports."""
-
-    n: int
-    hyperplanes: range
-
-    def __len__(self):
-        return len(self.hyperplanes)
-
-
-def build_arrangement(n: int) -> Arrangement:
-    if not 1 <= n <= 63:
-        raise ValueError(f"n must be in 1..63, got {n}")
-    return Arrangement(n, range(1, 1 << n))
 
 
 @dataclass(frozen=True)
@@ -321,8 +300,11 @@ def _count_regions(normals: tuple) -> tuple:
 
 
 def _normals(n: int, cap: int | None) -> tuple:
+    """The normals of A_n, in increasing binary order of their masks."""
     check_guard("deletion/restriction: n", n, cap)
-    return tuple(mask_vector(h, n) for h in build_arrangement(n).hyperplanes)
+    if not 1 <= n <= 63:
+        raise ValueError(f"n must be in 1..63, got {n}")
+    return tuple(mask_vector(h, n) for h in range(1, 1 << n))
 
 
 def whitney_charpoly(n: int, cap: int | None = GUARDS["deletion_restriction_n"]) -> CharPoly:

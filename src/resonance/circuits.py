@@ -18,7 +18,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import InternalCheckError
-from .prototypes import partitions_into_blocks
 from .stirling import stirling2
 
 __all__ = [
@@ -31,6 +30,7 @@ __all__ = [
     "count_rectangle_circuits",
     "rectangle_circuit_families",
     "b3_via_circuits",
+    "partitions_into_blocks",
 ]
 
 
@@ -58,6 +58,30 @@ def count_intersecting_triples(n: int) -> int:
     return via_powers
 
 
+def partitions_into_blocks(size: int, k: int):
+    """Each partition of {1..size} into exactly k blocks once, as a tuple
+    of block masks in ascending order."""
+    if not 1 <= k <= size:
+        return
+    assignment = [0] * size
+
+    def rec(pos, used):
+        if size - pos < k - used:
+            return
+        if pos == size:
+            if used == k:
+                blocks = [0] * k
+                for e, lab in enumerate(assignment):
+                    blocks[lab] |= 1 << e
+                yield tuple(sorted(blocks))
+            return
+        for lab in range(min(used + 1, k)):
+            assignment[pos] = lab
+            yield from rec(pos + 1, max(used, lab + 1))
+
+    yield from rec(0, 0)
+
+
 def tetrahedron_circuits(n: int):
     """Yield each tetrahedron circuit once, as a frozenset of four masks.
 
@@ -65,10 +89,9 @@ def tetrahedron_circuits(n: int):
     last, maps to the circuit whose top set collects the first three
     blocks and whose other sets each drop one block.
     """
-    for part in partitions_into_blocks(n + 1, 4):
-        top_block = part.blocks[3]
-        a4 = ((1 << (n + 1)) - 1) & ~top_block
-        family = [a4 & ~part.blocks[i] for i in range(3)] + [a4]
+    for blocks in partitions_into_blocks(n + 1, 4):
+        a4 = ((1 << (n + 1)) - 1) & ~blocks[3]
+        family = [a4 & ~blocks[i] for i in range(3)] + [a4]
         yield frozenset(family)
 
 

@@ -146,6 +146,9 @@ def _verify_embed(args):
 
 
 def _table1(args):
+    if args.guard_override:
+        raise ValueError("table1 runs every route at its default size guard; "
+                         "--guard-override does not apply")
     report = table1.build_report(args.n_max, args.i_max, workers=args.threads)
     if report["mismatches"]:
         raise InternalCheckError(f"{report['mismatches']} golden cells mismatched")

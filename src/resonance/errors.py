@@ -2,7 +2,8 @@
 
 ``GUARDS`` is the one table of default input-size limits.  Every
 guarded entry point takes a ``cap`` parameter that defaults to its row
-here; ``cap=None`` lifts the guard (the CLI's ``--guard-override``).
+here; ``cap=None`` lifts the guard (the CLI's ``--guard-override``,
+which ``table1`` refuses: its report runs every route at its default).
 """
 
 
@@ -30,11 +31,11 @@ GUARDS = {
     "deletion_restriction_n": 6,
     # Deepest NBC search for each n = 1 .. 7: full depth through n=6.
     "nbc_depth": {**{n: n for n in range(1, 7)}, 7: 4},
-    # Betti index of the full prototype census.  Its largest enumeration
-    # has (2^i - 1)! maps (5040 at i=3, 15! at i=4), a count too large to
-    # evaluate for big i, so the census is limited by its index.
+    # Betti index of the prototype census.  It walks every injective map
+    # {1..k-1} -> nonempty subsets of [i] for k = i+1 .. 2^i: 13650 maps at
+    # i=3 (2 s), more than 15! = 1.3e12 at i=4.  That count is too large
+    # to evaluate for big i, so the census is limited by its index.
     "prototype_i": 3,
-    "prototype_maps": 10**6,  # (i, k)-prototype maps in one enumeration
     "embed_ambient": 256,     # ambient dimension of a universality embedding
 }
 

@@ -39,6 +39,8 @@ GOLDEN_REGIONS = {
 
 
 def golden_betti(i: int, n: int):
+    if i == 0 and n >= 1:
+        return 1  # chi(A_n) is monic
     return GOLDEN_BETTI.get(i, {}).get(n)
 
 

@@ -1,9 +1,11 @@
 """Matroid, circuit and prototype helpers that only the tests call.
 
 Unlike ``oracles``, these are built on the package's own kernels
-(``EchelonBasis``, the span solver, ``is_nbc`` and the prototype and
-side-midpoint types), so the tests compare them with ``oracles`` or
-with the package's other routes rather than trusting them as references.
+(``EchelonBasis``, the span solver, ``is_nbc`` and the side-midpoint
+type), so the tests compare them with ``oracles`` or with the package's
+other routes rather than trusting them as references.  Prototypes and
+partitions are plain tuples of masks here: a prototype is its image
+tuple, a partition its blocks in ascending mask order.
 """
 
 from dataclasses import dataclass
@@ -15,7 +17,6 @@ from resonance.errors import InternalCheckError
 from resonance.linalg import EchelonBasis, _span_solver
 from resonance.masks import mask_vector, validate_mask
 from resonance.nbc import is_nbc
-from resonance.prototypes import Partition, Prototype
 
 
 def _validated_masks(masks, n):
@@ -189,9 +190,24 @@ def sides_from_rectangle(family, n: int) -> SideMidpointTuple:
     return SideMidpointTuple(sides, mid)
 
 
-def tuple_prototype(masks, n: int) -> tuple[Prototype, Partition]:
-    """Inverse construction: recover (prototype, partition) from a tuple
-    of pairwise distinct nonempty subsets of [n].
+def realize(i: int, images, blocks) -> tuple[int, ...]:
+    """The i-tuple of subsets of [n] that an (i, k)-prototype encodes on a
+    partition of {1..n+1} into k blocks: the j-th set is the union of the
+    blocks at the positions whose image contains j.
+
+    The last block, the one holding n+1, is the leftover and never used.
+    """
+    if len(images) != len(blocks) - 1:
+        raise ValueError(f"{len(blocks)} blocks, but {len(images)} images")
+    return tuple(
+        sum(block for image, block in zip(images, blocks) if image >> j & 1)
+        for j in range(i)
+    )
+
+
+def tuple_prototype(masks, n: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """Inverse of ``realize``: recover (images, blocks) from a tuple of
+    pairwise distinct nonempty subsets of [n].
 
     Elements of {1..n+1} are grouped by the set of tuple positions
     containing them; the groups are the partition blocks and the
@@ -212,12 +228,10 @@ def tuple_prototype(masks, n: int) -> tuple[Prototype, Partition]:
         signatures.setdefault(sig, 0)
         signatures[sig] |= 1 << (e - 1)
     block_of = {blk: sig for sig, blk in signatures.items()}
-    blocks = sorted(block_of)
+    blocks = tuple(sorted(block_of))
     if block_of[blocks[-1]] != 0:
         raise InternalCheckError("leftover block is not last in mask order")
     k = len(blocks)
     if k <= i:
         raise ValueError(f"tuple is dependent: only {k} blocks for an {i}-tuple")
-    part = Partition(n + 1, tuple(blocks))
-    images = tuple(block_of[b] for b in blocks[:-1])
-    return Prototype(i, k, images), part
+    return tuple(block_of[b] for b in blocks[:-1]), blocks

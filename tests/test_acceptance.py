@@ -27,19 +27,12 @@ from resonance.circuits import (
 )
 from resonance.cli import main
 from resonance.nbc import betti_via_nbc, charpoly_via_nbc, is_nbc
-from resonance.prototypes import (
-    Partition,
-    Prototype,
-    PrototypeClass,
-    classify,
-    coefficients,
-    realize,
-)
+from resonance.prototypes import coefficients
 from resonance.stirling import betti2_closed, betti3_closed, fit_stirling_coefficients
 from resonance.table1 import GOLDEN_BETTI, GOLDEN_REGIONS
 from resonance.universality import embed, minor_matroid_check, verify_embedding
 
-from kernel_helpers import nbc_extend, sides_from_rectangle
+from kernel_helpers import nbc_extend, realize, sides_from_rectangle
 from oracles import betti_bound_holds, region_log2_bound
 
 CHI_A3 = (-9, 15, -7, 1)
@@ -163,19 +156,20 @@ def test_criterion_9_property_suites():
                 blocks = [0] * k
                 for e, lab in enumerate(labels):
                     blocks[lab] |= 1 << e
-                return Partition(size, tuple(sorted(blocks)))
+                return tuple(sorted(blocks))
+
+    def broken(tup, n):
+        return 0 in tup or len(set(tup)) != len(tup) or not is_nbc(tup, n)
 
     seen = 0
     while seen < 200:
         i = rng.randint(1, 3)
         k = rng.randint(i + 1, 2**i)
-        p = Prototype(i, k, tuple(rng.sample(range(1, 2**i), k - 1)))
-        canonical = classify(p) is PrototypeClass.BROKEN
+        images = tuple(rng.sample(range(1, 2**i), k - 1))
+        canonical = broken(realize(i, images, tuple(1 << j for j in range(k))), k - 1)
         n = rng.randint(k - 1, 8)
-        tup = realize(p, random_partition(n + 1, k))
-        degenerate = 0 in tup or len(set(tup)) != len(tup)
-        broken_here = degenerate or not is_nbc(tup, n)
-        assert broken_here == canonical
+        tup = realize(i, images, random_partition(n + 1, k))
+        assert broken(tup, n) == canonical
         seen += 1
 
     # side-midpoint bijection, exhaustive for n <= 4

@@ -3,7 +3,6 @@ import pytest
 from resonance import arrangement
 from resonance.arrangement import (
     CharPoly,
-    build_arrangement,
     count_points_avoiding,
     default_primes,
     enumerate_chambers_bruteforce,
@@ -20,25 +19,11 @@ from oracles import count_points_oracle, whitney_charpoly_oracle
 CHI_A3 = (-9, 15, -7, 1)
 
 
-def test_build_arrangement_small():
-    assert tuple(build_arrangement(1).hyperplanes) == (1,)
-    assert tuple(build_arrangement(2).hyperplanes) == (1, 2, 3)
-    arr = build_arrangement(3)
-    assert len(arr) == 7
-    assert arr.hyperplanes[-1] == 7
-
-
-def test_build_arrangement_is_lazy():
-    arr = build_arrangement(63)
-    assert len(arr) == 2**63 - 1
-    assert arr.hyperplanes[-1] == 2**63 - 1
-
-
 def test_build_arrangement_range():
-    with pytest.raises(ValueError):
-        build_arrangement(0)
-    with pytest.raises(ValueError):
-        build_arrangement(64)
+    with pytest.raises(ValueError, match="n must be in 1..63"):
+        whitney_charpoly(0, cap=None)
+    with pytest.raises(ValueError, match="n must be in 1..63"):
+        enumerate_chambers_bruteforce(64, cap=None)
 
 
 def test_charpoly_validation():

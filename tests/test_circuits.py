@@ -8,6 +8,7 @@ from resonance.circuits import (
     count_intersecting_triples,
     count_rectangle_circuits,
     count_tetrahedron_circuits,
+    partitions_into_blocks,
     rectangle_circuit_families,
     rectangle_from_sides,
     side_midpoint_tuples,
@@ -42,6 +43,12 @@ def test_triples_formula_vs_bruteforce():
     for n in range(1, 6):
         assert count_intersecting_triples(n) == intersecting_triples_bruteforce(n)
     assert count_intersecting_triples(2) == 0
+
+
+def test_partition_enumeration_counts_are_stirling():
+    for size in range(1, 8):
+        for k in range(1, size + 1):
+            assert sum(1 for _ in partitions_into_blocks(size, k)) == stirling2(size, k)
 
 
 def test_triples_known_values():

@@ -71,6 +71,11 @@ def test_fit_coeffs_from_golden_rows(capsys):
     }
 
 
+def test_fit_coeffs_index_zero(capsys):
+    # b_0(A_n) = 1 for every n, so the fit of one value gives S(n+1, 1).
+    assert run_cli(capsys, "fit-coeffs", "--i", "0") == (0, "i=0: c[1]=1\n")
+
+
 def test_prototypes_command(capsys):
     code, out = run_cli(capsys, "prototypes", "--i", "2", "--format", "json")
     assert code == 0
@@ -221,6 +226,7 @@ EXIT_CASES = {
     "fit-coeffs-40": (["fit-coeffs", "--i", "40"], 1, "up to n="),  # no golden row
     "fit-coeffs-20000": (["fit-coeffs", "--i", "20000"], 1, "golden Betti values"),
     "betti-n0": (["betti", "--n", "0"], 1, "n must be positive"),
+    "whitney-n0": (["regions", "--n", "0", "--method", "whitney"], 1, "n must be in 1..63, got 0"),
     "betti-n64": (["betti", "--n", "64", "--i-max", "1", "--guard-override"], 1, "at most 63"),
     "charpoly-n-1": (["charpoly", "--n", "-1"], 1, "n must be positive"),
     "closed-form-n-3": (["closed-form", "--i", "1", "--n", "-3"], 1, "n must be positive"),
@@ -228,6 +234,12 @@ EXIT_CASES = {
     "closed-form-i3-huge": (["closed-form", "--i", "3", "--n", "200000"], 1, "decimal digits"),
     "census-huge": (["circuits-census", "--n", "200000"], 1, "decimal digits"),
     "closed-form-i2-huge": (["closed-form", "--i", "2", "--n", "20000"], 1, "decimal digits"),
+    # The report runs every route at its default guard; the flag would be ignored.
+    "table1-override": (
+        ["table1", "--n-max", "2", "--i-max", "1", "--guard-override"],
+        1,
+        "--guard-override does not apply",
+    ),
 }
 
 

@@ -4,24 +4,12 @@ from math import factorial
 
 import pytest
 
+from resonance.circuits import partitions_into_blocks
 from resonance.errors import GuardExceeded
 from resonance.nbc import betti_via_nbc, is_nbc
-from resonance.prototypes import (
-    Partition,
-    Prototype,
-    PrototypeClass,
-    betti_via_prototypes,
-    classify,
-    coefficients,
-    enumerate_prototypes,
-    partitions_into_blocks,
-    prototype_count,
-    realize,
-    singleton_partition,
-)
-from resonance.stirling import stirling2
+from resonance.prototypes import _functional_counts, betti_via_prototypes, coefficients
 
-from kernel_helpers import tuple_prototype
+from kernel_helpers import realize, tuple_prototype
 
 
 def random_partition(rng, size, k):
@@ -32,57 +20,36 @@ def random_partition(rng, size, k):
             blocks = [0] * k
             for e, lab in enumerate(labels):
                 blocks[lab] |= 1 << e
-            return Partition(size, tuple(sorted(blocks)))
+            return tuple(sorted(blocks))
+
+
+def singletons(k):
+    return tuple(1 << j for j in range(k))
+
+
+def broken(i, images, blocks):
+    """Whether the prototype's realization on ``blocks`` is degenerate or
+    contains a broken circuit of A_n, where n+1 is the top element."""
+    tup = realize(i, images, blocks)
+    n = blocks[-1].bit_length() - 1
+    return 0 in tup or len(set(tup)) != i or not is_nbc(tup, n)
 
 
 def test_prototype_counts():
-    assert sum(1 for _ in enumerate_prototypes(2, 3)) == 6
-    assert sum(1 for _ in enumerate_prototypes(2, 4)) == 6
-    assert sum(1 for _ in enumerate_prototypes(3, 8)) == 5040
-    assert prototype_count(3, 8) == 5040
-
-
-def test_prototypes_in_lexicographic_order():
-    images = [p.images for p in enumerate_prototypes(2, 3)]
-    assert images == sorted(images)
-    assert len(set(images)) == len(images)
-
-
-def test_prototype_validation():
-    with pytest.raises(ValueError):
-        Prototype(2, 3, (1, 1))  # not injective
-    with pytest.raises(ValueError):
-        Prototype(2, 3, (0, 1))  # empty image
-    with pytest.raises(ValueError):
-        Prototype(2, 5, (1, 2, 3, 1))  # k > 2^i
-
-
-def test_partition_enumeration_counts_are_stirling():
-    for size in range(1, 8):
-        for k in range(1, size + 1):
-            assert sum(1 for _ in partitions_into_blocks(size, k)) == stirling2(size, k)
-
-
-def test_partition_blocks_validated():
-    with pytest.raises(ValueError):
-        Partition(3, (1, 2))  # does not cover
-    with pytest.raises(ValueError):
-        Partition(3, (3, 5))  # overlap
-    with pytest.raises(ValueError):
-        Partition(3, (4, 3))  # not ascending
+    """Functional (i, k)-prototypes per k, before division by i!."""
+    assert _functional_counts(1) == ((2, 1),)
+    assert _functional_counts(2) == ((3, 4), (4, 6))
+    assert _functional_counts(3) == ((4, 54), (5, 480), (6, 2070), (7, 5040), (8, 5040))
 
 
 def test_realize_on_singletons():
-    p = Prototype(2, 3, (1, 2))  # f(1) = {1}, f(2) = {2}
-    assert realize(p, singleton_partition(3)) == (1, 2)
-    p = Prototype(2, 3, (3, 1))  # f(1) = {1,2}, f(2) = {1}
-    assert realize(p, singleton_partition(3)) == (3, 1)
+    assert realize(2, (1, 2), singletons(3)) == (1, 2)  # f(1) = {1}, f(2) = {2}
+    assert realize(2, (3, 1), singletons(3)) == (3, 1)  # f(1) = {1,2}, f(2) = {1}
 
 
 def test_realize_block_count_mismatch():
-    p = Prototype(2, 3, (1, 2))
     with pytest.raises(ValueError):
-        realize(p, singleton_partition(4))
+        realize(2, (1, 2), singletons(4))
 
 
 def test_round_trip_through_partitions():
@@ -90,16 +57,13 @@ def test_round_trip_through_partitions():
     for _ in range(100):
         i = rng.randint(1, 3)
         k = rng.randint(i + 1, 2**i)
-        protos = list(enumerate_prototypes(i, k))
-        p = rng.choice(protos)
+        images = rng.choice(list(permutations(range(1, 2**i), k - 1)))
         n = rng.randint(k - 1, 8)
         part = random_partition(rng, n + 1, k)
-        tup = realize(p, part)
+        tup = realize(i, images, part)
         if 0 in tup or len(set(tup)) != len(tup):
             continue  # degenerate prototypes never round-trip
-        p2, part2 = tuple_prototype(tup, n)
-        assert p2 == p
-        assert part2 == part
+        assert tuple_prototype(tup, n) == (images, part)
 
 
 def test_classification_counts_match_known_coefficients():
@@ -110,17 +74,21 @@ def test_classification_counts_match_known_coefficients():
     }
     for (i, k), count in expected.items():
         got = sum(
-            1 for p in enumerate_prototypes(i, k) if classify(p) is PrototypeClass.FUNCTIONAL
+            1
+            for images in permutations(range(1, 2**i), k - 1)
+            if not broken(i, images, singletons(k))
         )
         assert got == count
+        assert dict(_functional_counts(i))[k] == count
 
 
 def test_degenerate_realizations_are_broken():
     # images {1,2},{3},{1,2,3} never separate positions 1 and 2
-    p = Prototype(3, 4, (3, 4, 7))
-    tup = realize(p, singleton_partition(4))
-    assert len(set(tup)) < 3
-    assert classify(p) is PrototypeClass.BROKEN
+    images = (3, 4, 7)
+    for size in range(4, 8):
+        for part in partitions_into_blocks(size, 4):
+            assert len(set(realize(3, images, part))) < 3
+    assert broken(3, images, singletons(4))
 
 
 def test_coefficients_known_rows():
@@ -147,17 +115,11 @@ def test_partition_independence_of_classification():
         i = rng.randint(1, 3)
         k = rng.randint(i + 1, 2**i)
         images = tuple(rng.sample(range(1, 2**i), k - 1))
-        p = Prototype(i, k, images)
-        canonical = classify(p)
+        canonical = broken(i, images, singletons(k))
         for _ in range(5):
             n = rng.randint(k - 1, 8)
             part = random_partition(rng, n + 1, k)
-            tup = realize(p, part)
-            if 0 in tup or len(set(tup)) != len(tup):
-                broken_here = True
-            else:
-                broken_here = not is_nbc(tup, n)
-            assert broken_here == (canonical is PrototypeClass.BROKEN)
+            assert broken(i, images, part) == canonical
         seen += 1
 
 
@@ -192,9 +154,3 @@ def test_coefficient_bound_tight_at_top():
         assert combo.coefficients[k] == bound
 
 
-def test_stream_guard_for_width_four():
-    with pytest.raises(GuardExceeded):
-        list(enumerate_prototypes(4, 16))
-    # small k under the stream limit is allowed
-    first = next(iter(enumerate_prototypes(4, 5)))
-    assert first.width == 4
