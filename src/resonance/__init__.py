@@ -17,12 +17,10 @@ from .arrangement import (
     whitney_charpoly,
 )
 from .circuits import (
-    SideMidpointTuple,
     b3_via_circuits,
     count_intersecting_triples,
     count_rectangle_circuits,
     count_tetrahedron_circuits,
-    rectangle_from_sides,
 )
 from .errors import GuardExceeded, InternalCheckError
 from .linalg import EchelonBasis, ExactMatrix

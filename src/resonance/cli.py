@@ -2,9 +2,11 @@
 
 Each command is one row of ``COMMANDS``: its help text, its arguments,
 a builder that turns the parsed arguments into a JSON payload, and a
-renderer for ``--format text``.  ``--output`` writes that payload for
-every command.  Size guards are the rows of ``resonance.errors.GUARDS``;
-``--guard-override`` lifts all of them.
+renderer for ``--format text``.  ``--format`` and ``--output`` (which
+writes that payload) apply to every command; ``--threads`` and
+``--guard-override`` only to the commands whose row lists them.  Size
+guards are the rows of ``resonance.errors.GUARDS``; ``--guard-override``
+lifts all of them.
 
 Exit codes: 0 success, 1 usage or validation error, 2 size-guard
 violation, 3 internal invariant failure (e.g. a golden-table mismatch
@@ -35,7 +37,9 @@ def _cap(args, name):
 def _charpoly(args):
     if args.primes is not None and args.method != "ff":
         raise ValueError(f"--primes applies only to --method ff, not {args.method}")
-    primes = [int(x) for x in args.primes.split(",") if x.strip()] if args.primes else None
+    primes = (
+        [int(x) for x in args.primes.split(",") if x.strip()] if args.primes is not None else None
+    )
     methods = {
         "whitney": lambda: whitney_charpoly(args.n, cap=_cap(args, "deletion_restriction_n")),
         "ff": lambda: finite_field_charpoly(
@@ -176,6 +180,10 @@ def _render_table1(p):
     return "\n".join(lines)
 
 
+_THREADS = ("--threads", {"type": int, "default": 1, "help": "worker processes for the NBC "
+                          "search and the point count; results do not depend on it"})
+_OVERRIDE = ("--guard-override", {"action": "store_true",
+                                  "help": "run beyond the default size guards (expensive)"})
 _N = ("--n", {"type": int, "required": True})
 _I = ("--i", {"type": int, "required": True})
 _METHODS = ("--method", {"choices": ("whitney", "ff", "nbc"), "default": "ff"})
@@ -186,20 +194,20 @@ _CENSUS = ("intersecting_triples", "tetrahedron_circuits", "rectangle_circuits",
 COMMANDS = {
     "charpoly": (
         "characteristic polynomial of A_n",
-        [_N, _METHODS, _PRIMES],
+        [_N, _METHODS, _PRIMES, _THREADS, _OVERRIDE],
         _charpoly_payload,
         lambda p: f"chi(A_{p['n']}; t) coefficients (descending): {' '.join(p['coeffs'])}\n"
         f"betti: {' '.join(p['betti'])}\nregions: {p['regions']}  (method: {p['method']})",
     ),
     "betti": (
         "Betti numbers by depth-limited NBC search",
-        [_N, ("--i-max", {"type": int})],
+        [_N, ("--i-max", {"type": int}), _THREADS, _OVERRIDE],
         _betti,
         lambda p: f"b_0..b_{p['i_max']} of A_{p['n']}: {' '.join(p['betti'])}",
     ),
     "regions": (
         "chamber count of A_n",
-        [_N, _METHODS, _PRIMES],
+        [_N, _METHODS, _PRIMES, _THREADS, _OVERRIDE],
         _regions,
         lambda p: f"regions of A_{p['n']}: {p['regions']}  (method: {p['method']})",
     ),
@@ -217,7 +225,7 @@ COMMANDS = {
     ),
     "prototypes": (
         "Stirling coefficients by prototype census",
-        [_I],
+        [_I, _OVERRIDE],
         lambda args: _coefficients(coefficients(args.i, cap=_cap(args, "prototype_i"))),
         _render_coefficients,
     ),
@@ -229,19 +237,20 @@ COMMANDS = {
     ),
     "embed": (
         "compile a matrix into a resonance minor",
-        [_INPUT, ("--verify", {"action": "store_true"})],
+        [_INPUT, ("--verify", {"action": "store_true"}), _OVERRIDE],
         _embed,
         _render_embedding,
     ),
     "verify-embed": (
         "re-verify a stored embedding certificate",
-        [_INPUT, ("--cert", {"required": True})],
+        [_INPUT, ("--cert", {"required": True}), _OVERRIDE],
         _verify_embed,
         _render_embedding,
     ),
     "table1": (
         "recompute golden table cells and compare",
-        [("--n-max", {"type": int, "default": 4}), ("--i-max", {"type": int, "default": 4})],
+        [("--n-max", {"type": int, "default": 4}), ("--i-max", {"type": int, "default": 4}),
+         _THREADS, _OVERRIDE],
         _table1,
         _render_table1,
     ),
@@ -258,11 +267,6 @@ def _build_parser() -> argparse.ArgumentParser:
     for name, (help_text, arguments, _, _) in COMMANDS.items():
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--format", choices=("text", "json"), default="text")
-        p.add_argument("--threads", type=int, default=1,
-                       help="worker processes for the NBC search and the point count; "
-                       "results do not depend on it")
-        p.add_argument("--guard-override", action="store_true",
-                       help="run beyond the default size guards (expensive)")
         p.add_argument("--output", help="write JSON payload to this path")
         for flag, options in arguments:
             p.add_argument(flag, **options)
@@ -276,7 +280,8 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return 0 if exc.code == 0 else 1
     _, _, build, render = COMMANDS[args.command]
-    args.threads = max(1, args.threads)
+    if "threads" in args:
+        args.threads = max(1, args.threads)  # 0 and negative values mean one worker
     try:
         payload = {**build(args), "command": args.command}
         document = json.dumps(payload, indent=2, sort_keys=True)

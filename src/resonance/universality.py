@@ -30,7 +30,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 
-from .errors import GUARDS, check_guard
+from .errors import GUARDS, InternalCheckError, check_guard
 from .linalg import EchelonBasis, ExactMatrix, bareiss_rank
 from .masks import format_mask, mask_elements
 
@@ -161,7 +161,7 @@ def embed(matrix, cap: int | None = GUARDS["embed_ambient"]) -> Embedding:
             raise ValueError(f"column {j + 1} is zero; loops are not embeddable")
         dec = decompose_column(col)
         if dec.reconstruct(nrows) != tuple(col):
-            raise AssertionError("level-set decomposition failed to reconstruct")
+            raise InternalCheckError("level-set decomposition failed to reconstruct")
         decs.append(dec)
 
     names = [f"e{i + 1}" for i in range(nrows)]
@@ -179,7 +179,7 @@ def embed(matrix, cap: int | None = GUARDS["embed_ambient"]) -> Embedding:
 
     vectors = carriers + helpers
     if 0 in vectors or len(set(vectors)) != len(vectors):
-        raise AssertionError("embedding vectors must be distinct and nonzero")
+        raise InternalCheckError("embedding vectors must be distinct and nonzero")
     return Embedding(
         rows=nrows,
         cols=ncols,
@@ -326,9 +326,9 @@ def certificate_dict(emb: Embedding) -> dict:
 
 
 def parse_matrix_text(text: str):
-    """Matrix file format: first line "r n", then r rows of n entries;
-    '#' starts a comment line.  Each entry is an integer or ``p/q``, with
-    an optional sign."""
+    """Matrix file format: first line "r n" (two integers), then r rows
+    of n entries; '#' starts a comment line.  Each entry is an integer or
+    ``p/q``, with an optional sign."""
     lines = [
         ln.strip()
         for ln in text.splitlines()
@@ -337,7 +337,7 @@ def parse_matrix_text(text: str):
     if not lines:
         raise ValueError("empty matrix file")
     header = lines[0].split()
-    if len(header) != 2:
+    if len(header) != 2 or not all(re.fullmatch(r"[+-]?[0-9]+", h) for h in header):
         raise ValueError("header must be two integers: rows cols")
     r, n = (int(x) for x in header)
     if r < 1 or n < 1:
@@ -359,5 +359,5 @@ def parse_matrix_text(text: str):
 
 
 def read_matrix_file(path):
-    with open(path, "r", encoding="utf-8") as fh:
+    with open(path, "r", encoding="utf-8-sig") as fh:
         return parse_matrix_text(fh.read())

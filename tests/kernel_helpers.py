@@ -1,9 +1,11 @@
 """Matroid, circuit and prototype helpers that only the tests call.
 
 Unlike ``oracles``, these are built on the package's own kernels
-(``EchelonBasis``, the span solver, ``is_nbc`` and the side-midpoint
-type), so the tests compare them with ``oracles`` or with the package's
-other routes rather than trusting them as references.  Prototypes and
+(``EchelonBasis``, the span solver and ``is_nbc``), so the tests compare
+them with ``oracles`` or with the package's other routes rather than
+trusting them as references.  ``sides_from_rectangle`` inverts the
+oracles' side-midpoint construction, which the tests check both ways
+against the enumerations there.  Prototypes and
 partitions are plain tuples of masks here: a prototype is its image
 tuple, a partition its blocks in ascending mask order.
 """
@@ -12,11 +14,12 @@ from dataclasses import dataclass
 from enum import Enum
 from itertools import combinations
 
-from resonance.circuits import SideMidpointTuple
 from resonance.errors import InternalCheckError
 from resonance.linalg import EchelonBasis, _span_solver
 from resonance.masks import mask_vector, validate_mask
 from resonance.nbc import is_nbc
+
+from oracles import SideMidpointTuple
 
 
 def _validated_masks(masks, n):

@@ -2,10 +2,13 @@
 
 Everything here is written from definitions with Fraction arithmetic,
 full enumeration or closed formulas, independent of the production code
-paths.  Test helpers built on the package's own kernels live in
+paths.  That includes the set partitions and the tetrahedron and
+side-midpoint enumerations whose sizes ``resonance.circuits`` gives by
+formula.  Test helpers built on the package's own kernels live in
 ``kernel_helpers``.
 """
 
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 from math import comb, factorial
@@ -105,6 +108,105 @@ def intersecting_triples_bruteforce(n):
         for a, b, c in combinations(range(1, 1 << n), 3)
         if a & b and a & c and b & c
     )
+
+
+def partitions_into_blocks(size: int, k: int):
+    """Each partition of {1..size} into exactly k blocks once, as a tuple
+    of block masks in ascending order."""
+    if not 1 <= k <= size:
+        return
+    assignment = [0] * size
+
+    def rec(pos, used):
+        if size - pos < k - used:
+            return
+        if pos == size:
+            if used == k:
+                blocks = [0] * k
+                for e, lab in enumerate(assignment):
+                    blocks[lab] |= 1 << e
+                yield tuple(sorted(blocks))
+            return
+        for lab in range(min(used + 1, k)):
+            assignment[pos] = lab
+            yield from rec(pos + 1, max(used, lab + 1))
+
+    yield from rec(0, 0)
+
+
+def tetrahedron_circuits(n: int):
+    """Yield each tetrahedron circuit once, as a frozenset of four masks.
+
+    A partition of [n+1] into four blocks, with the block holding n+1
+    last, maps to the circuit whose top set collects the first three
+    blocks and whose other sets each drop one block.
+    """
+    for blocks in partitions_into_blocks(n + 1, 4):
+        a4 = ((1 << (n + 1)) - 1) & ~blocks[3]
+        family = [a4 & ~blocks[i] for i in range(3)] + [a4]
+        yield frozenset(family)
+
+
+@dataclass(frozen=True)
+class SideMidpointTuple:
+    """Four cyclic sides and a midpoint encoding a rectangle circuit.
+
+    Sides are pairwise disjoint, disjoint from the nonempty midpoint,
+    and at most one side of each opposite pair is empty.
+    """
+
+    sides: tuple[int, int, int, int]
+    midpoint: int
+
+    def __post_init__(self):
+        union = 0
+        for s in self.sides:
+            if union & s:
+                raise ValueError("sides must be pairwise disjoint")
+            union |= s
+        if self.midpoint == 0:
+            raise ValueError("midpoint must be nonempty")
+        if union & self.midpoint:
+            raise ValueError("midpoint must be disjoint from every side")
+        if (not self.sides[0] and not self.sides[2]) or (
+            not self.sides[1] and not self.sides[3]
+        ):
+            raise ValueError("at most one side of each opposite pair may be empty")
+
+
+def rectangle_from_sides(t: SideMidpointTuple) -> tuple[int, int, int, int]:
+    """Vertices of the rectangle circuit: each set joins the midpoint with
+    its two incident sides (cyclic order)."""
+    s = t.sides
+    return tuple(t.midpoint | s[i - 1] | s[i] for i in range(4))
+
+
+def side_midpoint_tuples(n: int):
+    """Every labeled side-midpoint tuple over [n] (exhaustive; small n)."""
+    if n > 4:
+        raise ValueError("exhaustive tuple enumeration intended for n <= 4")
+
+    def rec(e, sides, mid):
+        if e == n:
+            try:
+                yield SideMidpointTuple(tuple(sides), mid)
+            except ValueError:
+                pass
+            return
+        bit = 1 << e
+        yield from rec(e + 1, sides, mid)          # element unused
+        yield from rec(e + 1, sides, mid | bit)    # element in the midpoint
+        for i in range(4):
+            sides[i] |= bit
+            yield from rec(e + 1, sides, mid)
+            sides[i] &= ~bit
+
+    yield from rec(0, [0, 0, 0, 0], 0)
+
+
+def rectangle_circuit_families(n: int) -> set[frozenset[int]]:
+    """Distinct rectangle circuits, as unordered families (small n)."""
+    return {frozenset(rectangle_from_sides(t)) for t in side_midpoint_tuples(n)}
 
 
 def mask_rank_oracle(masks, n):

@@ -20,10 +20,6 @@ from resonance.circuits import (
     b3_via_circuits,
     count_rectangle_circuits,
     count_tetrahedron_circuits,
-    rectangle_circuit_families,
-    rectangle_from_sides,
-    side_midpoint_tuples,
-    tetrahedron_circuits,
 )
 from resonance.cli import main
 from resonance.nbc import betti_via_nbc, charpoly_via_nbc, is_nbc
@@ -33,7 +29,14 @@ from resonance.table1 import GOLDEN_BETTI, GOLDEN_REGIONS
 from resonance.universality import embed, minor_matroid_check, verify_embedding
 
 from kernel_helpers import nbc_extend, realize, sides_from_rectangle
-from oracles import betti_bound_holds, region_log2_bound
+from oracles import (
+    betti_bound_holds,
+    rectangle_circuit_families,
+    rectangle_from_sides,
+    region_log2_bound,
+    side_midpoint_tuples,
+    tetrahedron_circuits,
+)
 
 CHI_A3 = (-9, 15, -7, 1)
 

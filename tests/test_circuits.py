@@ -2,23 +2,29 @@ from itertools import combinations
 
 import pytest
 
+from resonance import circuits
 from resonance.circuits import (
-    SideMidpointTuple,
     b3_via_circuits,
     count_intersecting_triples,
     count_rectangle_circuits,
     count_tetrahedron_circuits,
+)
+from resonance.errors import InternalCheckError
+from resonance.nbc import is_nbc
+from resonance.stirling import betti3_closed, stirling2
+
+from kernel_helpers import CircuitTag, classify_relevant_4circuit, sides_from_rectangle
+from oracles import (
+    SideMidpointTuple,
+    intersecting_triples_bruteforce,
+    is_dependent,
+    mask_from_elements as M,
     partitions_into_blocks,
     rectangle_circuit_families,
     rectangle_from_sides,
     side_midpoint_tuples,
     tetrahedron_circuits,
 )
-from resonance.nbc import is_nbc
-from resonance.stirling import betti3_closed, stirling2
-
-from kernel_helpers import CircuitTag, classify_relevant_4circuit, sides_from_rectangle
-from oracles import intersecting_triples_bruteforce, is_dependent, mask_from_elements as M
 
 
 def relevant_circuits_by_linear_algebra(n):
@@ -184,3 +190,10 @@ def test_b3_assembly():
     assert b3_via_circuits(6) == 22435
     for n in range(1, 10):
         assert b3_via_circuits(n) == betti3_closed(n)
+
+
+def test_b3_assembly_is_checked_against_the_closed_form(monkeypatch):
+    exact = circuits.count_rectangle_circuits
+    monkeypatch.setattr(circuits, "count_rectangle_circuits", lambda n: exact(n) + 1)
+    with pytest.raises(InternalCheckError, match="closed form"):
+        b3_via_circuits(5)

@@ -194,6 +194,9 @@ def test_text_output(tmp_path, capsys, argv, expected):
 # "guard violation: " for exit code 2 and "error: " otherwise.
 EXIT_CASES = {
     "badflag": (["charpoly", "--badflag"], 1, None),
+    # --threads and --guard-override exist only where the command reads them.
+    "closed-form-threads": (["closed-form", "--i", "3", "--n", "9", "--threads", "2"], 1, None),
+    "census-override": (["circuits-census", "--n", "3", "--guard-override"], 1, None),
     "guard": (["charpoly", "--n", "9"], 2, "n capped at 7"),
     "huge-prime": (
         ["charpoly", "--n", "2", "--method", "ff", "--primes", "3,5,1000000000000000003"],
@@ -203,6 +206,7 @@ EXIT_CASES = {
     "closed-form-i4": (["closed-form", "--i", "4", "--n", "3"], 1, "i in {1, 2, 3}"),
     "missing-file": (["embed", "--input", "{missing}"], 1, "No such file"),
     "bad-primes": (["charpoly", "--n", "3", "--method", "ff", "--primes", "x,y"], 1, "'x'"),
+    "empty-primes": (["charpoly", "--n", "3", "--primes", ""], 1, "distinct primes, got 0"),
     "primes-whitney": (
         ["charpoly", "--n", "3", "--method", "whitney", "--primes", "5,7,11,13"],
         1,
@@ -266,6 +270,20 @@ def test_exit_codes(tmp_path, capsys, case):
         assert len(err.splitlines()) == 1
         assert err.startswith("guard violation: " if code == 2 else "error: ")
         assert message in err
+
+
+def test_embed_self_check_failure_exits_three(tmp_path, monkeypatch, capsys):
+    from resonance import universality
+
+    # Level sets of the doubled column cannot reconstruct the column.
+    exact = universality.decompose_column
+    monkeypatch.setattr(universality, "decompose_column", lambda col: exact([2 * x for x in col]))
+    mat = tmp_path / "a.mat"
+    mat.write_text(REFERENCE_MATRIX)
+    assert main(["embed", "--input", str(mat)]) == 3
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1
+    assert err.startswith("internal invariant failure: ")
 
 
 def test_guard_override_allows_expensive_run(capsys):

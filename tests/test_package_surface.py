@@ -123,3 +123,17 @@ def test_only_linalg_and_universality_import_fractions():
         if any("fractions" in m.split(".") for m in _imports(path))
     ]
     assert sorted(importers) == ["linalg", "universality"]
+
+
+def test_no_assert_statements_in_the_package():
+    """Self-checks raise ``InternalCheckError``, which the CLI reports with
+    exit code 3; an ``assert`` would vanish under ``python -O`` and an
+    ``AssertionError`` would reach the user as a traceback."""
+    offenders = [
+        f"{path.name}:{node.lineno}"
+        for path in MODULES + [PACKAGE / "__init__.py"]
+        for node in ast.walk(_tree(path))
+        if isinstance(node, ast.Assert)
+        or (isinstance(node, ast.Name) and node.id == "AssertionError")
+    ]
+    assert offenders == []

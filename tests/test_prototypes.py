@@ -4,12 +4,12 @@ from math import factorial
 
 import pytest
 
-from resonance.circuits import partitions_into_blocks
 from resonance.errors import GuardExceeded
 from resonance.nbc import betti_via_nbc, is_nbc
 from resonance.prototypes import _functional_counts, betti_via_prototypes, coefficients
 
 from kernel_helpers import realize, tuple_prototype
+from oracles import partitions_into_blocks
 
 
 def random_partition(rng, size, k):

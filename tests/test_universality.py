@@ -11,6 +11,7 @@ from resonance.universality import (
     embed,
     minor_matroid_check,
     parse_matrix_text,
+    read_matrix_file,
     verify_embedding,
 )
 
@@ -325,3 +326,13 @@ def test_parse_matrix_text_errors():
     for entry in ("1e10000000", "1.5", "3/-4", "0x10", "1_000", "inf"):
         with pytest.raises(ValueError, match="row 1: entries must be integers or p/q"):
             parse_matrix_text(f"1 1\n{entry}\n")
+    # The header takes the same signed-integer syntax as the entries.
+    for header in ("2 x", "2.0 1", "0x2 1", "1_0 1", "\u0661 1", "1 1/1"):
+        with pytest.raises(ValueError, match="header must be two integers: rows cols"):
+            parse_matrix_text(f"{header}\n1\n1\n")
+
+
+def test_read_matrix_file_skips_byte_order_mark(tmp_path):
+    path = tmp_path / "bom.mat"
+    path.write_text("\ufeff" + "2 1\n1\n-1/2\n", encoding="utf-8")
+    assert read_matrix_file(path) == [[1], [Fraction(-1, 2)]]
