@@ -22,17 +22,6 @@ from .errors import GUARDS, InternalCheckError, check_guard
 from .linalg import restrict, span_coefficients
 from .masks import mask_vector
 
-__all__ = [
-    "CharPoly",
-    "whitney_charpoly",
-    "finite_field_charpoly",
-    "count_points_avoiding",
-    "default_primes",
-    "region_count",
-    "enumerate_chambers_bruteforce",
-    "MAX_01_DETERMINANT",
-]
-
 # Largest determinant of an n x n 0/1 matrix.  Any prime strictly above
 # this bound preserves every rank among 0/1 columns when reducing mod p.
 MAX_01_DETERMINANT = {1: 1, 2: 1, 3: 2, 4: 3, 5: 5, 6: 9, 7: 32, 8: 56}
@@ -43,7 +32,8 @@ class CharPoly:
     """Characteristic polynomial; coeffs[d] is the coefficient of t**d.
 
     The unsigned coefficients, read from the top degree down, are the
-    Betti numbers b_0 .. b_n.
+    Betti numbers b_0 .. b_n.  Every instance is some route's chi(A_n),
+    so a failed check is an internal error, not bad input.
     """
 
     coeffs: tuple[int, ...]
@@ -51,14 +41,14 @@ class CharPoly:
     def __post_init__(self):
         n = self.degree
         if n < 1:
-            raise ValueError("polynomial must have positive degree")
+            raise InternalCheckError("polynomial must have positive degree")
         if self.coeffs[n] != 1:
-            raise ValueError("leading coefficient must be 1")
+            raise InternalCheckError("leading coefficient must be 1")
         for i, c in enumerate(self.betti):
             if c < 0:
-                raise ValueError(f"coefficient of t^{n - i} has the wrong sign")
+                raise InternalCheckError(f"coefficient of t^{n - i} has the wrong sign")
         if self.betti[1] != (1 << n) - 1:
-            raise ValueError("t^(n-1) coefficient must have absolute value 2^n - 1")
+            raise InternalCheckError("t^(n-1) coefficient must have absolute value 2^n - 1")
 
     @property
     def degree(self) -> int:
@@ -304,6 +294,9 @@ def _normals(n: int, cap: int | None) -> tuple:
     check_guard("deletion/restriction: n", n, cap)
     if not 1 <= n <= 63:
         raise ValueError(f"n must be in 1..63, got {n}")
+    if n > 8:  # _count_regions nests once per hyperplane, whatever the cap
+        raise ValueError(f"deletion/restriction nests {(1 << n) - 1} calls deep at n={n}, "
+                         "past the interpreter's recursion limit; it runs to n = 8")
     return tuple(mask_vector(h, n) for h in range(1, 1 << n))
 
 

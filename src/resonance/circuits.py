@@ -19,13 +19,6 @@ from __future__ import annotations
 from .errors import InternalCheckError
 from .stirling import betti3_closed, stirling2
 
-__all__ = [
-    "count_intersecting_triples",
-    "count_tetrahedron_circuits",
-    "count_rectangle_circuits",
-    "b3_via_circuits",
-]
-
 
 def count_intersecting_triples(n: int) -> int:
     """Families of three distinct subsets of [n], pairwise intersecting.

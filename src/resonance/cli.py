@@ -4,9 +4,9 @@ Each command is one row of ``COMMANDS``: its help text, its arguments,
 a builder that turns the parsed arguments into a JSON payload, and a
 renderer for ``--format text``.  ``--format`` and ``--output`` (which
 writes that payload) apply to every command; ``--threads`` and
-``--guard-override`` only to the commands whose row lists them.  Size
-guards are the rows of ``resonance.errors.GUARDS``; ``--guard-override``
-lifts all of them.
+``--guard-override`` only to the commands whose row lists them.  The
+latter passes ``cap=None``, lifting the guard that each library
+function takes as its ``cap`` default from ``resonance.errors.GUARDS``.
 
 Exit codes: 0 success, 1 usage or validation error, 2 size-guard
 violation, 3 internal invariant failure (e.g. a golden-table mismatch
@@ -23,15 +23,14 @@ from math import log10
 
 from . import circuits, nbc, table1, universality
 from .arrangement import finite_field_charpoly, region_count, whitney_charpoly
-from .errors import GUARDS, GuardExceeded, InternalCheckError
+from .errors import GuardExceeded, InternalCheckError
 from .prototypes import coefficients
 from .stirling import betti_closed, fit_stirling_coefficients
 
-__all__ = ["main"]
 
-
-def _cap(args, name):
-    return None if args.guard_override else GUARDS[name]
+def _cap(args):
+    """``cap=None`` under ``--guard-override``; otherwise the callee's default guard."""
+    return {"cap": None} if args.guard_override else {}
 
 
 def _charpoly(args):
@@ -41,13 +40,11 @@ def _charpoly(args):
         [int(x) for x in args.primes.split(",") if x.strip()] if args.primes is not None else None
     )
     methods = {
-        "whitney": lambda: whitney_charpoly(args.n, cap=_cap(args, "deletion_restriction_n")),
+        "whitney": lambda: whitney_charpoly(args.n, **_cap(args)),
         "ff": lambda: finite_field_charpoly(
-            args.n, primes=primes, cap=_cap(args, "finite_field_n"), workers=args.threads
+            args.n, primes=primes, workers=args.threads, **_cap(args)
         ),
-        "nbc": lambda: nbc.charpoly_via_nbc(
-            args.n, workers=args.threads, cap=_cap(args, "nbc_depth")
-        ),
+        "nbc": lambda: nbc.charpoly_via_nbc(args.n, workers=args.threads, **_cap(args)),
     }
     return methods[args.method]()
 
@@ -65,8 +62,7 @@ def _charpoly_payload(args):
 
 def _betti(args):
     i_max = args.i_max if args.i_max is not None else min(args.n, 4)
-    cap = _cap(args, "nbc_depth")
-    values = nbc.betti_via_nbc(args.n, i_max, workers=args.threads, cap=cap)
+    values = nbc.betti_via_nbc(args.n, i_max, workers=args.threads, **_cap(args))
     return {"n": args.n, "i_max": i_max, "betti": [str(b) for b in values]}
 
 
@@ -121,7 +117,7 @@ def _circuits_census(args):
 
 def _embed(args):
     matrix = universality.read_matrix_file(args.input)
-    emb = universality.embed(matrix, cap=_cap(args, "embed_ambient"))
+    emb = universality.embed(matrix, **_cap(args))
     if not args.verify:
         return universality.certificate_dict(emb)
     ok, cert = universality.verify_embedding(emb, matrix)
@@ -136,10 +132,13 @@ def _embed(args):
 def _verify_embed(args):
     matrix = universality.read_matrix_file(args.input)
     with open(args.cert, "r", encoding="utf-8") as fh:
-        stored = json.load(fh)
+        try:
+            stored = json.load(fh)
+        except RecursionError:
+            raise ValueError("certificate nests too deeply to read") from None
     if not isinstance(stored, dict):
         raise ValueError("certificate must be a JSON object")
-    emb = universality.embed(matrix, cap=_cap(args, "embed_ambient"))
+    emb = universality.embed(matrix, **_cap(args))
     fresh = universality.certificate_dict(emb)
     stale = any(stored.get(k) != fresh[k] for k in ("carriers", "helpers", "column_order"))
     ok, cert = universality.verify_embedding(emb, matrix)
@@ -226,7 +225,7 @@ COMMANDS = {
     "prototypes": (
         "Stirling coefficients by prototype census",
         [_I, _OVERRIDE],
-        lambda args: _coefficients(coefficients(args.i, cap=_cap(args, "prototype_i"))),
+        lambda args: _coefficients(coefficients(args.i, **_cap(args))),
         _render_coefficients,
     ),
     "circuits-census": (

@@ -3,7 +3,8 @@
 ``GUARDS`` is the one table of default input-size limits.  Every
 guarded entry point takes a ``cap`` parameter that defaults to its row
 here; ``cap=None`` lifts the guard (the CLI's ``--guard-override``,
-which ``table1`` refuses: its report runs every route at its default).
+which names no row and which ``table1`` refuses: its report runs every
+route at its default).
 """
 
 
@@ -28,6 +29,8 @@ GUARDS = {
     "finite_field_points": 2 * 10**8,
     # Deletion/restriction, for both chi(A_n) and the chamber count: 0.6 s
     # and 33223 memo entries at n=6; 228 s, 1.36 GB and 2.97M entries at n=7.
+    # With the cap lifted it still stops at n=8: the recursion nests once
+    # per hyperplane, past the interpreter's recursion limit at n=9.
     "deletion_restriction_n": 6,
     # Deepest NBC search for each n = 1 .. 7: full depth through n=6.
     "nbc_depth": {**{n: n for n in range(1, 7)}, 7: 4},

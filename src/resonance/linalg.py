@@ -16,14 +16,6 @@ from __future__ import annotations
 
 from math import gcd
 
-__all__ = [
-    "ExactMatrix",
-    "EchelonBasis",
-    "bareiss_rank",
-    "restrict",
-    "span_coefficients",
-]
-
 
 def _normalize_int_row(row):
     """Divide out the gcd and make the leading nonzero entry positive.

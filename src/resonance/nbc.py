@@ -33,13 +33,6 @@ from .errors import GUARDS, check_guard
 from .linalg import _span_solver, restrict
 from .masks import MAX_GROUND_SET, mask_vector, validate_mask
 
-__all__ = [
-    "is_broken_circuit",
-    "is_nbc",
-    "betti_via_nbc",
-    "charpoly_via_nbc",
-]
-
 
 def is_broken_circuit(masks, n: int) -> bool:
     """True iff some hyperplane above max(masks) closes the set to a circuit."""

@@ -27,8 +27,6 @@ from .errors import GUARDS, InternalCheckError, check_guard
 from .nbc import is_nbc
 from .stirling import StirlingCombination
 
-__all__ = ["coefficients", "betti_via_prototypes"]
-
 
 @lru_cache(maxsize=None)
 def _functional_counts(i: int) -> tuple[tuple[int, int], ...]:

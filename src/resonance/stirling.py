@@ -15,15 +15,6 @@ from math import comb, factorial
 from .errors import InternalCheckError
 from .linalg import _span_solver
 
-__all__ = [
-    "stirling2",
-    "StirlingCombination",
-    "betti2_closed",
-    "betti3_closed",
-    "betti_closed",
-    "fit_stirling_coefficients",
-]
-
 
 @lru_cache(maxsize=None)
 def stirling2(n: int, k: int) -> int:

@@ -16,8 +16,6 @@ from .arrangement import finite_field_charpoly, region_count, whitney_charpoly
 from .errors import GuardExceeded, InternalCheckError
 from .stirling import betti_closed
 
-__all__ = ["GOLDEN_BETTI", "GOLDEN_REGIONS", "golden_betti", "golden_regions", "build_report"]
-
 GOLDEN_BETTI = {
     1: {1: 1, 2: 3, 3: 7, 4: 15, 5: 31, 6: 63, 7: 127, 8: 255, 9: 511},
     2: {1: 0, 2: 2, 3: 15, 4: 80, 5: 375, 6: 1652, 7: 7035, 8: 29360, 9: 120975},

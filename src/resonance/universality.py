@@ -34,18 +34,6 @@ from .errors import GUARDS, InternalCheckError, check_guard
 from .linalg import EchelonBasis, ExactMatrix, bareiss_rank
 from .masks import format_mask, mask_elements
 
-__all__ = [
-    "ColumnDecomposition",
-    "Embedding",
-    "decompose_column",
-    "embed",
-    "verify_embedding",
-    "minor_matroid_check",
-    "parse_matrix_text",
-    "read_matrix_file",
-    "certificate_dict",
-]
-
 
 @dataclass(frozen=True)
 class ColumnDecomposition:
@@ -197,14 +185,16 @@ def verify_embedding(emb: Embedding, matrix) -> tuple[bool, dict]:
     """Replay the pivots block by block and check the minor equals the input.
 
     Block j is the 0/1 matrix of column j's carrier and helpers on the r
-    base rows and block j's own coordinates.  Every vector is first
-    checked to lie there.  Then a pivot of block j leaves every other
-    block's columns unchanged: its pivot row is zero on them, and it
-    only adds to rows that are nonzero in its pivot column, which are
-    base rows and block j's own.  So pivoting each small block yields the
-    same columns as pivoting the whole ambient matrix, and the checks
-    below (pivot entries equal to 1, helpers reduced to unit vectors,
-    residual equal to the input) are the same checks.
+    base rows and block j's own coordinates.  First there must be one
+    block and one carrier per input column and one helper per block
+    coordinate, and every vector must lie in its block.  Then a pivot
+    of block j leaves every other block's columns unchanged: its pivot
+    row is zero on them, and it only adds to rows that are nonzero in
+    its pivot column, which are base rows and block j's own.  So
+    pivoting each small block yields the same columns as pivoting the
+    whole ambient matrix, and the checks below (pivot entries equal to
+    1, helpers reduced to unit vectors, residual equal to the input)
+    are the same checks.
 
     In a block ``embed`` builds, coordinate t's row is nonzero only in
     helper t's column and, for +k, in ++k's, pivoted after it; so no
@@ -224,6 +214,12 @@ def verify_embedding(emb: Embedding, matrix) -> tuple[bool, dict]:
 
     if cleared != emb.cleared_matrix:
         return fail("matrix does not match the one the embedding was built for")
+    cols = len(cleared[0])
+    size = sum(len(suffixes) for *_, suffixes, _ in _blocks(emb.decompositions))
+    got = (len(emb.decompositions), len(emb.carrier_vectors), len(emb.helper_vectors))
+    if got != (cols, cols, size):
+        return fail(f"expected {cols} blocks, {cols} carriers and {size} helpers, "
+                    f"got {got[0]}, {got[1]} and {got[2]}")
     r = emb.rows
     cert["pivots"] = executed = []
     residual = []
@@ -302,6 +298,11 @@ def certificate_dict(emb: Embedding) -> dict:
     def bits(v):
         return "".join("1" if v >> i & 1 else "0" for i in range(emb.ambient_dim))
 
+    # Paired in order, so a malformed embedding still gets a certificate;
+    # ``verify_embedding`` checks the counts.
+    helper_labels = (
+        f"r{j + 1},{s}" for j, _, _, suffixes, _ in _blocks(emb.decompositions) for s in suffixes
+    )
     return {
         "rows": emb.rows,
         "cols": emb.cols,
@@ -309,11 +310,7 @@ def certificate_dict(emb: Embedding) -> dict:
         "coordinates": list(emb.coordinate_names),
         "column_order": list(emb.column_order),
         "carriers": {f"v{j + 1}": bits(v) for j, v in enumerate(emb.carrier_vectors)},
-        "helpers": {
-            f"r{j + 1},{s}": bits(emb.helper_vectors[first + t])
-            for j, _, first, suffixes, _ in _blocks(emb.decompositions)
-            for t, s in enumerate(suffixes)
-        },
+        "helpers": dict(zip(helper_labels, map(bits, emb.helper_vectors))),
         "decompositions": [
             {
                 "positive": [format_mask(p) for p in d.positive_sets],

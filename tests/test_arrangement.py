@@ -27,9 +27,9 @@ def test_build_arrangement_range():
 
 
 def test_charpoly_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(InternalCheckError):
         CharPoly((9, 15, -7, 1))  # wrong sign pattern
-    with pytest.raises(ValueError):
+    with pytest.raises(InternalCheckError):
         CharPoly((-9, 15, -7, 2))  # not monic
     poly = CharPoly(CHI_A3)
     assert poly.betti == (1, 7, 15, 9)

@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from resonance import arrangement, circuits, prototypes, stirling
 from resonance.arrangement import CharPoly
 from resonance.cli import main
 from resonance.errors import InternalCheckError
@@ -224,6 +225,12 @@ EXIT_CASES = {
         1,
         "JSON object",
     ),
+    # json.load raises RecursionError on deep nesting.
+    "deep-certificate": (
+        ["verify-embed", "--input", "{mat}", "--cert", "{deep}"],
+        1,
+        "certificate nests too deeply",
+    ),
     "betti-i-max": (["betti", "--n", "3", "--i-max", "-1"], 1, "i_max=-1"),
     "prototypes-i": (["prototypes", "--i", "-1"], 1, "i=-1"),
     "fit-coeffs-i": (["fit-coeffs", "--i", "-1"], 1, "i=-1"),
@@ -231,6 +238,12 @@ EXIT_CASES = {
     "fit-coeffs-20000": (["fit-coeffs", "--i", "20000"], 1, "golden Betti values"),
     "betti-n0": (["betti", "--n", "0"], 1, "n must be positive"),
     "whitney-n0": (["regions", "--n", "0", "--method", "whitney"], 1, "n must be in 1..63, got 0"),
+    # The recursion would nest 511 calls deep; refused before any work.
+    "whitney-n9": (
+        ["regions", "--n", "9", "--method", "whitney", "--guard-override"],
+        1,
+        "deletion/restriction nests 511 calls deep at n=9",
+    ),
     "betti-n64": (["betti", "--n", "64", "--i-max", "1", "--guard-override"], 1, "at most 63"),
     "charpoly-n-1": (["charpoly", "--n", "-1"], 1, "n must be positive"),
     "closed-form-n-3": (["closed-form", "--i", "1", "--n", "-3"], 1, "n must be positive"),
@@ -257,12 +270,14 @@ def test_exit_codes(tmp_path, capsys, case):
         "listed": tmp_path / "list.json",
         "exponent": tmp_path / "exponent.mat",
         "huge": tmp_path / "huge.mat",
+        "deep": tmp_path / "deep.json",
     }
     files["zero"].write_text("1 2\n1 1/0\n")
     files["exponent"].write_text("1 1\n1e10000000\n")
     files["huge"].write_text("3 1\n" + "".join(f"1/{10**3000 + k}\n" for k in (1, 3, 7)))
     files["mat"].write_text(REFERENCE_MATRIX)
     files["listed"].write_text("[1, 2]\n")
+    files["deep"].write_text("[" * 200000)
     assert main([a.format(**files) for a in argv]) == code
     err = capsys.readouterr().err
     assert "Traceback" not in err
@@ -284,6 +299,56 @@ def test_embed_self_check_failure_exits_three(tmp_path, monkeypatch, capsys):
     err = capsys.readouterr().err
     assert len(err.splitlines()) == 1
     assert err.startswith("internal invariant failure: ")
+
+
+def test_wrong_chi_exits_three(monkeypatch, capsys):
+    # q^n points at every prime interpolate to t^n, which fails CharPoly's checks.
+    monkeypatch.setattr(arrangement, "count_points_avoiding", lambda n, q, workers=1: q**n)
+    assert main(["charpoly", "--n", "3"]) == 3
+    err = capsys.readouterr().err
+    assert err.splitlines() == [
+        "internal invariant failure: t^(n-1) coefficient must have absolute value 2^n - 1"
+    ]
+
+
+def _stirling_off_at_four(monkeypatch):
+    exact = stirling.stirling2
+
+    def wrong(n, k):
+        return exact(n, k) + (k == 4)
+
+    for module in (stirling, circuits):  # circuits binds its own copy of the name
+        monkeypatch.setattr(module, "stirling2", wrong)
+
+
+def _indivisible_census(monkeypatch):
+    monkeypatch.setattr(prototypes, "_functional_counts", lambda i: ((i + 1, 1),))
+
+
+# A corrupted input to each self-check: the library call raises
+# InternalCheckError naming the formula, and the command exits 3.
+SELF_CHECKS = {
+    "betti2": (_stirling_off_at_four, lambda: stirling.betti2_closed(3),
+               "betti2 expressions disagree", ["closed-form", "--i", "2", "--n", "3"]),
+    "betti3": (_stirling_off_at_four, lambda: stirling.betti3_closed(3),
+               "betti3 expressions disagree", ["closed-form", "--i", "3", "--n", "3"]),
+    "triples": (_stirling_off_at_four, lambda: circuits.count_intersecting_triples(3),
+                "triple-count expressions disagree", ["circuits-census", "--n", "3"]),
+    "prototypes": (_indivisible_census, lambda: prototypes.coefficients(2),
+                   "not divisible by 2!", ["prototypes", "--i", "2"]),
+}
+
+
+@pytest.mark.parametrize("case", SELF_CHECKS)
+def test_self_checks_raise(monkeypatch, capsys, case):
+    corrupt, call, message, argv = SELF_CHECKS[case]
+    corrupt(monkeypatch)
+    with pytest.raises(InternalCheckError, match=message):
+        call()
+    assert main(argv) == 3
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1
+    assert err.startswith("internal invariant failure: ") and message in err
 
 
 def test_guard_override_allows_expensive_run(capsys):

@@ -1,14 +1,19 @@
-"""The package exports only code that the package or the benchmark runs.
+"""The package's public names are code that the package or the benchmark runs.
 
-Every name that ``resonance/__init__.py`` imports and every name in a
-module's ``__all__`` must be referenced somewhere in ``src/resonance``
-(``__init__.py`` aside) or ``perfbench/``, outside its own top-level
-definition and the export lists.  Every public method or property of a
-class in ``src/resonance`` must be read as an attribute there or in
+A name is public when it has no leading underscore: every top-level
+function, class or assigned name of a module in ``src/resonance``.  Each
+must be referenced somewhere in ``src/resonance`` or ``perfbench/``,
+outside its own top-level definition.  Every public method or property
+of a class there must be read as an attribute there or in
 ``perfbench/``.  Code that only the tests call lives in ``tests/``.
+``import resonance`` runs only the package docstring: callers import
+the module they need.
 """
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -21,19 +26,19 @@ def _tree(path):
     return ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
 
 
-def _exported():
-    """``{name: where}`` for each name ``__init__`` imports or an ``__all__`` lists."""
+def _public():
+    """``{name: module}`` for each top-level function, class or assigned
+    name without a leading underscore."""
     names = {}
-    for node in _tree(PACKAGE / "__init__.py").body:
-        if isinstance(node, ast.ImportFrom):
-            names.update((a.asname or a.name, "__init__") for a in node.names)
     for path in MODULES:
         for node in _tree(path).body:
-            if isinstance(node, ast.Assign) and any(
-                isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
-            ):
-                where = f"{path.stem}.__all__"
-                names.update((ast.literal_eval(e), where) for e in node.value.elts)
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                defined = [node.name]
+            elif isinstance(node, ast.Assign):
+                defined = [t.id for t in node.targets if isinstance(t, ast.Name)]
+            else:
+                continue
+            names.update((name, path.stem) for name in defined if not name.startswith("_"))
     return names
 
 
@@ -57,9 +62,30 @@ def _references():
 
 
 def test_every_exported_name_is_used_outside_the_tests():
+    public = _public()
+    assert {"CharPoly", "GUARDS", "main"} <= public.keys()  # a class, a table, a function
     used = _references()
-    unused = {name: where for name, where in _exported().items() if name not in used}
+    unused = {name: where for name, where in public.items() if name not in used}
     assert unused == {}
+
+
+def test_importing_the_package_loads_no_module():
+    """``import resonance`` loads no ``resonance.*`` module and no numpy."""
+    code = (
+        "import sys, resonance; print(resonance.__file__); "
+        "print(*sorted(m for m in sys.modules if m.startswith(('resonance.', 'numpy'))))"
+    )
+    path = os.pathsep.join(filter(None, [str(PACKAGE.parent), os.environ.get("PYTHONPATH")]))
+    run = subprocess.run(
+        [sys.executable, "-c", code],
+        env={**os.environ, "PYTHONPATH": path},
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    where, loaded = run.stdout.splitlines()
+    assert Path(where).parent == PACKAGE
+    assert loaded == ""
 
 
 def test_every_public_method_is_read_outside_the_tests():

@@ -180,6 +180,23 @@ def test_verify_rejects_vector_outside_its_block():
     assert cert["failure"] == "vector r1,-1 leaves column block 1"
 
 
+@pytest.mark.parametrize(
+    "change, got",
+    [
+        (lambda e: {"helper_vectors": e.helper_vectors + (1,)}, "2, 2 and 6"),
+        (lambda e: {"helper_vectors": e.helper_vectors[:-1]}, "2, 2 and 4"),
+        (lambda e: {"carrier_vectors": e.carrier_vectors[:-1]}, "2, 1 and 5"),
+    ],
+    ids=["extra-helper", "missing-helper", "missing-carrier"],
+)
+def test_verify_checks_the_vector_counts(change, got):
+    emb = embed(EXAMPLE)
+    ok, cert = verify_embedding(dataclasses.replace(emb, **change(emb)), EXAMPLE)
+    assert not ok and cert["verified"] is False
+    assert cert["failure"] == f"expected 2 blocks, 2 carriers and 5 helpers, got {got}"
+    assert "pivots" not in cert
+
+
 def test_verify_refuses_a_pivot_entry_other_than_one():
     # For [[1]] the coordinates are e1, e1,+1, e1,++1.  Moving the bit of
     # e1,++1 from helper r1,++1 to helper r1,+1 makes the first pivot
