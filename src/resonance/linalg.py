@@ -5,7 +5,7 @@ incrementally built, fully reduced integer row basis.  Rank, span
 membership, the coefficients expressing a vector over others and square
 solves all go through it.  ``restrict`` is its row-update step on its
 own: it restricts a list of integer normals to the hyperplane with
-normal ``h``, and the NBC search and the region recursion use it too.
+normal ``h``, and the region recursion uses it too.
 ``ExactMatrix.pivot`` is the one other elimination step; it replays the
 pivots an embedding certificate prescribes, each on an entry equal to 1.
 Every elimination is in ints, never floats; the only rationals are the

@@ -13,24 +13,54 @@ residual direction only the last may be added.  The equivalence of the
 incremental rule with the definition is a test obligation, not an
 assumption.
 
+The search runs over F_p, p the smallest prime above the Hadamard
+bound floor((n+1)^((n+1)/2) / 2^n) on an n x n 0/1 determinant (p = 2,
+2, 3, 5, 7, 17, 37, 79 for n = 1..8).  A 0/1 minor of any size is at
+most that bound in absolute value, so it is nonzero mod p exactly when
+it is nonzero over Q: every rank among the normals, and so the matroid
+of A_n, is the same over F_p.  Independence and "the residuals of e
+and f are proportional" (rank(S + {e, f}) = |S| + 1) are rank
+conditions, so no count changes.  The prime is computed here, not read
+from ``arrangement.MAX_01_DETERMINANT``, so this route and the point
+count share no table.
+
 A search node is the list of residual directions of the hyperplanes
-after max(S), each normalized (``linalg.restrict`` keeps them so) and
-held once, at the position of its last copy; zero residuals, the
-hyperplanes in span(S), are dropped.  Every member is then an
-extension, and a child is the tail after one member, restricted to it.
-Dropping an earlier copy loses nothing: equal rows stay equal under
-``restrict``, so at every node below it the copy still has a later
-twin, which the rule would add instead of it.
+after max(S): int16 rows mod p, each scaled to a leading 1 and held
+once, at the position of its last copy.  Every member is then an
+extension, and a child is the tail after one member, restricted to it:
+row j becomes row_j - row_j[q] * row_pos, for q the leading position
+of row_pos, and is scaled to a leading 1 again.  No row is ever zero,
+by induction on |S|: at the root, distinct 0/1 vectors are never
+proportional, and a hyperplane after e in the span of S + {e} but not
+of S had e's direction at the node of S, where e is held only as the
+last copy of its direction.  Dropping an earlier copy loses nothing:
+equal rows stay equal under that step, so at every node below it the
+copy still has a later twin, which the rule would add instead.
+
+A block is the concatenated lists of a group of sibling nodes at one
+depth, with the length of each list.  One expansion forms the child
+rows of all of its pairs pos < j at once, in a few numpy operations.
+A child row's key is its entries as base-p digits plus its parent
+row's index times p^n, so equal keys are equal directions in one child
+list; the last copy of each key is kept, in order, which is the rule
+above.  The kept rows are cut, at node boundaries, into blocks of
+about ``_BLOCK_PAIRS`` pairs for the next depth; the children of nodes
+at depth max - 2 are only counted.  One job per root hyperplane goes
+through ``run_jobs`` and the counts are summed, so neither the block
+cuts nor the worker count change them.
 """
 
 from __future__ import annotations
 
 from functools import partial
 from itertools import combinations
+from math import isqrt
 
-from .arrangement import CharPoly, run_jobs
+import numpy as np
+
+from .arrangement import CharPoly, _is_prime, run_jobs
 from .errors import GUARDS, check_guard
-from .linalg import _span_solver, restrict
+from .linalg import _span_solver
 from .masks import MAX_GROUND_SET, mask_vector, validate_mask
 
 
@@ -76,17 +106,119 @@ def is_nbc(masks, n: int) -> bool:
     return True
 
 
-def _last_copies(rows):
-    """Each row once, at the position of its last copy."""
-    return list(dict.fromkeys(rows[::-1]))[::-1]
+# Pairs one block step expands, about; a block ends at a node boundary,
+# so one large node may take it past this.
+_BLOCK_PAIRS = 2000
+# Largest n searched.  A key needs p^n times the rows of its block below
+# 2^63: p^8 = 79^8 ~ 1.5e15 allows 6080 rows, and n = 9 has p = 197,
+# whose p^9 is past 2^63 and whose (p-1)^2 is past int16.
+_MAX_N = 8
 
 
-def _dfs(cands, depth, max_depth, counts):
-    """Count the NBC sets below a node whose set has ``depth`` elements."""
-    counts[depth + 1] += len(cands)
-    if depth + 1 < max_depth:
-        for pos, res in enumerate(cands):
-            _dfs(_last_copies(restrict(cands[pos + 1 :], res)), depth + 1, max_depth, counts)
+def _nbc_prime(n: int) -> int:
+    """The smallest prime above the Hadamard bound on n x n 0/1 determinants."""
+    q = (isqrt((n + 1) ** (n + 1)) >> n) + 1
+    while not _is_prime(q):
+        q += 1
+    return q
+
+
+class _Field:
+    """Arithmetic on int16 rows mod the prime of A_n."""
+
+    def __init__(self, n: int):
+        p = self.p = _nbc_prime(n)
+        self.inverse = np.array([0] + [pow(x, -1, p) for x in range(1, p)], dtype=np.int16)
+        self.parent = p**n
+        # A block starts its last node below this row, so it holds fewer
+        # than 2^63 / p^n rows and its keys stay below 2^63.
+        self.max_rows = (1 << 63) // p**n - (1 << n)
+
+    def mod(self, t):
+        """Reduce ``t`` into 0 .. p-1 in place (``//`` is several times
+        faster than ``%`` on int16)."""
+        q = t // self.p
+        q *= self.p
+        t -= q
+        return t
+
+    def key(self, rows):
+        """Each row's entries as the digits of one base-p int64."""
+        key = rows[:, 0].astype(np.int64)
+        for j in range(1, rows.shape[1]):
+            key *= self.p
+            key += rows[:, j]
+        return key
+
+
+def _children(f, rows, parents, tails):
+    """Each ``rows[tails[k]]`` restricted to ``rows[parents[k]]`` and
+    scaled to a leading 1, and its key, which adds the parent's index
+    times p^n.  No result is zero: the rows of a node are distinct
+    directions, so none is a multiple of another.
+    """
+    n = rows.shape[1]
+    lead = rows.astype(bool).argmax(1)
+    new, head = rows.take(tails, 0), rows.take(parents, 0)
+    head *= new.ravel().take(np.arange(len(tails)) * n + lead.take(parents))[:, None]
+    new -= head
+    f.mod(new)
+    lead = new.ravel().take(np.arange(len(new)) * n + new.astype(bool).argmax(1))
+    new *= f.inverse.take(lead)[:, None]
+    keys = f.key(f.mod(new))
+    keys += parents * f.parent
+    return new, keys
+
+
+def _last_copies(keys):
+    """Ascending positions of the last copy of each key (keys are >= 0)."""
+    order = np.argsort(keys, kind="stable")
+    ends = np.flatnonzero(np.diff(keys.take(order), append=-1))
+    return np.flatnonzero(np.bincount(order.take(ends), minlength=len(keys)))
+
+
+def _pairs(sizes):
+    """(pos, j) row indices of every pair pos < j inside one node of a
+    block whose nodes hold ``sizes`` rows, by pos and then j."""
+    later = np.repeat(np.cumsum(sizes), sizes) - np.arange(sizes.sum()) - 1
+    pos = np.repeat(np.arange(len(later)), later)
+    start = np.cumsum(later) - later
+    return pos, pos + 1 + np.arange(len(pos)) - np.repeat(start, later)
+
+
+def _blocks(f, rows, sizes):
+    """Cut the nodes of ``rows`` into blocks of about ``_BLOCK_PAIRS`` pairs."""
+    before = np.cumsum(sizes) - sizes
+    pairs = sizes * (sizes - 1) // 2
+    group = (np.cumsum(pairs) - pairs) // _BLOCK_PAIRS + before // f.max_rows
+    cuts = np.flatnonzero(np.diff(group)) + 1
+    starts = np.append(before, len(rows))
+    for lo, hi in zip(np.append(0, cuts), np.append(cuts, len(sizes))):
+        yield rows[starts[lo] : starts[hi]], sizes[lo:hi]
+
+
+def _expand(f, rows, parents, tails, depth, max_depth, counts):
+    """Count the NBC sets below the children of the pairs of a block.
+
+    ``rows`` are the lists of nodes at ``depth``; a pair's child is a
+    node at depth + 1, whose list is its tail rows restricted to it.
+    """
+    new, keys = _children(f, rows, parents, tails)
+    kept = _last_copies(keys)
+    counts[depth + 2] += len(kept)
+    if depth + 2 == max_depth:
+        return
+    parents, new = parents.take(kept), new.take(kept, 0)
+    # Nodes of one row have no pairs; their row is counted above.  The
+    # kernel makes no comparisons (size // 2 picks the others): numpy's
+    # comparison code alone would add 130 kB to the peak RSS.
+    sizes = np.bincount(parents, minlength=len(rows))
+    new = new.take(np.flatnonzero(sizes.take(parents) // 2), 0)
+    sizes = sizes.take(np.flatnonzero(sizes // 2))
+    # Free this level's pair arrays before descending: it lowers peak RSS.
+    del parents, tails, keys, kept
+    for block, block_sizes in _blocks(f, new, sizes):
+        _expand(f, block, *_pairs(block_sizes), depth + 1, max_depth, counts)
 
 
 def _count_from_root(root, n, max_depth):
@@ -94,8 +226,10 @@ def _count_from_root(root, n, max_depth):
     counts = [0] * (max_depth + 1)
     counts[1] = 1
     if max_depth > 1:
-        tail = [mask_vector(m, n) for m in range(root + 1, 1 << n)]
-        _dfs(_last_copies(restrict(tail, mask_vector(root, n))), 1, max_depth, counts)
+        # The root and the later hyperplanes: 0/1 rows, leading entry 1.
+        rows = (np.arange(root, 1 << n)[:, None] >> np.arange(n) & 1).astype(np.int16)
+        tails = np.arange(1, len(rows))
+        _expand(_Field(n), rows, np.zeros_like(tails), tails, 0, max_depth, counts)
     return counts
 
 
@@ -108,6 +242,9 @@ def betti_via_nbc(
     """
     if not 1 <= n <= MAX_GROUND_SET:
         raise ValueError(f"n must be positive and at most {MAX_GROUND_SET}, got {n}")
+    if n > _MAX_N:
+        raise ValueError(f"the NBC search runs to n = {_MAX_N}, got n={n}: "
+                         "past it a row mod p does not fit an int64 key")
     if not 0 <= i_max <= n:
         raise ValueError(f"cardinality limit i_max={i_max} outside 0..{n}")
     if cap is not None:

@@ -1,9 +1,12 @@
 """Matroid, circuit and prototype helpers that only the tests call.
 
 Unlike ``oracles``, these are built on the package's own kernels
-(``EchelonBasis``, the span solver and ``is_nbc``), so the tests compare
-them with ``oracles`` or with the package's other routes rather than
-trusting them as references.  ``sides_from_rectangle`` inverts the
+(``EchelonBasis``, the span solver, ``restrict`` and ``is_nbc``), so the
+tests compare them with ``oracles`` or with the package's other routes
+rather than trusting them as references.  ``betti_via_integer_nbc`` is
+the NBC search over the integers, one node at a time, that the block
+search over F_p in ``resonance.nbc`` replaced; the tests hold the new
+kernel to its counts.  ``sides_from_rectangle`` inverts the
 oracles' side-midpoint construction, which the tests check both ways
 against the enumerations there.  Prototypes and
 partitions are plain tuples of masks here: a prototype is its image
@@ -15,7 +18,7 @@ from enum import Enum
 from itertools import combinations
 
 from resonance.errors import InternalCheckError
-from resonance.linalg import EchelonBasis, _span_solver
+from resonance.linalg import EchelonBasis, _span_solver, restrict
 from resonance.masks import mask_vector, validate_mask
 from resonance.nbc import is_nbc
 
@@ -96,6 +99,43 @@ def nbc_extend(masks, e: int, n: int) -> bool:
         if not any(new.residual(fv)) and any(old.residual(fv)):
             return False
     return True
+
+
+def _last_copies(rows):
+    """Each row once, at the position of its last copy."""
+    return list(dict.fromkeys(rows[::-1]))[::-1]
+
+
+def _dfs(cands, depth, max_depth, counts):
+    """Count the NBC sets below a node whose set has ``depth`` elements."""
+    counts[depth + 1] += len(cands)
+    if depth + 1 < max_depth:
+        for pos, res in enumerate(cands):
+            _dfs(_last_copies(restrict(cands[pos + 1 :], res)), depth + 1, max_depth, counts)
+
+
+def _count_from_root(root, n, max_depth):
+    """NBC sets per cardinality whose least hyperplane is ``root``."""
+    counts = [0] * (max_depth + 1)
+    counts[1] = 1
+    if max_depth > 1:
+        tail = [mask_vector(m, n) for m in range(root + 1, 1 << n)]
+        _dfs(_last_copies(restrict(tail, mask_vector(root, n))), 1, max_depth, counts)
+    return counts
+
+
+def betti_via_integer_nbc(n: int, i_max: int) -> list[int]:
+    """b_0 .. b_{i_max} of A_n by the integer NBC search, one root at a time.
+
+    A node holds the gcd-normalized integer residuals of the later
+    hyperplanes, each once at its last copy, and a child restricts the
+    tail after one member to it with ``restrict``.
+    """
+    counts = [1] + [0] * i_max
+    for root in range(1, 1 << n):
+        for d, c in enumerate(_count_from_root(root, n, i_max)[1:], 1):
+            counts[d] += c
+    return counts
 
 
 @dataclass(frozen=True)

@@ -28,6 +28,24 @@ def mask_vec(mask, n):
     return [ (mask >> i) & 1 for i in range(n) ]
 
 
+def integer_det(rows):
+    """Determinant of a square integer matrix, by cofactors along row 0."""
+    if not rows:
+        return 1
+    return sum(
+        (-1) ** j * x * integer_det([r[:j] + r[j + 1 :] for r in rows[1:]])
+        for j, x in enumerate(rows[0])
+        if x
+    )
+
+
+def max_abs_det_01(n):
+    """Largest |det| of an n x n 0/1 matrix, over every set of n distinct
+    rows (reordering rows changes only the sign)."""
+    rows = [mask_vec(m, n) for m in range(1 << n)]
+    return max(abs(integer_det(list(t))) for t in combinations(rows, n))
+
+
 def fraction_rank(vectors):
     """Plain Gaussian elimination over Q."""
     rows = [[Fraction(x) for x in v] for v in vectors]

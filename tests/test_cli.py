@@ -245,6 +245,8 @@ EXIT_CASES = {
         "deletion/restriction nests 511 calls deep at n=9",
     ),
     "betti-n64": (["betti", "--n", "64", "--i-max", "1", "--guard-override"], 1, "at most 63"),
+    # Past n = 8 a row mod the search's prime no longer fits its int64 key.
+    "betti-n9": (["betti", "--n", "9", "--i-max", "2", "--guard-override"], 1, "runs to n = 8"),
     "charpoly-n-1": (["charpoly", "--n", "-1"], 1, "n must be positive"),
     "closed-form-n-3": (["closed-form", "--i", "1", "--n", "-3"], 1, "n must be positive"),
     # Values that could not be printed in decimal are refused before any work.

@@ -1,15 +1,28 @@
+import os
 import random
 from itertools import combinations
 
 import pytest
 
-from resonance import arrangement
+from resonance import arrangement, nbc
 from resonance.errors import GuardExceeded
 from resonance.nbc import betti_via_nbc, charpoly_via_nbc, is_broken_circuit, is_nbc
-from resonance.arrangement import count_points_avoiding, region_count, whitney_charpoly
+from resonance.arrangement import (
+    MAX_01_DETERMINANT,
+    count_points_avoiding,
+    finite_field_charpoly,
+    region_count,
+    whitney_charpoly,
+)
+from resonance.table1 import GOLDEN_BETTI
 
-from kernel_helpers import NbcSet, is_independent, nbc_extend
-from oracles import broken_circuits_oracle, mask_from_elements as M, nbc_counts_oracle
+from kernel_helpers import NbcSet, betti_via_integer_nbc, is_independent, nbc_extend
+from oracles import (
+    broken_circuits_oracle,
+    mask_from_elements as M,
+    max_abs_det_01,
+    nbc_counts_oracle,
+)
 
 
 def test_broken_pairs_are_disjoint_pairs():
@@ -171,3 +184,49 @@ def test_pool_size_bounded_by_jobs_and_cores(monkeypatch):
     # Four usable cores; A_2 has three root jobs; the point count at q has
     # one job per x_2 in 1 .. q-1.
     assert sizes == [4, 3, 4, 2]
+
+
+def test_block_search_matches_the_integer_search_at_every_depth():
+    for n, deepest in ((1, 1), (2, 2), (3, 3), (4, 4), (5, 5), (6, 4)):
+        reference = betti_via_integer_nbc(n, deepest)
+        for depth in range(deepest + 1):
+            assert betti_via_nbc(n, depth) == reference[: depth + 1]
+
+
+def test_block_cuts_and_workers_do_not_change_counts(monkeypatch):
+    # One pair per block cuts at every node; 10**9 never cuts.  b_4(A_6)
+    # also covers b_3(A_6), and its depth-2 nodes are cut into blocks.
+    cases = [(n, n) for n in range(1, 6)] + [(6, 4)]
+    want = {(n, d): betti_via_nbc(n, d) for n, d in cases}
+    for n in range(1, 6):
+        assert want[n, n] == list(whitney_charpoly(n).betti)
+    assert want[6, 4] == [1] + [GOLDEN_BETTI[i][6] for i in range(1, 5)]
+    for block in (1, 10**9):
+        monkeypatch.setattr(nbc, "_BLOCK_PAIRS", block)
+        for workers in (1, 2):
+            for n, d in cases:
+                assert betti_via_nbc(n, d, workers=workers) == want[n, d], (block, workers, n)
+
+
+def test_nbc_prime_is_the_first_prime_past_the_hadamard_bound():
+    def is_prime(q):
+        return q > 1 and all(q % d for d in range(2, q))
+
+    # |det| of an n x n 0/1 matrix is at most (n+1)^((n+1)/2) / 2^n, so
+    # q exceeds that bound iff q^2 * 4^n > (n+1)^(n+1).
+    def above_bound(q, n):
+        return q * q * 4**n > (n + 1) ** (n + 1)
+
+    for n in range(1, 9):
+        p = nbc._nbc_prime(n)
+        assert is_prime(p) and above_bound(p, n)
+        assert not any(is_prime(q) and above_bound(q, n) for q in range(p))
+        assert not above_bound(MAX_01_DETERMINANT[n], n)
+    assert [nbc._nbc_prime(n) for n in range(1, 9)] == [2, 2, 3, 5, 7, 17, 37, 79]
+    for n in range(1, 5):
+        assert max_abs_det_01(n) == MAX_01_DETERMINANT[n]
+
+
+@pytest.mark.skipif(os.environ.get("RESONANCE_LONG") != "1", reason="set RESONANCE_LONG=1")
+def test_a7_cells_beyond_the_guard_match_ff():
+    assert betti_via_nbc(7, 6, workers=2, cap=None)[5:7] == list(finite_field_charpoly(7).betti[5:7])
