@@ -242,14 +242,14 @@ def betti_via_nbc(
     """
     if not 1 <= n <= MAX_GROUND_SET:
         raise ValueError(f"n must be positive and at most {MAX_GROUND_SET}, got {n}")
-    if n > _MAX_N:
-        raise ValueError(f"the NBC search runs to n = {_MAX_N}, got n={n}: "
-                         "past it a row mod p does not fit an int64 key")
     if not 0 <= i_max <= n:
         raise ValueError(f"cardinality limit i_max={i_max} outside 0..{n}")
     if cap is not None:
         check_guard("NBC search: n", n, max(cap))
         check_guard(f"NBC search at n={n}: depth", i_max, cap[n])
+    if n > _MAX_N:  # checked after the guard, which refuses it first
+        raise ValueError(f"the NBC search runs to n = {_MAX_N}, got n={n}: "
+                         "past it a row mod p does not fit an int64 key")
     counts = [0] * (i_max + 1)
     counts[0] = 1
     if i_max == 0:

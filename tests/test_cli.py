@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from resonance import arrangement, circuits, prototypes, stirling
+from resonance import arrangement, circuits, prototypes, stirling, table1
 from resonance.arrangement import CharPoly
 from resonance.cli import main
 from resonance.errors import InternalCheckError
@@ -247,6 +247,8 @@ EXIT_CASES = {
     "betti-n64": (["betti", "--n", "64", "--i-max", "1", "--guard-override"], 1, "at most 63"),
     # Past n = 8 a row mod the search's prime no longer fits its int64 key.
     "betti-n9": (["betti", "--n", "9", "--i-max", "2", "--guard-override"], 1, "runs to n = 8"),
+    # Without the override the guard refuses n = 9 first.
+    "betti-n9-guard": (["betti", "--n", "9", "--i-max", "2"], 2, "NBC search: n capped at 7"),
     "charpoly-n-1": (["charpoly", "--n", "-1"], 1, "n must be positive"),
     "closed-form-n-3": (["closed-form", "--i", "1", "--n", "-3"], 1, "n must be positive"),
     # Values that could not be printed in decimal are refused before any work.
@@ -467,3 +469,9 @@ def test_table1_depth_limited_row(capsys):
     r7 = next(c for c in payload["cells"] if c["row"] == "R" and c["n"] == 7)
     assert r7["status"] == "MATCH" and r7["computed"] == "347326352"
     assert r7["method"] == "ff"  # full-depth NBC is guarded at n=7
+
+
+def test_table1_guards_refuse_n9_cells():
+    # Every route is guarded at n = 9, so these cells do no work.
+    assert table1._compute_regions(9, 1) == (None, "needs long run")
+    assert table1._compute_betti(4, 9, 1) == (None, "needs long run")

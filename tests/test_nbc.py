@@ -14,6 +14,7 @@ from resonance.arrangement import (
     region_count,
     whitney_charpoly,
 )
+from resonance.stirling import betti3_closed
 from resonance.table1 import GOLDEN_BETTI
 
 from kernel_helpers import NbcSet, betti_via_integer_nbc, is_independent, nbc_extend
@@ -201,11 +202,20 @@ def test_block_cuts_and_workers_do_not_change_counts(monkeypatch):
     for n in range(1, 6):
         assert want[n, n] == list(whitney_charpoly(n).betti)
     assert want[6, 4] == [1] + [GOLDEN_BETTI[i][6] for i in range(1, 5)]
+    for n, d in cases:
+        assert betti_via_nbc(n, d, workers=2) == want[n, d], n
+    # One worker runs the jobs in this process, so the patched size is the
+    # one used, whatever the pool's start method.
     for block in (1, 10**9):
         monkeypatch.setattr(nbc, "_BLOCK_PAIRS", block)
-        for workers in (1, 2):
-            for n, d in cases:
-                assert betti_via_nbc(n, d, workers=workers) == want[n, d], (block, workers, n)
+        for n, d in cases:
+            assert betti_via_nbc(n, d) == want[n, d], (block, n)
+
+
+def test_a8_depth_3_matches_the_closed_form():
+    # n = 8 has the largest prime, 79: (p-1)^2 = 6084 is near the int16
+    # limit, and a depth-3 search keys children by nonzero parent indices.
+    assert betti_via_nbc(8, 3, cap=None)[3] == betti3_closed(8)
 
 
 def test_nbc_prime_is_the_first_prime_past_the_hadamard_bound():
