@@ -90,9 +90,12 @@ def is_nbc(masks, n: int) -> bool:
     Two-element broken circuits are exactly the disjoint pairs (the only
     three-element circuits are {A, B, A+B} for disjoint A, B), which the
     mask intersection test settles without linear algebra; larger
-    subsets go through the generic circuit search.
+    subsets go through the generic circuit search.  Every mask is
+    checked against n first, whichever test would reach it.
     """
     given = list(masks)
+    for m in given:
+        validate_mask(m, n)
     S = sorted(set(given))
     if len(S) != len(given):
         raise ValueError("elements must be distinct")

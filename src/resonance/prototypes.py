@@ -15,6 +15,14 @@ each prototype only on the all-singletons partition of [k], where the
 j-th set is the mask of positions whose image contains j.  A prototype
 whose sets collide or come out empty never encodes a tuple of i
 distinct nonempty subsets, so it is broken.
+
+Relabelling the i sets (S_i acting on [i]) permutes the tuple a
+prototype encodes and nothing else, and ``is_nbc`` depends only on the
+set of masks, so every prototype of one S_i-orbit has the same verdict.
+The census therefore calls ``is_nbc`` once per orbit, keyed by the
+sorted tuple, but still adds one to the count for every functional
+prototype: the division by i! checks the full count, not an orbit count
+scaled by i!.
 """
 
 from __future__ import annotations
@@ -34,13 +42,18 @@ def _functional_counts(i: int) -> tuple[tuple[int, int], ...]:
     counts = []
     for k in range(i + 1, 2**i + 1):
         functional = 0
+        verdicts = {}
         for images in permutations(range(1, 2**i), k - 1):
             sets = tuple(
                 sum(1 << pos for pos, image in enumerate(images) if image >> j & 1)
                 for j in range(i)
             )
-            if 0 not in sets and len(set(sets)) == i and is_nbc(sets, k - 1):
-                functional += 1
+            if 0 in sets or len(set(sets)) != i:
+                continue
+            key = tuple(sorted(sets))
+            if key not in verdicts:
+                verdicts[key] = is_nbc(key, k - 1)
+            functional += verdicts[key]
         counts.append((k, functional))
     return tuple(counts)
 
@@ -64,4 +77,6 @@ def coefficients(i: int, cap: int | None = GUARDS["prototype_i"]) -> StirlingCom
 
 def betti_via_prototypes(i: int, n: int, cap: int | None = GUARDS["prototype_i"]) -> int:
     """b_i(A_n) assembled from the prototype census."""
+    if n < 1:
+        raise ValueError("n must be positive")
     return coefficients(i, cap=cap).evaluate(n)

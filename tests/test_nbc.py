@@ -240,3 +240,12 @@ def test_nbc_prime_is_the_first_prime_past_the_hadamard_bound():
 @pytest.mark.skipif(os.environ.get("RESONANCE_LONG") != "1", reason="set RESONANCE_LONG=1")
 def test_a7_cells_beyond_the_guard_match_ff():
     assert betti_via_nbc(7, 6, workers=2, cap=None)[5:7] == list(finite_field_charpoly(7).betti[5:7])
+
+
+@pytest.mark.parametrize(
+    "masks, n",
+    [([8], 3), ([0], 3), ([-1, 3], 3), ([1], 0), ([3, 5, 9], 3), ([True], 3)],
+)
+def test_is_nbc_validates_every_mask(masks, n):
+    with pytest.raises(ValueError):
+        is_nbc(masks, n)

@@ -154,3 +154,42 @@ def test_coefficient_bound_tight_at_top():
         assert combo.coefficients[k] == bound
 
 
+def test_census_calls_is_nbc_once_per_orbit(monkeypatch):
+    calls = []
+
+    def counting_is_nbc(masks, n):
+        calls.append(masks)
+        return is_nbc(masks, n)
+
+    monkeypatch.setattr("resonance.prototypes.is_nbc", counting_is_nbc)
+    _functional_counts.cache_clear()
+    try:
+        counts = _functional_counts(3)
+    finally:
+        _functional_counts.cache_clear()
+    assert counts == ((4, 54), (5, 480), (6, 2070), (7, 5040), (8, 5040))
+    assert len(calls) == len(set(calls)) == 2269
+    valid = 0
+    for k in range(4, 9):
+        for images in permutations(range(1, 8), k - 1):
+            tup = realize(3, images, singletons(k))
+            valid += 0 not in tup and len(set(tup)) == 3
+    # S_3 acts freely on the prototypes whose sets are distinct and nonempty
+    assert valid == 13614 == len(calls) * factorial(3)
+
+
+def test_is_nbc_ignores_the_order_of_its_masks():
+    rng = random.Random(23)
+    for _ in range(300):
+        n = rng.randint(1, 6)
+        size = rng.randint(1, min(4, 2**n - 1))
+        masks = rng.sample(range(1, 1 << n), size)
+        verdict = is_nbc(masks, n)
+        for order in permutations(masks):
+            assert is_nbc(order, n) == verdict
+
+
+@pytest.mark.parametrize("n", [0, -1])
+def test_betti_via_prototypes_rejects_nonpositive_n(n):
+    with pytest.raises(ValueError, match="n must be positive"):
+        betti_via_prototypes(2, n)
