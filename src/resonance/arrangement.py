@@ -259,7 +259,7 @@ def finite_field_charpoly(
 
 
 # One shared tuple per distinct Betti vector: through n=6 the memo holds
-# 33223 entries but only 3508 distinct values.
+# 12350 entries but only 1416 distinct values.
 _BETTI = {}
 
 
@@ -268,18 +268,22 @@ def _count_regions(normals: tuple) -> tuple:
     """Betti numbers b_0 .. b_rank of the arrangement of the normalized
     integer ``normals``; their sum is its number of regions.
 
-    Deletion/restriction: removing the first hyperplane h and adding
-    back the regions it cuts, one per region of the arrangement induced
-    on h, counts every chamber once, and per Betti number this reads
+    Deletion/restriction: removing a hyperplane h and adding back the
+    regions it cuts, one per region of the arrangement induced on h,
+    counts every chamber once, and per Betti number this reads
     b_i(A) = b_i(A - h) + b_{i-1}(A^h); the empty arrangement has (1,).
     ``restrict`` eliminates the pivot p of h from the other normals,
     which are then zero at p, so deleting coordinate p gives normals on
     h.  They stay normalized, so parallel ones meet in the set; sorting
-    it makes the memo key canonical.
+    it makes the memo key canonical.  Every key is such a sorted tuple,
+    the top-level one included (``_normals``), so the deletion A - h of a
+    key is again canonical.  h is the last normal, the lexicographically
+    largest: at n=6 that leaves 12350 memo entries where deleting the
+    first one left 33223.
     """
     if not normals:
         return (1,)
-    h, rest = normals[0], normals[1:]
+    h, rest = normals[-1], normals[:-1]
     p = next(j for j, x in enumerate(h) if x)
     induced = {w[:p] + w[p + 1 :] for w in restrict(rest, h)}
     deleted = _count_regions(rest)
@@ -290,14 +294,14 @@ def _count_regions(normals: tuple) -> tuple:
 
 
 def _normals(n: int, cap: int | None) -> tuple:
-    """The normals of A_n, in increasing binary order of their masks."""
+    """The normals of A_n, sorted as tuples: the order of every memo key."""
     check_guard("deletion/restriction: n", n, cap)
     if not 1 <= n <= 63:
         raise ValueError(f"n must be in 1..63, got {n}")
     if n > 8:  # _count_regions nests once per hyperplane, whatever the cap
         raise ValueError(f"deletion/restriction nests {(1 << n) - 1} calls deep at n={n}, "
                          "past the interpreter's recursion limit; it runs to n = 8")
-    return tuple(mask_vector(h, n) for h in range(1, 1 << n))
+    return tuple(sorted(mask_vector(h, n) for h in range(1, 1 << n)))
 
 
 def whitney_charpoly(n: int, cap: int | None = GUARDS["deletion_restriction_n"]) -> CharPoly:

@@ -23,16 +23,13 @@ def _normalize_int_row(row):
     Returns None for the zero row.  Proportional rows normalize to the
     same tuple, which is what closure-delta grouping relies on.
     """
-    g = 0
-    for x in row:
-        g = gcd(g, x)
-    if g == 0:
+    g = gcd(*row)
+    if not g:
         return None
-    for x in row:
-        if x:
-            if x < 0:
-                g = -g
-            break
+    if next(x for x in row if x) < 0:
+        g = -g
+    elif g == 1:
+        return tuple(row)
     return tuple(x // g for x in row)
 
 

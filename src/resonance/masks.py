@@ -13,9 +13,13 @@ from __future__ import annotations
 MAX_GROUND_SET = 63  # masks stay within one machine word
 
 
-def validate_mask(mask: int, n: int) -> int:
+def validate_ground_set(n: int) -> None:
     if not 1 <= n <= MAX_GROUND_SET:
         raise ValueError(f"ground set size must be in 1..{MAX_GROUND_SET}, got {n}")
+
+
+def validate_mask(mask: int, n: int) -> int:
+    validate_ground_set(n)
     if not isinstance(mask, int) or isinstance(mask, bool):
         raise ValueError(f"mask must be an int, got {type(mask).__name__}")
     if mask <= 0:

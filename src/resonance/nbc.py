@@ -61,7 +61,7 @@ import numpy as np
 from .arrangement import CharPoly, _is_prime, run_jobs
 from .errors import GUARDS, check_guard
 from .linalg import _span_solver
-from .masks import MAX_GROUND_SET, mask_vector, validate_mask
+from .masks import MAX_GROUND_SET, mask_vector, validate_ground_set, validate_mask
 
 
 def is_broken_circuit(masks, n: int) -> bool:
@@ -90,9 +90,11 @@ def is_nbc(masks, n: int) -> bool:
     Two-element broken circuits are exactly the disjoint pairs (the only
     three-element circuits are {A, B, A+B} for disjoint A, B), which the
     mask intersection test settles without linear algebra; larger
-    subsets go through the generic circuit search.  Every mask is
-    checked against n first, whichever test would reach it.
+    subsets go through the generic circuit search.  n is checked, even
+    with no masks, and every mask against it, whichever test would
+    reach it.
     """
+    validate_ground_set(n)
     given = list(masks)
     for m in given:
         validate_mask(m, n)

@@ -290,21 +290,21 @@ def count_points_oracle(n, q):
     return count
 
 
-def whitney_charpoly_oracle(n):
-    """Coefficients of chi(A_n), ``coeffs[d]`` of t**d, by Whitney's sum
-    over all 2**(2**n - 1) subsets S of the hyperplanes of
-    (-1)**|S| * t**(n - rank S).
+def whitney_charpoly_vectors_oracle(vectors, dim):
+    """Coefficients of chi of the central arrangement in Q**dim with the
+    integer normals ``vectors``, ``coeffs[d]`` of t**d, by Whitney's sum
+    over all subsets S of the hyperplanes of (-1)**|S| * t**(dim - rank S).
 
     The subsets are walked depth first.  A node carries the rows it has
     reduced so far, each zero at the pivots of the rows before it, so a
     new vector is reduced in one pass and a child shares its parent's rows.
     """
-    vectors = [mask_vec(h, n) for h in range(1, 1 << n)]
-    coeffs = [0] * (n + 1)
+    vectors = list(vectors)
+    coeffs = [0] * (dim + 1)
 
     def walk(idx, rows, sign):
         if idx == len(vectors):
-            coeffs[n - len(rows)] += sign
+            coeffs[dim - len(rows)] += sign
             return
         walk(idx + 1, rows, sign)
         v = vectors[idx]
@@ -316,6 +316,12 @@ def whitney_charpoly_oracle(n):
 
     walk(0, (), 1)
     return tuple(coeffs)
+
+
+def whitney_charpoly_oracle(n):
+    """Coefficients of chi(A_n), over all 2**(2**n - 1) subsets of its
+    hyperplanes."""
+    return whitney_charpoly_vectors_oracle([mask_vec(h, n) for h in range(1, 1 << n)], n)
 
 
 def stirling_oracle(n, k):

@@ -1,3 +1,7 @@
+import os
+import random
+from math import gcd
+
 import pytest
 
 from resonance import arrangement
@@ -14,7 +18,7 @@ from resonance.errors import GuardExceeded, InternalCheckError
 from resonance.nbc import charpoly_via_nbc
 from resonance.table1 import GOLDEN_BETTI, GOLDEN_REGIONS
 
-from oracles import count_points_oracle, whitney_charpoly_oracle
+from oracles import count_points_oracle, whitney_charpoly_oracle, whitney_charpoly_vectors_oracle
 
 CHI_A3 = (-9, 15, -7, 1)
 
@@ -45,6 +49,64 @@ def test_whitney_small():
 def test_deletion_restriction_matches_whitney_sum_oracle():
     for n in range(1, 5):
         assert whitney_charpoly(n).coeffs == whitney_charpoly_oracle(n)
+
+
+def random_arrangement(rng):
+    """Distinct normalized integer normals, entries in -3..3, sorted as
+    tuples, in dimension 1..4.  A zero or a repeated coordinate puts
+    about a third of them in a proper subspace, where the rank is below
+    dim."""
+    dim = rng.choice((1, 2, 3, 3, 4, 4, 4))
+    shape = rng.choice(("full",) * 4 + ("zero", "repeat")) if dim > 1 else "full"
+    normals = set()
+    for _ in range(rng.randint(0, 10)):
+        v = [rng.randint(-3, 3) for _ in range(dim)]
+        if shape == "zero":
+            v[-1] = 0
+        elif shape == "repeat":
+            v[1] = v[0]
+        g = gcd(*v)
+        if not g:
+            continue
+        if next(x for x in v if x) < 0:
+            g = -g
+        normals.add(tuple(x // g for x in v))
+    return tuple(sorted(normals)), dim
+
+
+def test_deletion_restriction_matches_whitney_sum_on_random_arrangements():
+    rng = random.Random(16)
+    short_rank = 0
+    for _ in range(200):
+        normals, dim = random_arrangement(rng)
+        coeffs = whitney_charpoly_vectors_oracle(normals, dim)
+        betti = arrangement._count_regions(normals)
+        # b_0 .. b_rank, each positive; chi has (-1)^i b_i at t^(dim - i).
+        assert all(betti)
+        assert betti + (0,) * (dim + 1 - len(betti)) == tuple(
+            (-1) ** i * coeffs[dim - i] for i in range(dim + 1)
+        )
+        short_rank += len(betti) <= dim
+    assert short_rank >= 40
+
+
+def test_deletion_restriction_memo_size_at_a6():
+    arrangement._count_regions.cache_clear()
+    try:
+        assert enumerate_chambers_bruteforce(6) == GOLDEN_REGIONS[6]
+        # Deleting the first normal instead of the last left 33223 entries.
+        assert arrangement._count_regions.cache_info().currsize <= 12350
+    finally:
+        arrangement._count_regions.cache_clear()
+
+
+@pytest.mark.skipif(os.environ.get("RESONANCE_LONG") != "1", reason="set RESONANCE_LONG=1")
+def test_deletion_restriction_a7_matches_ff():
+    # About a minute and 450 MB of memo, which is dropped afterwards.
+    try:
+        assert whitney_charpoly(7, cap=None) == finite_field_charpoly(7)
+    finally:
+        arrangement._count_regions.cache_clear()
 
 
 def test_deletion_restriction_matches_golden_a5_a6():

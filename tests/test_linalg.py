@@ -8,6 +8,7 @@ import pytest
 from resonance.linalg import (
     EchelonBasis,
     ExactMatrix,
+    _normalize_int_row,
     bareiss_rank,
     restrict,
     span_coefficients,
@@ -256,6 +257,42 @@ def test_echelon_basis_tracks_rank():
     assert basis.rank == 2
     assert not any(basis.residual((2, 3, 0)))
     assert any(basis.residual((0, 0, 1)))
+
+
+def normalize_reference(row):
+    """Divide by the gcd of a loop, sign from the first nonzero entry."""
+    g = 0
+    for x in row:
+        g = gcd(g, x)
+    if not g:
+        return None
+    if next(x for x in row if x) < 0:
+        g = -g
+    return tuple(x // g for x in row)
+
+
+def test_normalize_int_row_matches_loop_gcd_reference():
+    assert _normalize_int_row([0, 0, 0]) is None
+    assert _normalize_int_row(()) is None
+    assert _normalize_int_row([0, -4, 6]) == (0, 2, -3)
+    assert _normalize_int_row([-5]) == (1,)
+    assert _normalize_int_row((7,)) == (1,)
+    assert _normalize_int_row([2, 3]) == (2, 3)
+    rng = random.Random(16)
+    kinds = set()
+    for _ in range(2000):
+        size = rng.randint(1, 6)
+        scale = rng.choice((1, 1, 2, 6, -1, -3))
+        row = [scale * rng.randint(-4, 4) * rng.randint(0, 1) for _ in range(size)]
+        want = normalize_reference(row)
+        for given in (row, tuple(row)):
+            got = _normalize_int_row(given)
+            assert got == want
+            assert got is None or type(got) is tuple
+        if want is not None:
+            lead = next(x for x in row if x)
+            kinds.add((size == 1, lead < 0, gcd(*row) > 1))
+    assert len(kinds) == 8
 
 
 def test_restrict_keeps_order_drops_zeros_and_normalizes():

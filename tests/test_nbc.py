@@ -249,3 +249,10 @@ def test_a7_cells_beyond_the_guard_match_ff():
 def test_is_nbc_validates_every_mask(masks, n):
     with pytest.raises(ValueError):
         is_nbc(masks, n)
+
+
+def test_is_nbc_validates_n_without_masks():
+    for n in (0, -5, 64):
+        with pytest.raises(ValueError, match="ground set size"):
+            is_nbc([], n)
+    assert is_nbc([], 3)
