@@ -151,8 +151,10 @@ def _count_sorted(sums, last, run, weight, m, n, q):
     return total
 
 
-def _count_slice(x2, n, q):
-    """Weighted count of the sorted points (1, x2 <= x_3 <= ... <= x_n)."""
+def _count_slice(job, n):
+    """Weighted count of the sorted points (1, x2 <= x_3 <= ... <= x_n)
+    of F_q^n, for ``job`` = (q, x2)."""
+    q, x2 = job
     sums = np.zeros(q, dtype=bool)
     sums[[0, 1]] = True  # subset sums of (1,)
     if sums[q - x2]:
@@ -184,9 +186,25 @@ def count_points_avoiding(n: int, q: int, workers: int = 1) -> int:
     not depend on ``workers``.
     """
     _check_prime(n, q)
+    return _point_counts(n, [q], workers)[0]
+
+
+def _point_counts(n: int, primes, workers: int) -> list[int]:
+    """``count_points_avoiding(n, q)`` for each of the checked ``primes``.
+
+    Every prime's x_2 slices go through one ``run_jobs`` call, so one
+    pool serves them all and no prime waits for the slowest slices of
+    the one before.  The largest prime comes first: its low x_2 slices
+    are the longest jobs, and started first they do not hold up the end
+    of the run.  Each prime's parts are summed in x_2 order.
+    """
     if n == 1:
-        return q - 1
-    return (q - 1) * sum(run_jobs(partial(_count_slice, n=n, q=q), range(1, q), workers))
+        return [q - 1 for q in primes]
+    jobs = [(q, x2) for q in sorted(primes, reverse=True) for x2 in range(1, q)]
+    slices = dict.fromkeys(primes, 0)
+    for (q, _), part in zip(jobs, run_jobs(partial(_count_slice, n=n), jobs, workers)):
+        slices[q] += part
+    return [(q - 1) * slices[q] for q in primes]
 
 
 def run_jobs(fn, jobs, workers: int):
@@ -250,7 +268,11 @@ def finite_field_charpoly(
         check_guard(f"finite-field method at q={q}: point-count work", work, work_cap)
     for q in primes:
         _check_prime(n, q)
-    pts = [(q, count_points_avoiding(n, q, workers=workers)) for q in primes]
+    if workers > 1:
+        counts = _point_counts(n, primes, workers)
+    else:  # no pool to share: one count_points_avoiding call per prime
+        counts = [count_points_avoiding(n, q) for q in primes]
+    pts = list(zip(primes, counts))
     poly = CharPoly(tuple(_interpolate_integer_poly(pts[: n + 1], n)))
     for q, count in pts[n + 1 :]:
         if poly(q) != count:
@@ -259,8 +281,35 @@ def finite_field_charpoly(
 
 
 # One shared tuple per distinct Betti vector: through n=6 the memo holds
-# 12350 entries but only 1416 distinct values.
+# 12350 entries but only 1416 distinct values, at n=7 747587 and 45522.
 _BETTI = {}
+# The restriction table: _RESTRICTED[h][w] is the normal w induces on the
+# hyperplane h, or None when w is parallel to h.
+_RESTRICTED = {}
+# One shared tuple per distinct induced normal, so the memo keys hold
+# references to the same normals instead of fresh copies.
+_INDUCED = {}
+
+
+def _restriction_table(h: tuple, rest: tuple) -> dict:
+    """``_RESTRICTED[h]``, extended by every normal of ``rest`` it lacks.
+
+    ``restrict`` eliminates the pivot p of h from w, which leaves it zero
+    at p, so deleting coordinate p gives the normal w induces on h.  It
+    stays normalized, so parallel normals on h meet as one tuple.
+    """
+    table = _RESTRICTED.setdefault(h, {})
+    new = [w for w in rest if w not in table]
+    if new:
+        p = next(j for j, x in enumerate(h) if x)
+        for w in new:
+            v = restrict([w], h)
+            if v:  # empty when w is parallel to h
+                v = v[0][:p] + v[0][p + 1 :]
+                table[w] = _INDUCED.setdefault(v, v)
+            else:
+                table[w] = None
+    return table
 
 
 @lru_cache(maxsize=None)
@@ -272,20 +321,22 @@ def _count_regions(normals: tuple) -> tuple:
     regions it cuts, one per region of the arrangement induced on h,
     counts every chamber once, and per Betti number this reads
     b_i(A) = b_i(A - h) + b_{i-1}(A^h); the empty arrangement has (1,).
-    ``restrict`` eliminates the pivot p of h from the other normals,
-    which are then zero at p, so deleting coordinate p gives normals on
-    h.  They stay normalized, so parallel ones meet in the set; sorting
-    it makes the memo key canonical.  Every key is such a sorted tuple,
-    the top-level one included (``_normals``), so the deletion A - h of a
-    key is again canonical.  h is the last normal, the lexicographically
-    largest: at n=6 that leaves 12350 memo entries where deleting the
-    first one left 33223.
+    ``_restriction_table`` gives the normals induced on h, each (h, w)
+    pair restricted once however many keys share it: through n=6 the
+    recursion looks up 196817 pairs, of which 18061 are distinct (over
+    558 hyperplanes), and at n=7 276008 are.  Parallel ones meet in the
+    set; sorting it makes the memo key canonical.  Every key is such a
+    sorted tuple, the top-level one included (``_normals``), so the
+    deletion A - h of a key is again canonical.  h is the last normal,
+    the lexicographically largest: at n=6 that leaves 12350 memo entries
+    where deleting the first one left 33223.
     """
     if not normals:
         return (1,)
     h, rest = normals[-1], normals[:-1]
-    p = next(j for j, x in enumerate(h) if x)
-    induced = {w[:p] + w[p + 1 :] for w in restrict(rest, h)}
+    table = _restriction_table(h, rest)
+    induced = {table[w] for w in rest}
+    induced.discard(None)
     deleted = _count_regions(rest)
     restricted = (0,) + _count_regions(tuple(sorted(induced)))
     # A^h has rank one less than A, and A - h the rank of A or one less.

@@ -27,10 +27,11 @@ GUARDS = {
     # n=8's smallest prime, 59, needs 6.2e8; n=2 allows q <= 14142.  It
     # lifts with the finite-field method's ``cap``.
     "finite_field_points": 2 * 10**8,
-    # Deletion/restriction, for both chi(A_n) and the chamber count: 0.6-0.8 s
-    # and 12350 memo entries at n=6; 52-67 s, 447 MB and 747587 entries at
-    # n=7 (deleting the first normal instead of the last took 228 s, 1.36 GB
-    # and 2.97M entries).
+    # Deletion/restriction, for both chi(A_n) and the chamber count: 0.2-0.3 s,
+    # 12350 memo entries and 18061 restriction-table pairs at n=6; 14-18 s,
+    # 320 MB, 747587 entries and 276008 pairs at n=7 (restricting every row
+    # on every miss took 52-67 s and 447 MB; deleting the first normal
+    # instead of the last, 228 s, 1.36 GB and 2.97M entries).
     # With the cap lifted it still stops at n=8: the recursion nests once
     # per hyperplane, past the interpreter's recursion limit at n=9.
     "deletion_restriction_n": 6,

@@ -1,4 +1,3 @@
-import os
 import random
 from math import gcd
 
@@ -15,6 +14,7 @@ from resonance.arrangement import (
     whitney_charpoly,
 )
 from resonance.errors import GuardExceeded, InternalCheckError
+from resonance.linalg import restrict
 from resonance.nbc import charpoly_via_nbc
 from resonance.table1 import GOLDEN_BETTI, GOLDEN_REGIONS
 
@@ -90,23 +90,67 @@ def test_deletion_restriction_matches_whitney_sum_on_random_arrangements():
     assert short_rank >= 40
 
 
-def test_deletion_restriction_memo_size_at_a6():
+def drop_region_tables():
+    """Empty the deletion/restriction memo and its restriction and intern
+    tables."""
     arrangement._count_regions.cache_clear()
+    arrangement._RESTRICTED.clear()
+    arrangement._INDUCED.clear()
+
+
+def test_deletion_restriction_memo_size_at_a6():
+    drop_region_tables()
     try:
         assert enumerate_chambers_bruteforce(6) == GOLDEN_REGIONS[6]
         # Deleting the first normal instead of the last left 33223 entries.
         assert arrangement._count_regions.cache_info().currsize <= 12350
+        assert sum(map(len, arrangement._RESTRICTED.values())) == 18061
     finally:
-        arrangement._count_regions.cache_clear()
+        drop_region_tables()
 
 
-@pytest.mark.skipif(os.environ.get("RESONANCE_LONG") != "1", reason="set RESONANCE_LONG=1")
+def test_restriction_table_stands_in_for_restrict():
+    rng = random.Random(17)
+    cases = [random_arrangement(rng)[0] for _ in range(200)]
+
+    def betti(order, cold):
+        drop_region_tables()
+        out = {}
+        for normals in order:
+            # The memo goes each time, so every key is recounted through the
+            # table, which keeps what the earlier arrangements put in it
+            # unless ``cold``.
+            if cold:
+                drop_region_tables()
+            arrangement._count_regions.cache_clear()
+            out[normals] = arrangement._count_regions(normals)
+        return out
+
+    try:
+        cold = betti(cases, cold=True)
+        assert betti(cases, cold=False) == cold
+        assert betti(cases[::-1], cold=False) == cold
+        pairs = 0
+        for h, table in arrangement._RESTRICTED.items():
+            p = next(j for j, x in enumerate(h) if x)
+            for w, induced in table.items():
+                [v] = restrict([w], h) or [None]
+                assert induced == (v and v[:p] + v[p + 1 :])
+                assert induced is None or arrangement._INDUCED[induced] is induced
+                pairs += 1
+        assert pairs > 1000
+    finally:
+        drop_region_tables()
+
+
+@pytest.mark.long_run
 def test_deletion_restriction_a7_matches_ff():
-    # About a minute and 450 MB of memo, which is dropped afterwards.
+    # About 18 s with the point count, and 320 MB of memo and restriction
+    # table, which are dropped afterwards.
     try:
         assert whitney_charpoly(7, cap=None) == finite_field_charpoly(7)
     finally:
-        arrangement._count_regions.cache_clear()
+        drop_region_tables()
 
 
 def test_deletion_restriction_matches_golden_a5_a6():
@@ -195,6 +239,11 @@ def test_finite_field_threads_match_serial():
     threaded = finite_field_charpoly(4, workers=3)
     assert serial == threaded
     assert finite_field_charpoly(6, workers=2) == finite_field_charpoly(6)
+    # One pool for all primes, extra ones included, each summed apart.
+    primes = [7, 11, 13, 17, 19, 23, 29]
+    assert finite_field_charpoly(4, primes, workers=2) == serial
+    counts = [count_points_avoiding(5, q) for q in primes]
+    assert arrangement._point_counts(5, primes, 2) == counts
 
 
 def test_finite_field_a7_matches_golden_values():

@@ -1,4 +1,3 @@
-import os
 import random
 from itertools import combinations
 
@@ -237,7 +236,7 @@ def test_nbc_prime_is_the_first_prime_past_the_hadamard_bound():
         assert max_abs_det_01(n) == MAX_01_DETERMINANT[n]
 
 
-@pytest.mark.skipif(os.environ.get("RESONANCE_LONG") != "1", reason="set RESONANCE_LONG=1")
+@pytest.mark.long_run
 def test_a7_cells_beyond_the_guard_match_ff():
     assert betti_via_nbc(7, 6, workers=2, cap=None)[5:7] == list(finite_field_charpoly(7).betti[5:7])
 
