@@ -165,7 +165,7 @@ def _count_slice(job, n):
     return _count_sorted((sums | np.roll(sums, x2))[None], np.array([x2]), one, one, 1, n, q)
 
 
-def count_points_avoiding(n: int, q: int, workers: int = 1) -> int:
+def count_points_avoiding(n: int, q: int) -> int:
     """Points of F_q^n with every nonempty subset sum nonzero.
 
     Valid points have x_1 != 0 and scaling by any nonzero constant is a
@@ -179,24 +179,22 @@ def count_points_avoiding(n: int, q: int, workers: int = 1) -> int:
     multiplies one by k / (run + 1), where k is the new number of free
     coordinates and run the multiplicity of v so far, and the quotient
     is the new weight, itself an integer.
-
-    The slice is split on x_2, its smallest free coordinate, into q - 1
-    jobs.  ``run_jobs`` counts them, in a process pool when ``workers``
-    allows one, and the parts are summed in x_2 order, so the count does
-    not depend on ``workers``.
     """
     _check_prime(n, q)
-    return _point_counts(n, [q], workers)[0]
+    return _point_counts(n, [q], 1)[0]
 
 
 def _point_counts(n: int, primes, workers: int) -> list[int]:
     """``count_points_avoiding(n, q)`` for each of the checked ``primes``.
 
-    Every prime's x_2 slices go through one ``run_jobs`` call, so one
-    pool serves them all and no prime waits for the slowest slices of
-    the one before.  The largest prime comes first: its low x_2 slices
-    are the longest jobs, and started first they do not hold up the end
-    of the run.  Each prime's parts are summed in x_2 order.
+    The x_1 = 1 slice at q is split on x_2, its smallest free
+    coordinate, into q - 1 jobs.  Every prime's jobs go through one
+    ``run_jobs`` call, in a process pool when ``workers`` allows one, so
+    one pool serves them all and no prime waits for the slowest slices
+    of the one before.  The largest prime comes first: its low x_2
+    slices are the longest jobs, and started first they do not hold up
+    the end of the run.  Each prime's parts are summed in x_2 order, so
+    the counts do not depend on ``workers``.
     """
     if n == 1:
         return [q - 1 for q in primes]
@@ -283,8 +281,7 @@ def finite_field_charpoly(
 # One shared tuple per distinct Betti vector: through n=6 the memo holds
 # 12350 entries but only 1416 distinct values, at n=7 747587 and 45522.
 _BETTI = {}
-# The restriction table: _RESTRICTED[h][w] is the normal w induces on the
-# hyperplane h, or None when w is parallel to h.
+# The restriction table: _RESTRICTED[h][w] is the normal w induces on h.
 _RESTRICTED = {}
 # One shared tuple per distinct induced normal, so the memo keys hold
 # references to the same normals instead of fresh copies.
@@ -296,7 +293,9 @@ def _restriction_table(h: tuple, rest: tuple) -> dict:
 
     ``restrict`` eliminates the pivot p of h from w, which leaves it zero
     at p, so deleting coordinate p gives the normal w induces on h.  It
-    stays normalized, so parallel normals on h meet as one tuple.
+    stays normalized, so parallel normals on h meet as one tuple.  A key
+    holds distinct normalized normals, so none of ``rest`` is parallel
+    to h; one that is would leave ``restrict`` nothing, and is refused.
     """
     table = _RESTRICTED.setdefault(h, {})
     new = [w for w in rest if w not in table]
@@ -304,11 +303,10 @@ def _restriction_table(h: tuple, rest: tuple) -> dict:
         p = next(j for j, x in enumerate(h) if x)
         for w in new:
             v = restrict([w], h)
-            if v:  # empty when w is parallel to h
-                v = v[0][:p] + v[0][p + 1 :]
-                table[w] = _INDUCED.setdefault(v, v)
-            else:
-                table[w] = None
+            if not v:
+                raise InternalCheckError(f"normal {w} is parallel to the deleted {h}")
+            v = v[0][:p] + v[0][p + 1 :]
+            table[w] = _INDUCED.setdefault(v, v)
     return table
 
 
@@ -336,7 +334,6 @@ def _count_regions(normals: tuple) -> tuple:
     h, rest = normals[-1], normals[:-1]
     table = _restriction_table(h, rest)
     induced = {table[w] for w in rest}
-    induced.discard(None)
     deleted = _count_regions(rest)
     restricted = (0,) + _count_regions(tuple(sorted(induced)))
     # A^h has rank one less than A, and A - h the rank of A or one less.

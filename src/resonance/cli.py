@@ -22,7 +22,7 @@ import sys
 from math import log10
 
 from . import circuits, nbc, table1, universality
-from .arrangement import finite_field_charpoly, region_count, whitney_charpoly
+from .arrangement import region_count
 from .errors import GuardExceeded, InternalCheckError
 from .prototypes import coefficients
 from .stirling import betti_closed, fit_stirling_coefficients
@@ -34,19 +34,12 @@ def _cap(args):
 
 
 def _charpoly(args):
-    if args.primes is not None and args.method != "ff":
-        raise ValueError(f"--primes applies only to --method ff, not {args.method}")
-    primes = (
-        [int(x) for x in args.primes.split(",") if x.strip()] if args.primes is not None else None
-    )
-    methods = {
-        "whitney": lambda: whitney_charpoly(args.n, **_cap(args)),
-        "ff": lambda: finite_field_charpoly(
-            args.n, primes=primes, workers=args.threads, **_cap(args)
-        ),
-        "nbc": lambda: nbc.charpoly_via_nbc(args.n, workers=args.threads, **_cap(args)),
-    }
-    return methods[args.method]()
+    keywords = _cap(args)
+    if args.primes is not None:
+        if args.method != "ff":
+            raise ValueError(f"--primes applies only to --method ff, not {args.method}")
+        keywords["primes"] = [int(x) for x in args.primes.split(",") if x.strip()]
+    return table1.ROUTES[args.method](args.n, args.threads, **keywords)
 
 
 def _charpoly_payload(args):
@@ -185,7 +178,7 @@ _OVERRIDE = ("--guard-override", {"action": "store_true",
                                   "help": "run beyond the default size guards (expensive)"})
 _N = ("--n", {"type": int, "required": True})
 _I = ("--i", {"type": int, "required": True})
-_METHODS = ("--method", {"choices": ("whitney", "ff", "nbc"), "default": "ff"})
+_METHODS = ("--method", {"choices": tuple(table1.ROUTES), "default": "ff"})
 _PRIMES = ("--primes", {"help": "comma-separated primes for the ff method"})
 _INPUT = ("--input", {"required": True})
 _CENSUS = ("intersecting_triples", "tetrahedron_circuits", "rectangle_circuits", "b3")

@@ -4,9 +4,10 @@ The table ships with the package and is never overwritten by
 computations; unknown entries are explicit Nones.  The report
 recomputes every reachable cell by at least one method and marks it
 MATCH or MISMATCH against the golden value; a region count comes from
-chi(A_n) computed by every route the default size guards allow, and the
-routes must agree on the whole polynomial.  A cell beyond the default
-size guards is reported as SKIPPED ("needs long run"), not attempted.
+chi(A_n) computed by every row of ``ROUTES`` the default size guards
+allow, named as ``--method`` names it, and the routes must agree on the
+whole polynomial.  A cell beyond the default size guards is reported as
+SKIPPED ("needs long run"), not attempted.
 """
 
 from __future__ import annotations
@@ -36,6 +37,17 @@ GOLDEN_REGIONS = {
 }
 
 
+# Every route to chi(A_n), keyed by its ``--method`` name: the CLI
+# dispatches through this table and the report runs its rows in order.
+# Each row looks its function up in this module when called, so a test
+# can patch it here.  ``keywords`` (``cap``, ``primes``) pass through.
+ROUTES = {
+    "nbc": lambda n, workers, **keywords: nbc.charpoly_via_nbc(n, workers=workers, **keywords),
+    "ff": lambda n, workers, **keywords: finite_field_charpoly(n, workers=workers, **keywords),
+    "whitney": lambda n, workers, **keywords: whitney_charpoly(n, **keywords),
+}
+
+
 def golden_betti(i: int, n: int):
     if i == 0 and n >= 1:
         return 1  # chi(A_n) is monic
@@ -58,15 +70,10 @@ def _compute_betti(i, n, workers):
 
 
 def _compute_regions(n, workers):
-    routes = {
-        "nbc full depth": lambda: nbc.charpoly_via_nbc(n, workers=workers),
-        "ff": lambda: finite_field_charpoly(n, workers=workers),
-        "deletion/restriction": lambda: whitney_charpoly(n),
-    }
     polys = {}
-    for method, route in routes.items():
+    for method, route in ROUTES.items():
         try:
-            polys[method] = route()
+            polys[method] = route(n, workers)
         except GuardExceeded:
             pass
     if not polys:
@@ -84,25 +91,20 @@ def build_report(n_max: int, i_max: int, workers: int = 1) -> dict:
     if not 1 <= i_max <= 4:
         raise ValueError("i_max must be in 1..4")
     cells = []
-    mismatches = 0
     for i in range(1, i_max + 1):
         for n in range(1, n_max + 1):
             golden = golden_betti(i, n)
             value, method = _compute_betti(i, n, workers)
             cells.append(_cell(f"b{i}", n, golden, value, method))
-            if cells[-1]["status"] == "MISMATCH":
-                mismatches += 1
     for n in range(1, n_max + 1):
         golden = golden_regions(n)
         value, method = _compute_regions(n, workers)
         cells.append(_cell("R", n, golden, value, method))
-        if cells[-1]["status"] == "MISMATCH":
-            mismatches += 1
     return {
         "n_max": n_max,
         "i_max": i_max,
         "cells": cells,
-        "mismatches": mismatches,
+        "mismatches": sum(1 for c in cells if c["status"] == "MISMATCH"),
         "computed": sum(1 for c in cells if c["computed"] is not None),
     }
 

@@ -134,11 +134,22 @@ def test_restriction_table_stands_in_for_restrict():
         for h, table in arrangement._RESTRICTED.items():
             p = next(j for j, x in enumerate(h) if x)
             for w, induced in table.items():
-                [v] = restrict([w], h) or [None]
-                assert induced == (v and v[:p] + v[p + 1 :])
-                assert induced is None or arrangement._INDUCED[induced] is induced
+                [v] = restrict([w], h)
+                assert induced == v[:p] + v[p + 1 :]
+                assert arrangement._INDUCED[induced] is induced
                 pairs += 1
         assert pairs > 1000
+    finally:
+        drop_region_tables()
+
+
+def test_restriction_table_refuses_parallel_normals():
+    # A key holds distinct normalized normals.  A repeated one has nothing
+    # to restrict to; counted as if it were absent from A^h, this key gave
+    # (1, 3, 2) where its arrangement has (1, 2, 1).
+    try:
+        with pytest.raises(InternalCheckError, match="parallel"):
+            arrangement._count_regions(((0, 1), (1, 0), (1, 0)))
     finally:
         drop_region_tables()
 
@@ -258,8 +269,8 @@ def test_finite_field_extra_primes_are_checked(monkeypatch):
     assert finite_field_charpoly(3, primes=primes).coeffs == CHI_A3
     exact = arrangement.count_points_avoiding
 
-    def off_at_19(n, q, workers=1):
-        return exact(n, q, workers) + (q == 19)
+    def off_at_19(n, q):
+        return exact(n, q) + (q == 19)
 
     monkeypatch.setattr(arrangement, "count_points_avoiding", off_at_19)
     with pytest.raises(InternalCheckError, match="q=19"):
@@ -283,7 +294,7 @@ def test_finite_field_point_guard():
 def test_jobs_run_without_sched_getaffinity(monkeypatch):
     # macOS and Windows have no os.sched_getaffinity; os.cpu_count() stands in.
     monkeypatch.delattr(arrangement.os, "sched_getaffinity")
-    assert count_points_avoiding(4, 7, workers=2) == count_points_avoiding(4, 7) == 90
+    assert arrangement._point_counts(4, [7], 2) == [count_points_avoiding(4, 7)] == [90]
     assert finite_field_charpoly(3, workers=2) == finite_field_charpoly(3)
     assert charpoly_via_nbc(3, workers=2) == charpoly_via_nbc(3) == CharPoly(CHI_A3)
 

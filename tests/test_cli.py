@@ -26,13 +26,13 @@ def test_charpoly_json_matches_expected_coeffs(capsys):
 
 def test_charpoly_methods_agree(capsys):
     outputs = []
-    for method in ("whitney", "ff", "nbc"):
+    for method in table1.ROUTES:
         code, out = run_cli(
             capsys, "charpoly", "--n", "3", "--method", method, "--format", "json"
         )
         assert code == 0
         outputs.append(json.loads(out)["coeffs"])
-    assert outputs[0] == outputs[1] == outputs[2]
+    assert len(outputs) == 3 and outputs[0] == outputs[1] == outputs[2]
 
 
 def test_regions_value(capsys):
@@ -172,8 +172,8 @@ TEXT_OUTPUT = [
         "b1(A_2): golden=3 computed=3 [MATCH; closed form]\n"
         "b2(A_1): golden=0 computed=0 [MATCH; closed form]\n"
         "b2(A_2): golden=2 computed=2 [MATCH; closed form]\n"
-        "R(A_1): golden=2 computed=2 [MATCH; nbc full depth + ff + deletion/restriction]\n"
-        "R(A_2): golden=6 computed=6 [MATCH; nbc full depth + ff + deletion/restriction]\n"
+        "R(A_1): golden=2 computed=2 [MATCH; nbc + ff + whitney]\n"
+        "R(A_2): golden=6 computed=6 [MATCH; nbc + ff + whitney]\n"
         "computed cells: 6, mismatches: 0\n",
     ),
 ]
@@ -307,7 +307,7 @@ def test_embed_self_check_failure_exits_three(tmp_path, monkeypatch, capsys):
 
 def test_wrong_chi_exits_three(monkeypatch, capsys):
     # q^n points at every prime interpolate to t^n, which fails CharPoly's checks.
-    monkeypatch.setattr(arrangement, "count_points_avoiding", lambda n, q, workers=1: q**n)
+    monkeypatch.setattr(arrangement, "count_points_avoiding", lambda n, q: q**n)
     assert main(["charpoly", "--n", "3"]) == 3
     err = capsys.readouterr().err
     assert err.splitlines() == [
@@ -458,6 +458,11 @@ def test_table1_region_row_through_six(capsys):
     regions = {c["n"]: c for c in payload["cells"] if c["row"] == "R"}
     assert regions[5]["computed"] == "11292" and regions[5]["status"] == "MATCH"
     assert regions[6]["computed"] == "1066044" and regions[6]["status"] == "MATCH"
+    # Every route runs through n = 6, each named so that --method reruns it.
+    assert {c["method"] for c in regions.values()} == {"nbc + ff + whitney"}
+    for method in regions[6]["method"].split(" + "):
+        code, out = run_cli(capsys, "regions", "--n", "2", "--method", method, "--format", "json")
+        assert code == 0 and json.loads(out)["regions"] == "6"
 
 
 def test_table1_depth_limited_row(capsys):

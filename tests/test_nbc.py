@@ -179,8 +179,8 @@ def test_pool_size_bounded_by_jobs_and_cores(monkeypatch):
     monkeypatch.setattr(arrangement.os, "sched_getaffinity", lambda pid: {0, 1, 2, 3})
     assert betti_via_nbc(3, 2, workers=10**6) == betti_via_nbc(3, 2) == [1, 7, 15]
     assert betti_via_nbc(2, 2, workers=10**6) == betti_via_nbc(2, 2)
-    assert count_points_avoiding(3, 5, workers=10**6) == count_points_avoiding(3, 5)
-    assert count_points_avoiding(3, 3, workers=10**6) == count_points_avoiding(3, 3)
+    assert arrangement._point_counts(3, [5], 10**6) == [count_points_avoiding(3, 5)]
+    assert arrangement._point_counts(3, [3], 10**6) == [count_points_avoiding(3, 3)]
     # Four usable cores; A_2 has three root jobs; the point count at q has
     # one job per x_2 in 1 .. q-1.
     assert sizes == [4, 3, 4, 2]
