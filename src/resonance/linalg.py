@@ -65,10 +65,9 @@ class EchelonBasis:
     operations; entries stay tiny for 0/1 inputs.
     """
 
-    __slots__ = ("size", "_rows", "_pivots")
+    __slots__ = ("_rows", "_pivots")
 
-    def __init__(self, size: int):
-        self.size = size
+    def __init__(self):
         self._rows: list[tuple[int, ...]] = []
         self._pivots: list[int] = []
 
@@ -104,8 +103,7 @@ def bareiss_rank(rows) -> int:
     The historical name stays because callers and the spans in
     ``perfbench/`` bind it.
     """
-    rows = list(rows)
-    basis = EchelonBasis(len(rows[0]) if rows else 0)
+    basis = EchelonBasis()
     for row in rows:
         basis.add(row)
     return basis.rank
@@ -125,7 +123,7 @@ def _span_solver(vectors):
     vecs = [list(v) for v in vectors]
     k = len(vecs)
     size = len(vecs[0]) if vecs else 0
-    basis = EchelonBasis(size + k + 1)
+    basis = EchelonBasis()
     for i, v in enumerate(vecs):
         basis.add(v + [0] * i + [1] + [0] * (k - i))
     pad = [0] * k + [1]
@@ -152,15 +150,13 @@ class ExactMatrix:
     """Dense matrix of ints, held as row tuples that the matrices
     ``pivot`` derives from one another share."""
 
-    __slots__ = ("rows", "cols", "entries")
+    __slots__ = ("entries",)
 
     def __init__(self, entries):
         data = [tuple(row) for row in entries]
         if data and any(len(r) != len(data[0]) for r in data):
             raise ValueError("ragged rows")
         self.entries = data
-        self.rows = len(data)
-        self.cols = len(data[0]) if data else 0
 
     def column(self, j: int):
         return [row[j] for row in self.entries]

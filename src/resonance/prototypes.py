@@ -33,7 +33,7 @@ from math import factorial
 
 from .errors import GUARDS, InternalCheckError, check_guard
 from .nbc import is_nbc
-from .stirling import StirlingCombination
+from .stirling import CLOSED_FORMS, StirlingCombination
 
 
 @lru_cache(maxsize=None)
@@ -59,7 +59,8 @@ def _functional_counts(i: int) -> tuple[tuple[int, int], ...]:
 
 
 def coefficients(i: int, cap: int | None = GUARDS["prototype_i"]) -> StirlingCombination:
-    """The Stirling coefficients for Betti index i by full prototype census."""
+    """The Stirling coefficients for Betti index i by full prototype census,
+    compared with the row ``betti{i}`` of ``CLOSED_FORMS`` where there is one."""
     if i < 1:
         raise ValueError(f"Betti index i must be positive, got i={i}")
     check_guard("coefficient census: i", i, cap)
@@ -72,6 +73,11 @@ def coefficients(i: int, cap: int | None = GUARDS["prototype_i"]) -> StirlingCom
             )
         if q:
             coeffs[k] = q
+    row = CLOSED_FORMS.get(f"betti{i}")
+    if row and coeffs != row[0]:
+        raise InternalCheckError(
+            f"prototype census gives c_{i} = {coeffs}, the closed form b_{i} has {row[0]}"
+        )
     return StirlingCombination(i, coeffs)
 
 

@@ -1,9 +1,10 @@
-"""Stirling numbers of the second kind and the closed Betti formulas.
+"""Stirling numbers of the second kind and the package's closed formulas.
 
-Each closed form is evaluated through two independent expressions (the
-Stirling combination and the exponential sum) and the results are
-compared; a mismatch raises InternalCheckError since it can only come
-from an arithmetic bug.
+``CLOSED_FORMS`` holds every closed formula (b_1, b_2, b_3 and the three
+circuit counts) as one row.  ``closed_form`` evaluates a row through two
+independent expressions (the Stirling combination and the exponential
+sum) and compares them; a mismatch raises InternalCheckError since it
+can only come from an arithmetic bug.
 """
 
 from __future__ import annotations
@@ -56,48 +57,52 @@ class StirlingCombination:
         return sum(c * stirling2(n + 1, k) for k, c in self.coefficients.items())
 
 
-def betti2_closed(n: int) -> int:
-    """Second Betti number of the rank-n resonance arrangement."""
+# Each closed formula of the package as a row: its Stirling coefficients
+# {k: c}, its power-sum coefficients {b: c} and a divisor d, so that
+#     value(n) = sum c * S(n+1, k) = (sum c * b**n) / d.
+# The b_i rows are sum_k c_{i,k} S(n+1, k); the three circuit counts give
+# b_3 = triples - tetrahedra - rectangles, coefficient by coefficient.
+CLOSED_FORMS = {
+    "betti1": ({2: 1}, {2: 1, 1: -1}, 1),
+    "betti2": ({3: 2, 4: 3}, {4: 1, 3: -1, 2: -1, 1: 1}, 2),
+    "betti3": ({4: 9, 5: 80, 6: 345, 7: 840, 8: 840},
+               {8: 4, 6: -15, 5: 15, 4: -14, 3: 18, 2: -7, 1: -1}, 24),
+    "triple-count": ({4: 13, 5: 92, 6: 360, 7: 840, 8: 840},
+                     {8: 1, 6: -3, 5: 3, 4: -4, 3: 3, 2: 2, 1: -2}, 6),
+    "tetrahedron-count": ({4: 1}, {4: 1, 3: -3, 2: 3, 1: -1}, 6),
+    "rectangle-count": ({4: 3, 5: 12, 6: 15}, {6: 1, 5: -1, 4: -2, 3: 2, 2: 1, 1: -1}, 8),
+}
+
+
+def closed_form(name: str, n: int) -> int:
+    """Row ``name`` of ``CLOSED_FORMS`` at n, by both of its expressions."""
     if n < 1:
         raise ValueError("n must be positive")
-    via_stirling = 2 * stirling2(n + 1, 3) + 3 * stirling2(n + 1, 4)
-    via_powers, rem = divmod(4**n - 3**n - 2**n + 1, 2)
+    stirling, powers, divisor = CLOSED_FORMS[name]
+    via_stirling = sum(c * stirling2(n + 1, k) for k, c in stirling.items())
+    via_powers, rem = divmod(sum(c * b**n for b, c in powers.items()), divisor)
     if rem or via_stirling != via_powers:
         raise InternalCheckError(
-            f"betti2 expressions disagree at n={n}: {via_stirling} vs {via_powers}"
+            f"{name} expressions disagree at n={n}: {via_stirling} vs {via_powers}"
         )
     return via_stirling
+
+
+def betti2_closed(n: int) -> int:
+    """Second Betti number of the rank-n resonance arrangement."""
+    return closed_form("betti2", n)
 
 
 def betti3_closed(n: int) -> int:
     """Third Betti number of the rank-n resonance arrangement."""
-    if n < 1:
-        raise ValueError("n must be positive")
-    via_stirling = (
-        9 * stirling2(n + 1, 4)
-        + 80 * stirling2(n + 1, 5)
-        + 345 * stirling2(n + 1, 6)
-        + 840 * stirling2(n + 1, 7)
-        + 840 * stirling2(n + 1, 8)
-    )
-    num = 4 * 8**n - 15 * 6**n + 15 * 5**n - 14 * 4**n + 18 * 3**n - 7 * 2**n - 1
-    via_powers, rem = divmod(num, 24)
-    if rem or via_stirling != via_powers:
-        raise InternalCheckError(
-            f"betti3 expressions disagree at n={n}: {via_stirling} vs {via_powers}"
-        )
-    return via_stirling
+    return closed_form("betti3", n)
 
 
 def betti_closed(i: int, n: int) -> int:
     """b_i(A_n) in closed form, for i in {1, 2, 3}."""
     if i not in (1, 2, 3):
         raise ValueError("closed forms exist for i in {1, 2, 3}")
-    if n < 1:
-        raise ValueError("n must be positive")
-    if i == 1:
-        return (1 << n) - 1
-    return betti2_closed(n) if i == 2 else betti3_closed(n)
+    return closed_form(f"betti{i}", n)
 
 
 def fit_stirling_coefficients(i: int, values) -> StirlingCombination:

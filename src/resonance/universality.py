@@ -277,7 +277,7 @@ def minor_matroid_check(emb: Embedding, matrix) -> bool:
     ):
         return False  # one carrier per column, every vector in the ambient space
     order = [*range(r, dim), *range(r)]  # helper coordinates first, base rows last
-    helper_basis = EchelonBasis(dim)
+    helper_basis = EchelonBasis()
     for h in emb.helper_vectors:
         helper_basis.add([h >> i & 1 for i in order])
     if helper_basis.rank != len(emb.helper_vectors):

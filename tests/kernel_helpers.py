@@ -33,7 +33,7 @@ def _validated_masks(masks, n):
 
 
 def _basis_of(masks, n):
-    basis = EchelonBasis(n)
+    basis = EchelonBasis()
     for m in masks:
         basis.add(mask_vector(m, n))
     return basis

@@ -1,4 +1,5 @@
 import json
+from math import factorial
 
 import pytest
 
@@ -132,6 +133,38 @@ def test_embed_commands_enforce_the_minor_check(tmp_path, capsys, monkeypatch):
     assert payload["verified"] is False
 
 
+TAMPERED = {
+    "matrix": [["9", "9"]],
+    "decompositions": [],
+    "coordinates": ["e1"],
+    "ambient_dim": 3,
+    "rows": 1,
+    "cols": 1,
+    "column_order": ["v1"],
+    "carriers": {},
+    "helpers": {},
+}
+
+
+@pytest.mark.parametrize("field", TAMPERED)
+def test_verify_embed_compares_every_certificate_field(tmp_path, capsys, field):
+    mat = tmp_path / "a.mat"
+    mat.write_text(REFERENCE_MATRIX)
+    cert = tmp_path / "cert.json"
+    assert main(["embed", "--input", str(mat), "--output", str(cert)]) == 0
+    stored = json.loads(cert.read_text())
+    assert stored.keys() == TAMPERED.keys() | {"command"}
+    stored[field] = TAMPERED[field]
+    cert.write_text(json.dumps(stored))
+    capsys.readouterr()
+    code, out = run_cli(capsys, "verify-embed", "--input", str(mat), "--cert", str(cert),
+                        "--format", "json")
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["certificate_consistent"] is False
+    assert payload["verified"] is False
+
+
 def test_verify_embed_detects_stale_certificate(tmp_path, capsys):
     mat = tmp_path / "a.mat"
     mat.write_text(REFERENCE_MATRIX)
@@ -212,6 +245,11 @@ EXIT_CASES = {
         ["charpoly", "--n", "3", "--method", "whitney", "--primes", "5,7,11,13"],
         1,
         "--primes applies only to --method ff",
+    ),
+    "primes-text": (
+        ["charpoly", "--n", "3", "--primes", "5,seven"],
+        1,
+        "--primes takes comma-separated integers, got 'seven'",
     ),
     "primes-nbc": (["regions", "--n", "3", "--method", "nbc", "--primes", "x"], 1, "not nbc"),
     "zero-denominator": (["embed", "--input", "{zero}"], 1, "zero denominator"),
@@ -321,12 +359,17 @@ def _stirling_off_at_four(monkeypatch):
     def wrong(n, k):
         return exact(n, k) + (k == 4)
 
-    for module in (stirling, circuits):  # circuits binds its own copy of the name
-        monkeypatch.setattr(module, "stirling2", wrong)
+    # Every closed form, the circuit counts included, reads stirling2 here.
+    monkeypatch.setattr(stirling, "stirling2", wrong)
 
 
 def _indivisible_census(monkeypatch):
     monkeypatch.setattr(prototypes, "_functional_counts", lambda i: ((i + 1, 1),))
+
+
+def _census_off_the_closed_form(monkeypatch):
+    # Divisible by i!, so only the comparison with the closed form refuses it.
+    monkeypatch.setattr(prototypes, "_functional_counts", lambda i: ((i + 1, factorial(i)),))
 
 
 # A corrupted input to each self-check: the library call raises
@@ -340,6 +383,8 @@ SELF_CHECKS = {
                 "triple-count expressions disagree", ["circuits-census", "--n", "3"]),
     "prototypes": (_indivisible_census, lambda: prototypes.coefficients(2),
                    "not divisible by 2!", ["prototypes", "--i", "2"]),
+    "prototypes-closed-form": (_census_off_the_closed_form, lambda: prototypes.coefficients(2),
+                               "the closed form b_2 has", ["prototypes", "--i", "2"]),
 }
 
 
@@ -466,7 +511,10 @@ def test_table1_region_row_through_six(capsys):
 
 
 def test_table1_depth_limited_row(capsys):
-    code, out = run_cli(capsys, "table1", "--n-max", "7", "--i-max", "3", "--format", "json")
+    # Two workers: the pooled point count, and half the time of the serial one
+    # that test_finite_field_a7_matches_golden_values already runs.
+    code, out = run_cli(capsys, "table1", "--n-max", "7", "--i-max", "3", "--threads", "2",
+                        "--format", "json")
     assert code == 0
     payload = json.loads(out)
     cell = next(c for c in payload["cells"] if c["row"] == "b3" and c["n"] == 7)

@@ -117,7 +117,7 @@ def test_fundamental_circuit_minimality():
         n = rng.randint(2, 5)
         universe = list(range(1, 1 << n))
         base = []
-        basis = EchelonBasis(n)
+        basis = EchelonBasis()
         for h in rng.sample(universe, len(universe)):
             if basis.add([(h >> i) & 1 for i in range(n)]):
                 base.append(h)
@@ -250,7 +250,7 @@ def test_exact_matrix_rank():
 
 
 def test_echelon_basis_tracks_rank():
-    basis = EchelonBasis(3)
+    basis = EchelonBasis()
     assert basis.add((1, 0, 0))
     assert basis.add((1, 1, 0))
     assert not basis.add((0, 1, 0))  # already spanned

@@ -1,11 +1,16 @@
 import random
+from collections import Counter
 
 import pytest
 
+from resonance import stirling
+from resonance.errors import InternalCheckError
 from resonance.stirling import (
+    CLOSED_FORMS,
     StirlingCombination,
     betti2_closed,
     betti3_closed,
+    closed_form,
     fit_stirling_coefficients,
     stirling2,
 )
@@ -71,6 +76,37 @@ def test_betti3_closed_row():
     assert betti3_closed(9) == 17153460
     for n, v in B3_ROW.items():
         assert betti3_closed(n) == v
+
+
+def test_every_closed_form_row_evaluates_both_ways():
+    assert len(CLOSED_FORMS) == 6
+    for name in CLOSED_FORMS:
+        for n in range(1, 61):
+            closed_form(name, n)
+        with pytest.raises(ValueError, match="n must be positive"):
+            closed_form(name, 0)
+
+
+def test_circuit_rows_combine_to_betti3():
+    # betti3 - triples + tetrahedra + rectangles vanishes as coefficient data,
+    # the power sums taken over their common divisor 24.
+    names = ("betti3", "triple-count", "tetrahedron-count", "rectangle-count")
+    for side, scale in ((0, lambda divisor: 1), (1, lambda divisor: 24 // divisor)):
+        total = Counter()
+        for sign, name in zip((1, -1, 1, 1), names):
+            row = CLOSED_FORMS[name]
+            for key, c in row[side].items():
+                total[key] += sign * scale(row[2]) * c
+        assert set(total.values()) == {0}
+
+
+@pytest.mark.parametrize("name", CLOSED_FORMS)
+def test_corrupted_stirling_numbers_fail_their_row(monkeypatch, name):
+    k = min(CLOSED_FORMS[name][0])
+    exact = stirling.stirling2
+    monkeypatch.setattr(stirling, "stirling2", lambda m, j: exact(m, j) + (j == k))
+    with pytest.raises(InternalCheckError, match=f"^{name} expressions disagree at n=3"):
+        closed_form(name, 3)
 
 
 def test_fit_recovers_known_combinations():
