@@ -208,10 +208,11 @@ def _point_counts(n: int, primes, workers: int) -> list[int]:
 def run_jobs(fn, jobs, workers: int):
     """Yield ``fn(job)`` for each job, in job order.
 
-    The pool has min(workers, jobs, usable cores) processes.  With one,
-    the jobs run in this process through ``map``; otherwise ``fn`` and
-    the jobs must pickle.  Where ``os.sched_getaffinity`` is missing
-    (macOS, Windows) the usable cores are ``os.cpu_count()``.
+    The pool has min(workers, jobs, usable cores) processes.  With fewer
+    than two (0 and negative counts included), the jobs run in this
+    process through ``map``; otherwise ``fn`` and the jobs must pickle.
+    Where ``os.sched_getaffinity`` is missing (macOS, Windows) the
+    usable cores are ``os.cpu_count()``.
     """
     size = min(workers, len(jobs))
     if size > 1:

@@ -118,14 +118,14 @@ def _circuits_census(args):
 def _embed(args):
     matrix = universality.read_matrix_file(args.input)
     emb = universality.embed(matrix, **_cap(args))
-    if not args.verify:
-        return universality.certificate_dict(emb)
-    ok, cert = universality.verify_embedding(emb, matrix)
-    cert["minor_matroid_check"] = universality.minor_matroid_check(emb, matrix)
-    if not ok:
-        raise InternalCheckError("embedding failed its own verification")
-    if not cert["minor_matroid_check"]:
-        raise InternalCheckError("embedding failed the minor matroid check")
+    cert = universality.certificate_dict(emb)
+    if args.verify:
+        ok, findings = universality.verify_embedding(emb, matrix)
+        cert.update(findings, minor_matroid_check=universality.minor_matroid_check(emb, matrix))
+        if not ok:
+            raise InternalCheckError("embedding failed its own verification")
+        if not cert["minor_matroid_check"]:
+            raise InternalCheckError("embedding failed the minor matroid check")
     return cert
 
 
@@ -139,12 +139,16 @@ def _verify_embed(args):
     if not isinstance(stored, dict):
         raise ValueError("certificate must be a JSON object")
     emb = universality.embed(matrix, **_cap(args))
-    fresh = universality.certificate_dict(emb)
+    cert = universality.certificate_dict(emb)
+    # Each field is compared as JSON text, so 1, 1.0 and true all differ.
     # Keys that ``embed --verify`` adds to the certificate are not compared.
-    stale = any(stored.get(k) != v for k, v in fresh.items())
-    ok, cert = universality.verify_embedding(emb, matrix)
-    cert["certificate_consistent"] = not stale
-    cert["minor_matroid_check"] = universality.minor_matroid_check(emb, matrix)
+    stale = any(
+        json.dumps(stored.get(k), sort_keys=True) != json.dumps(v, sort_keys=True)
+        for k, v in cert.items()
+    )
+    ok, findings = universality.verify_embedding(emb, matrix)
+    cert.update(findings, certificate_consistent=not stale,
+                minor_matroid_check=universality.minor_matroid_check(emb, matrix))
     cert["verified"] = ok and not stale and cert["minor_matroid_check"]
     return cert
 
@@ -280,8 +284,6 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return 0 if exc.code == 0 else 1
     _, _, build, render = COMMANDS[args.command]
-    if "threads" in args:
-        args.threads = max(1, args.threads)  # 0 and negative values mean one worker
     try:
         payload = {**build(args), "command": args.command}
         document = json.dumps(payload, indent=2, sort_keys=True)

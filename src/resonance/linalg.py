@@ -173,11 +173,3 @@ class ExactMatrix:
             r if i == row or not r[col] else tuple(a - r[col] * b for a, b in zip(r, pr))
             for i, r in enumerate(self.entries)
         )
-
-    def __eq__(self, other):
-        if not isinstance(other, ExactMatrix):
-            return NotImplemented
-        return self.entries == other.entries
-
-    def __repr__(self):
-        return f"ExactMatrix({self.entries!r})"

@@ -201,16 +201,17 @@ def verify_embedding(emb: Embedding, matrix) -> tuple[bool, dict]:
     coordinate row changes before its own pivot, each pivot entry is the
     1 ``embed`` put there, and the replay stays integral with no scaling.
 
-    Returns (ok, certificate); the certificate always records the
-    assembled data and every executed pivot, plus the reason on failure.
+    Returns (ok, findings): only what the replay found, namely
+    ``verified``, the executed ``pivots`` and the ``residual_matrix`` as
+    far as the replay got, plus the ``failure`` reason when it fails.
     """
     cleared = tuple(tuple(r) for r in _clear_columns(matrix))
-    cert = certificate_dict(emb)
+    findings = {}
 
     def fail(reason):
-        cert["verified"] = False
-        cert["failure"] = reason
-        return False, cert
+        findings["verified"] = False
+        findings["failure"] = reason
+        return False, findings
 
     if cleared != emb.cleared_matrix:
         return fail("matrix does not match the one the embedding was built for")
@@ -221,7 +222,7 @@ def verify_embedding(emb: Embedding, matrix) -> tuple[bool, dict]:
         return fail(f"expected {cols} blocks, {cols} carriers and {size} helpers, "
                     f"got {got[0]}, {got[1]} and {got[2]}")
     r = emb.rows
-    cert["pivots"] = executed = []
+    findings["pivots"] = executed = []
     residual = []
     for j, _, first, suffixes, pivots in _blocks(emb.decompositions):
         size = len(suffixes)
@@ -244,11 +245,11 @@ def verify_embedding(emb: Embedding, matrix) -> tuple[bool, dict]:
             if mat.column(1 + t) != [int(i == r + t) for i in range(r + size)]:
                 return fail(f"column {labels[1 + t]} did not reduce to a basis vector")
         residual.append(mat.column(0)[:r])
-    cert["residual_matrix"] = [[str(x) for x in row] for row in zip(*residual)]
+    findings["residual_matrix"] = [[str(x) for x in row] for row in zip(*residual)]
     if residual != [list(col) for col in zip(*emb.cleared_matrix)]:
         return fail("residual minor differs from the input matrix")
-    cert["verified"] = True
-    return True, cert
+    findings["verified"] = True
+    return True, findings
 
 
 def minor_matroid_check(emb: Embedding, matrix) -> bool:

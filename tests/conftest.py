@@ -3,10 +3,6 @@ import os
 import pytest
 
 
-def pytest_configure(config):
-    config.addinivalue_line("markers", "long_run: runs only with RESONANCE_LONG=1")
-
-
 def pytest_collection_modifyitems(config, items):
     """Skip every ``long_run`` test unless RESONANCE_LONG=1: each takes
     tens of seconds to minutes, or hundreds of MB."""

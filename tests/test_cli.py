@@ -133,6 +133,26 @@ def test_embed_commands_enforce_the_minor_check(tmp_path, capsys, monkeypatch):
     assert payload["verified"] is False
 
 
+def test_embed_commands_build_one_certificate(tmp_path, capsys, monkeypatch):
+    from resonance import universality
+
+    mat = tmp_path / "a.mat"
+    mat.write_text(REFERENCE_MATRIX)
+    cert = tmp_path / "cert.json"
+    assert main(["embed", "--input", str(mat), "--output", str(cert)]) == 0
+    calls = []
+    build = universality.certificate_dict
+    monkeypatch.setattr(universality, "certificate_dict", lambda emb: calls.append(emb) or build(emb))
+    for argv in (
+        ["embed", "--input", str(mat), "--verify"],
+        ["verify-embed", "--input", str(mat), "--cert", str(cert)],
+    ):
+        calls.clear()
+        assert main(argv) == 0
+        assert len(calls) == 1, argv[0]
+    assert capsys.readouterr().out.count("verified: True") == 2
+
+
 TAMPERED = {
     "matrix": [["9", "9"]],
     "decompositions": [],
@@ -146,15 +166,24 @@ TAMPERED = {
 }
 
 
-@pytest.mark.parametrize("field", TAMPERED)
-def test_verify_embed_compares_every_certificate_field(tmp_path, capsys, field):
+# In the certificate of [[1]], rows = cols = 1 and ambient_dim = 3.  Each
+# value below equals the stored int in Python, but not as JSON text.
+RETYPED = [("rows", 1.0), ("cols", 1.0), ("ambient_dim", 3.0), ("rows", True), ("cols", True)]
+
+
+@pytest.mark.parametrize(
+    "text, field, value",
+    [pytest.param(REFERENCE_MATRIX, f, v, id=f) for f, v in TAMPERED.items()]
+    + [pytest.param("1 1\n1\n", f, v, id=f"{f}-{json.dumps(v)}") for f, v in RETYPED],
+)
+def test_verify_embed_compares_every_certificate_field(tmp_path, capsys, text, field, value):
     mat = tmp_path / "a.mat"
-    mat.write_text(REFERENCE_MATRIX)
+    mat.write_text(text)
     cert = tmp_path / "cert.json"
     assert main(["embed", "--input", str(mat), "--output", str(cert)]) == 0
     stored = json.loads(cert.read_text())
     assert stored.keys() == TAMPERED.keys() | {"command"}
-    stored[field] = TAMPERED[field]
+    stored[field] = value
     cert.write_text(json.dumps(stored))
     capsys.readouterr()
     code, out = run_cli(capsys, "verify-embed", "--input", str(mat), "--cert", str(cert),
@@ -435,19 +464,19 @@ def test_json_output_round_trips(tmp_path, capsys):
 
 
 def test_thread_count_does_not_change_output(capsys):
-    _, one = run_cli(capsys, "betti", "--n", "5", "--i-max", "3", "--format", "json")
-    _, four = run_cli(
-        capsys, "betti", "--n", "5", "--i-max", "3", "--threads", "4", "--format", "json"
-    )
-    assert one == four
+    # Fewer than two workers, 0 and negative counts included, run in-process.
+    argv = ["betti", "--n", "5", "--i-max", "3", "--format", "json"]
+    _, one = run_cli(capsys, *argv)
+    for threads in ("4", "0", "-3"):
+        assert run_cli(capsys, *argv, "--threads", threads) == (0, one)
 
 
 def test_ff_worker_count_does_not_change_output(capsys):
     argv = ["charpoly", "--n", "5", "--method", "ff", "--format", "json"]
     _, one = run_cli(capsys, *argv, "--threads", "1")
-    _, two = run_cli(capsys, *argv, "--threads", "2")
     assert json.loads(one)["method"] == "ff"
-    assert one == two
+    for threads in ("2", "0", "-3"):
+        assert run_cli(capsys, *argv, "--threads", threads) == (0, one)
 
 
 def test_table1_report_small():

@@ -136,8 +136,21 @@ def test_verify_example_reproduces_pivoted_matrix():
     rows = {name: idx for idx, name in enumerate(emb.coordinate_names)}
     for row_name, col_label in cert["pivots"]:
         mat = mat.pivot(rows[row_name], order[col_label])
-    assert mat == ExactMatrix(EXAMPLE_AFTER)
+    assert mat.entries == ExactMatrix(EXAMPLE_AFTER).entries
     assert cert["residual_matrix"] == [["1", "-1"], ["-2", "0"], ["-1", "-1"]]
+
+
+def test_verify_returns_only_what_it_checked(monkeypatch):
+    from resonance import universality
+
+    def refuse(emb):
+        raise AssertionError("verify_embedding must not build a certificate")
+
+    monkeypatch.setattr(universality, "certificate_dict", refuse)
+    ok, findings = verify_embedding(embed(EXAMPLE), EXAMPLE)
+    assert ok and findings.keys() == {"verified", "pivots", "residual_matrix"}
+    ok, findings = verify_embedding(embed(EXAMPLE), [[1]])
+    assert not ok and findings.keys() == {"verified", "failure"}
 
 
 def test_pivots_pair_each_positive_level_with_its_shadow():
