@@ -33,7 +33,9 @@ class CharPoly:
 
     The unsigned coefficients, read from the top degree down, are the
     Betti numbers b_0 .. b_n.  Every instance is some route's chi(A_n),
-    so a failed check is an internal error, not bad input.
+    so a failed check is an internal error, not bad input.  A_n is
+    central and nonempty, so chi(1) = 0, which checks b_n against the
+    lower coefficients.
     """
 
     coeffs: tuple[int, ...]
@@ -49,6 +51,8 @@ class CharPoly:
                 raise InternalCheckError(f"coefficient of t^{n - i} has the wrong sign")
         if self.betti[1] != (1 << n) - 1:
             raise InternalCheckError("t^(n-1) coefficient must have absolute value 2^n - 1")
+        if self(1) != 0:
+            raise InternalCheckError("chi(1) must be 0: A_n is central and nonempty")
 
     @property
     def degree(self) -> int:

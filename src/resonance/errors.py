@@ -36,7 +36,8 @@ GUARDS = {
     # per hyperplane, past the interpreter's recursion limit at n=9.
     "deletion_restriction_n": 6,
     # Deepest NBC search for each n = 1 .. 7: full depth through n=6.
-    # Beyond it, at 2 workers: b_5(A_7) 4-6 s, b_6(A_7) 23-35 s, b_4(A_8) 7-8 s.
+    # Beyond it, at 2 workers: b_5(A_7) 4-6 s, b_6(A_7) 23-35 s, b_4(A_8) 7-8 s,
+    # chi(A_7) 32-35 s (86 s when the rank-7 level was formed).
     "nbc_depth": {**{n: n for n in range(1, 7)}, 7: 4},
     # Betti index of the prototype census.  It walks every injective map
     # {1..k-1} -> nonempty subsets of [i] for k = i+1 .. 2^i: 13650 maps at

@@ -48,6 +48,17 @@ about ``_BLOCK_PAIRS`` pairs for the next depth; the children of nodes
 at depth max - 2 are only counted.  One job per root hyperplane goes
 through ``run_jobs`` and the counts are summed, so neither the block
 cuts nor the worker count change them.
+
+At full depth the last level is not formed either.  A node of a set S
+with |S| = n - 2 holds rows in the 2-dimensional space modulo span(S),
+and a child of its pair (pos, j) holds rows in the 1-dimensional space
+modulo span(S + {pos}).  No row is zero, so every row of that child is
+the one direction of the line, scaled to a leading 1: its key is the
+same for every j, and the last copy leaves one row.  So a row of a
+node at depth n - 2 with a later row in its node makes exactly one NBC
+set of size n, and a node of s rows makes s - 1 of them.  The count of
+size n is the number of kept rows at depth n - 2 less the number of
+nodes they fall in.
 """
 
 from __future__ import annotations
@@ -213,12 +224,17 @@ def _expand(f, rows, parents, tails, depth, max_depth, counts):
     counts[depth + 2] += len(kept)
     if depth + 2 == max_depth:
         return
-    parents, new = parents.take(kept), new.take(kept, 0)
+    parents = parents.take(kept)
+    sizes = np.bincount(parents, minlength=len(rows))
+    if depth + 3 == max_depth == rows.shape[1]:
+        # The pairs of these children make the NBC sets of size n, one
+        # for each row with a later row in its node (module docstring).
+        counts[max_depth] += len(kept) - int(np.count_nonzero(sizes))
+        return
     # Nodes of one row have no pairs; their row is counted above.  The
     # kernel makes no comparisons (size // 2 picks the others): numpy's
     # comparison code alone would add 130 kB to the peak RSS.
-    sizes = np.bincount(parents, minlength=len(rows))
-    new = new.take(np.flatnonzero(sizes.take(parents) // 2), 0)
+    new = new.take(kept.take(np.flatnonzero(sizes.take(parents) // 2)), 0)
     sizes = sizes.take(np.flatnonzero(sizes // 2))
     # Free this level's pair arrays before descending: it lowers peak RSS.
     del parents, tails, keys, kept

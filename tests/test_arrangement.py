@@ -40,6 +40,13 @@ def test_charpoly_validation():
     assert CharPoly.from_betti((1, 7, 15, 9)) == poly
 
 
+def test_charpoly_requires_chi_of_one_to_vanish():
+    # Monic, signs alternating and b_1 = 7, but b_3 is one too many:
+    # chi(1) = -1.
+    with pytest.raises(InternalCheckError, match="chi\\(1\\) must be 0"):
+        CharPoly.from_betti((1, 7, 15, 10))
+
+
 def test_whitney_small():
     assert whitney_charpoly(1).coeffs == (-1, 1)
     assert whitney_charpoly(3).coeffs == CHI_A3

@@ -516,12 +516,12 @@ def test_table1_region_routes_must_agree_on_chi(monkeypatch):
     from resonance import table1 as t1
 
     exact = t1.whitney_charpoly
-    # Same region count 32 as chi(A_3), other Betti numbers.
-    off = CharPoly.from_betti((1, 7, 14, 10))
-    monkeypatch.setattr(t1, "whitney_charpoly", lambda n: off if n == 3 else exact(n))
-    assert build_report(2, 1)["mismatches"] == 0
-    with pytest.raises(InternalCheckError, match="chi\\(A_3\\) differs"):
-        build_report(3, 1)
+    # Same region count 370 and chi(1) = 0 as chi(A_4), other Betti numbers.
+    off = CharPoly.from_betti((1, 15, 81, 170, 103))
+    monkeypatch.setattr(t1, "whitney_charpoly", lambda n: off if n == 4 else exact(n))
+    assert build_report(3, 1)["mismatches"] == 0
+    with pytest.raises(InternalCheckError, match="chi\\(A_4\\) differs"):
+        build_report(4, 1)
 
 
 def test_table1_region_row_through_six(capsys):

@@ -196,19 +196,30 @@ def test_block_search_matches_the_integer_search_at_every_depth():
 def test_block_cuts_and_workers_do_not_change_counts(monkeypatch):
     # One pair per block cuts at every node; 10**9 never cuts.  b_4(A_6)
     # also covers b_3(A_6), and its depth-2 nodes are cut into blocks.
+    # chi(A_6), whose rank-6 level is counted from node sizes, is left out
+    # of the one-pair run, which would take too long on it.
     cases = [(n, n) for n in range(1, 6)] + [(6, 4)]
-    want = {(n, d): betti_via_nbc(n, d) for n, d in cases}
+    full = cases + [(6, 6)]
+    want = {(n, d): betti_via_nbc(n, d) for n, d in full}
     for n in range(1, 6):
         assert want[n, n] == list(whitney_charpoly(n).betti)
     assert want[6, 4] == [1] + [GOLDEN_BETTI[i][6] for i in range(1, 5)]
-    for n, d in cases:
+    for n, d in full:
         assert betti_via_nbc(n, d, workers=2) == want[n, d], n
     # One worker runs the jobs in this process, so the patched size is the
     # one used, whatever the pool's start method.
-    for block in (1, 10**9):
+    for block, runs in ((1, cases), (10**9, full)):
         monkeypatch.setattr(nbc, "_BLOCK_PAIRS", block)
-        for n, d in cases:
+        for n, d in runs:
             assert betti_via_nbc(n, d) == want[n, d], (block, n)
+
+
+def test_rank_n_count_leaves_the_lower_levels_unchanged():
+    # The full-depth search counts the rank-n level from the sizes of the
+    # nodes at depth n - 2 instead of forming it; every lower level is the
+    # one the search to depth n - 1 forms and counts.
+    for n in range(2, 7):
+        assert betti_via_nbc(n, n)[:n] == betti_via_nbc(n, n - 1), n
 
 
 def test_a8_depth_3_matches_the_closed_form():
@@ -237,8 +248,10 @@ def test_nbc_prime_is_the_first_prime_past_the_hadamard_bound():
 
 
 @pytest.mark.long_run
-def test_a7_cells_beyond_the_guard_match_ff():
-    assert betti_via_nbc(7, 6, workers=2, cap=None)[5:7] == list(finite_field_charpoly(7).betti[5:7])
+def test_a7_charpoly_by_nbc_matches_ff():
+    # The whole chi(A_7), so b_5, b_6 and b_7 each have a second route
+    # made of package code only (the search takes 32-35 s at 2 workers).
+    assert charpoly_via_nbc(7, workers=2, cap=None) == finite_field_charpoly(7)
 
 
 @pytest.mark.parametrize(
