@@ -256,8 +256,6 @@ def finite_field_charpoly(
     check_guard("finite-field method: n", n, cap)
     if n < 1:
         raise ValueError(f"n must be positive, got {n}")
-    if n not in MAX_01_DETERMINANT:
-        raise ValueError(f"no determinant bound tabulated for n={n}")
     if primes is None:
         primes = default_primes(n)
     primes = sorted(set(primes))

@@ -9,7 +9,12 @@ indicator sums), so
     b_3(A_n) = intersecting triples - tetrahedra - rectangles.
 
 Each count is a row of ``stirling.CLOSED_FORMS``, evaluated both as a
-Stirling combination and as an exponential sum that must agree.
+Stirling combination and as an exponential sum that must agree:
+``intersecting_triples`` (families of three distinct subsets of [n],
+pairwise intersecting), ``tetrahedron_circuits`` (S(n+1, 4), one per
+partition of [n+1] into four blocks) and ``rectangle_circuits``
+(3*S(n+1,4) + 12*S(n+1,5) + 15*S(n+1,6), each the image of eight
+labeled side-midpoint tuples).
 ``b3_via_circuits`` checks the difference against
 ``stirling.betti3_closed`` at every n; the explicit tetrahedron and
 side-midpoint enumerations that the formulas count live in the tests'
@@ -22,29 +27,13 @@ from .errors import InternalCheckError
 from .stirling import betti3_closed, closed_form
 
 
-def count_intersecting_triples(n: int) -> int:
-    """Families of three distinct subsets of [n], pairwise intersecting."""
-    return closed_form("triple-count", n)
-
-
-def count_tetrahedron_circuits(n: int) -> int:
-    """S(n+1, 4): one circuit per partition of [n+1] into four blocks."""
-    return closed_form("tetrahedron-count", n)
-
-
-def count_rectangle_circuits(n: int) -> int:
-    """3*S(n+1,4) + 12*S(n+1,5) + 15*S(n+1,6) rectangle circuits, each
-    the image of eight labeled side-midpoint tuples."""
-    return closed_form("rectangle-count", n)
-
-
 def b3_via_circuits(n: int) -> int:
     """Third Betti number assembled from the circuit census, checked
     against the closed form ``betti3_closed``."""
     value = (
-        count_intersecting_triples(n)
-        - count_tetrahedron_circuits(n)
-        - count_rectangle_circuits(n)
+        closed_form("intersecting_triples", n)
+        - closed_form("tetrahedron_circuits", n)
+        - closed_form("rectangle_circuits", n)
     )
     closed = betti3_closed(n)
     if value != closed:

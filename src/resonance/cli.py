@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from math import log10
 
@@ -25,7 +26,7 @@ from . import circuits, nbc, table1, universality
 from .arrangement import region_count
 from .errors import GuardExceeded, InternalCheckError
 from .prototypes import coefficients
-from .stirling import betti_closed, fit_stirling_coefficients
+from .stirling import betti_closed, closed_form, fit_stirling_coefficients
 
 
 def _cap(args):
@@ -106,13 +107,9 @@ def _fit_coeffs(args):
 
 def _circuits_census(args):
     _check_printable(f"circuit counts of A_{args.n}", 3 * args.n)  # each count < 8^n
-    return {
-        "n": args.n,
-        "intersecting_triples": str(circuits.count_intersecting_triples(args.n)),
-        "tetrahedron_circuits": str(circuits.count_tetrahedron_circuits(args.n)),
-        "rectangle_circuits": str(circuits.count_rectangle_circuits(args.n)),
-        "b3": str(circuits.b3_via_circuits(args.n)),
-    }
+    counts = [closed_form(key, args.n) for key in _CENSUS[:-1]]
+    counts.append(circuits.b3_via_circuits(args.n))
+    return {"n": args.n, **{key: str(c) for key, c in zip(_CENSUS, counts)}}
 
 
 def _embed(args):
@@ -154,9 +151,6 @@ def _verify_embed(args):
 
 
 def _table1(args):
-    if args.guard_override:
-        raise ValueError("table1 runs every route at its default size guard; "
-                         "--guard-override does not apply")
     report = table1.build_report(args.n_max, args.i_max, workers=args.threads)
     if report["mismatches"]:
         raise InternalCheckError(f"{report['mismatches']} golden cells mismatched")
@@ -254,7 +248,7 @@ COMMANDS = {
     "table1": (
         "recompute golden table cells and compare",
         [("--n-max", {"type": int, "default": 4}), ("--i-max", {"type": int, "default": 4}),
-         _THREADS, _OVERRIDE],
+         _THREADS],
         _table1,
         _render_table1,
     ),
@@ -299,7 +293,13 @@ def main(argv=None) -> int:
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    print(document if args.format == "json" else render(payload))
+    try:
+        print(document if args.format == "json" else render(payload), flush=True)
+    except BrokenPipeError:
+        # The reader left.  Point stdout at devnull, so that the flush at
+        # exit does not fail again with "Exception ignored".
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     return 0
 
 

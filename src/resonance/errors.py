@@ -3,8 +3,8 @@
 ``GUARDS`` is the one table of default input-size limits.  Every
 guarded entry point takes a ``cap`` parameter that defaults to its row
 here; ``cap=None`` lifts the guard (the CLI's ``--guard-override``,
-which names no row and which ``table1`` refuses: its report runs every
-route at its default).
+which names no row).  ``table1`` takes no override: its report runs
+every route at its default.
 """
 
 

@@ -62,15 +62,16 @@ class StirlingCombination:
 #     value(n) = sum c * S(n+1, k) = (sum c * b**n) / d.
 # The b_i rows are sum_k c_{i,k} S(n+1, k); the three circuit counts give
 # b_3 = triples - tetrahedra - rectangles, coefficient by coefficient.
+# Each circuit row is named by its ``circuits-census`` JSON key.
 CLOSED_FORMS = {
     "betti1": ({2: 1}, {2: 1, 1: -1}, 1),
     "betti2": ({3: 2, 4: 3}, {4: 1, 3: -1, 2: -1, 1: 1}, 2),
     "betti3": ({4: 9, 5: 80, 6: 345, 7: 840, 8: 840},
                {8: 4, 6: -15, 5: 15, 4: -14, 3: 18, 2: -7, 1: -1}, 24),
-    "triple-count": ({4: 13, 5: 92, 6: 360, 7: 840, 8: 840},
-                     {8: 1, 6: -3, 5: 3, 4: -4, 3: 3, 2: 2, 1: -2}, 6),
-    "tetrahedron-count": ({4: 1}, {4: 1, 3: -3, 2: 3, 1: -1}, 6),
-    "rectangle-count": ({4: 3, 5: 12, 6: 15}, {6: 1, 5: -1, 4: -2, 3: 2, 2: 1, 1: -1}, 8),
+    "intersecting_triples": ({4: 13, 5: 92, 6: 360, 7: 840, 8: 840},
+                             {8: 1, 6: -3, 5: 3, 4: -4, 3: 3, 2: 2, 1: -2}, 6),
+    "tetrahedron_circuits": ({4: 1}, {4: 1, 3: -3, 2: 3, 1: -1}, 6),
+    "rectangle_circuits": ({4: 3, 5: 12, 6: 15}, {6: 1, 5: -1, 4: -2, 3: 2, 2: 1, 1: -1}, 8),
 }
 
 

@@ -76,39 +76,38 @@ class Embedding:
     """The compiled minor presentation of an integer matrix.
 
     Coordinates come as the r base rows followed by one block per
-    column (see ``_blocks``); every carrier and helper is a nonzero 0/1
-    vector of the ambient space, stored as a bitmask over the coordinate
-    list.
+    column; ``_blocks`` lays out and names each block.  Every carrier
+    and helper is a nonzero 0/1 vector of the ambient space, stored as
+    a bitmask over the coordinates.
     """
 
-    rows: int
-    cols: int
+    cleared_matrix: tuple[tuple[int, ...], ...]
+    decompositions: tuple[ColumnDecomposition, ...]
     ambient_dim: int
-    coordinate_names: tuple[str, ...]
     carrier_vectors: tuple[int, ...]    # one per input column, in order
     helper_vectors: tuple[int, ...]     # contracted away, in column order
-    column_order: tuple[str, ...]       # certificate column labels
-    decompositions: tuple[ColumnDecomposition, ...]
-    cleared_matrix: tuple[tuple[int, ...], ...]
 
 
 def _blocks(decs):
     """The column blocks of an embedding, in order:
-    (j, decomposition, first, suffixes, pivot order).
+    (j, decomposition, first, coordinate names, column labels, pivot order).
 
     Block j owns coordinates ``rows + first + t`` and helpers ``first + t``
-    for t < len(suffixes); suffix s names coordinate ``e{j},s`` and helper
-    ``r{j},s``.  The suffixes are -k for each negative level, then +k,
-    then ++k for each positive level.  Helper t pivots on coordinate t:
-    the negative helpers first, then each +k just before its ++k.
+    for t < len(names); suffix s names coordinate ``e{j},s`` and helper
+    ``r{j},s``, and the labels are the carrier ``v{j}`` then the helpers.
+    The suffixes are -k for each negative level, then +k, then ++k for
+    each positive level.  Helper t pivots on coordinate t: the negative
+    helpers first, then each +k just before its ++k.
     """
     first = 0
     for j, dec in enumerate(decs):
         m, p = len(dec.negative_sets), len(dec.positive_sets)
         suffixes = [f"-{k}" for k in range(1, m + 1)]
         suffixes += [f"+{k}" for k in range(1, p + 1)] + [f"++{k}" for k in range(1, p + 1)]
+        names = [f"e{j + 1},{s}" for s in suffixes]
+        labels = [f"v{j + 1}"] + [f"r{j + 1},{s}" for s in suffixes]
         pivots = [*range(m), *(t for k in range(m, m + p) for t in (k, k + p))]
-        yield j, dec, first, suffixes, pivots
+        yield j, dec, first, names, labels, pivots
         first += len(suffixes)
 
 
@@ -152,32 +151,24 @@ def embed(matrix, cap: int | None = GUARDS["embed_ambient"]) -> Embedding:
             raise InternalCheckError("level-set decomposition failed to reconstruct")
         decs.append(dec)
 
-    names = [f"e{i + 1}" for i in range(nrows)]
-    carriers, helpers, order = [], [], []
-    for j, dec, first, suffixes, _ in _blocks(decs):
+    carriers, helpers = [], []
+    for _, dec, first, names, _, _ in _blocks(decs):
         m, p = len(dec.negative_sets), len(dec.positive_sets)
-        names += [f"e{j + 1},{s}" for s in suffixes]
-        order += [f"v{j + 1}"] + [f"r{j + 1},{s}" for s in suffixes]
-        bit = [1 << (nrows + first + t) for t in range(len(suffixes))]
+        bit = [1 << (nrows + first + t) for t in range(len(names))]
         carriers.append(sum(bit[:m]) + sum(bit[m + p :]))
         helpers += [nk | bit[k] for k, nk in enumerate(dec.negative_sets)]
         helpers += [pk | bit[m + k] for k, pk in enumerate(dec.positive_sets)]
         helpers += [bit[m + k] | bit[m + p + k] for k in range(p)]
-    ambient = len(names)
 
     vectors = carriers + helpers
     if 0 in vectors or len(set(vectors)) != len(vectors):
         raise InternalCheckError("embedding vectors must be distinct and nonzero")
     return Embedding(
-        rows=nrows,
-        cols=ncols,
-        ambient_dim=ambient,
-        coordinate_names=tuple(names),
+        cleared_matrix=tuple(tuple(r) for r in cleared),
+        decompositions=tuple(decs),
+        ambient_dim=nrows + levels,
         carrier_vectors=tuple(carriers),
         helper_vectors=tuple(helpers),
-        column_order=tuple(order),
-        decompositions=tuple(decs),
-        cleared_matrix=tuple(tuple(r) for r in cleared),
     )
 
 
@@ -215,18 +206,16 @@ def verify_embedding(emb: Embedding, matrix) -> tuple[bool, dict]:
 
     if cleared != emb.cleared_matrix:
         return fail("matrix does not match the one the embedding was built for")
-    cols = len(cleared[0])
-    size = sum(len(suffixes) for *_, suffixes, _ in _blocks(emb.decompositions))
+    r, cols = len(cleared), len(cleared[0])
+    size = sum(len(names) for *_, names, _, _ in _blocks(emb.decompositions))
     got = (len(emb.decompositions), len(emb.carrier_vectors), len(emb.helper_vectors))
     if got != (cols, cols, size):
         return fail(f"expected {cols} blocks, {cols} carriers and {size} helpers, "
                     f"got {got[0]}, {got[1]} and {got[2]}")
-    r = emb.rows
     findings["pivots"] = executed = []
     residual = []
-    for j, _, first, suffixes, pivots in _blocks(emb.decompositions):
-        size = len(suffixes)
-        labels = [f"v{j + 1}"] + [f"r{j + 1},{s}" for s in suffixes]
+    for j, _, first, names, labels, pivots in _blocks(emb.decompositions):
+        size = len(names)
         vectors = [emb.carrier_vectors[j], *emb.helper_vectors[first : first + size]]
         coords = [*range(r), *range(r + first, r + first + size)]
         own = sum(1 << i for i in coords)
@@ -235,7 +224,7 @@ def verify_embedding(emb: Embedding, matrix) -> tuple[bool, dict]:
             return fail(f"vector {stray} leaves column block {j + 1}")
         mat = ExactMatrix([[v >> i & 1 for v in vectors] for i in coords])
         for t in pivots:
-            row_name, col_label = f"e{j + 1},{suffixes[t]}", labels[1 + t]
+            row_name, col_label = names[t], labels[1 + t]
             entry = mat.entries[r + t][1 + t]
             if entry != 1:
                 return fail(f"pivot entry {entry} at row {row_name}, column {col_label} is not 1")
@@ -272,7 +261,7 @@ def minor_matroid_check(emb: Embedding, matrix) -> bool:
     cleared = _clear_columns(matrix)
     if tuple(tuple(r) for r in cleared) != emb.cleared_matrix:
         return False
-    r, dim = emb.rows, emb.ambient_dim
+    r, dim = len(cleared), emb.ambient_dim
     if len(emb.carrier_vectors) != len(cleared[0]) or any(
         v >> dim for v in emb.carrier_vectors + emb.helper_vectors
     ):
@@ -299,19 +288,21 @@ def certificate_dict(emb: Embedding) -> dict:
     def bits(v):
         return "".join("1" if v >> i & 1 else "0" for i in range(emb.ambient_dim))
 
+    rows = len(emb.cleared_matrix)
+    blocks = [(names, labels) for _, _, _, names, labels, _ in _blocks(emb.decompositions)]
     # Paired in order, so a malformed embedding still gets a certificate;
     # ``verify_embedding`` checks the counts.
-    helper_labels = (
-        f"r{j + 1},{s}" for j, _, _, suffixes, _ in _blocks(emb.decompositions) for s in suffixes
-    )
+    carriers = zip((labels[0] for _, labels in blocks), emb.carrier_vectors)
+    helpers = zip((lab for _, labels in blocks for lab in labels[1:]), emb.helper_vectors)
     return {
-        "rows": emb.rows,
-        "cols": emb.cols,
+        "rows": rows,
+        "cols": len(emb.cleared_matrix[0]),
         "ambient_dim": emb.ambient_dim,
-        "coordinates": list(emb.coordinate_names),
-        "column_order": list(emb.column_order),
-        "carriers": {f"v{j + 1}": bits(v) for j, v in enumerate(emb.carrier_vectors)},
-        "helpers": dict(zip(helper_labels, map(bits, emb.helper_vectors))),
+        "coordinates": [f"e{i + 1}" for i in range(rows)]
+        + [name for names, _ in blocks for name in names],
+        "column_order": [lab for _, labels in blocks for lab in labels],
+        "carriers": {lab: bits(v) for lab, v in carriers},
+        "helpers": {lab: bits(v) for lab, v in helpers},
         "decompositions": [
             {
                 "positive": [format_mask(p) for p in d.positive_sets],

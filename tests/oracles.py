@@ -391,24 +391,24 @@ def region_log2_bound(n: int) -> tuple[int, bool]:
     return exponent, total < 2**exponent
 
 
-def certificate_columns(emb):
-    """The embedding's 0/1 column masks in ``column_order``: each carrier
-    v_j followed by the helpers listed after it."""
-    carriers, helpers = iter(emb.carrier_vectors), iter(emb.helper_vectors)
-    return [next(carriers if lab.startswith("v") else helpers) for lab in emb.column_order]
+def certificate_columns(certificate):
+    """The 0/1 columns of an embedding certificate (``certificate_dict``),
+    each a list over its coordinates, in its ``column_order``."""
+    vectors = {**certificate["carriers"], **certificate["helpers"]}
+    return [[int(b) for b in vectors[lab]] for lab in certificate["column_order"]]
 
 
-def dense_pivot_replay(emb, pivots):
-    """Gauss-Jordan over Q on the whole ambient matrix of the embedding.
+def dense_pivot_replay(certificate, pivots):
+    """Gauss-Jordan over Q on the whole ambient matrix of a certificate.
 
     Pivots the ambient_dim x (carriers + helpers) 0/1 matrix at each
     [row name, column label] pair in turn and returns the pivoted
     columns by label.
     """
-    labels = list(emb.column_order)
-    cols = certificate_columns(emb)
-    rows = [[Fraction(c >> i & 1) for c in cols] for i in range(emb.ambient_dim)]
-    row_of = {name: i for i, name in enumerate(emb.coordinate_names)}
+    labels = certificate["column_order"]
+    cols = certificate_columns(certificate)
+    rows = [[Fraction(c[i]) for c in cols] for i in range(certificate["ambient_dim"])]
+    row_of = {name: i for i, name in enumerate(certificate["coordinates"])}
     col_of = {lab: j for j, lab in enumerate(labels)}
     for name, lab in pivots:
         r, c = row_of[name], col_of[lab]

@@ -16,15 +16,11 @@ from resonance.arrangement import (
     region_count,
     whitney_charpoly,
 )
-from resonance.circuits import (
-    b3_via_circuits,
-    count_rectangle_circuits,
-    count_tetrahedron_circuits,
-)
+from resonance.circuits import b3_via_circuits
 from resonance.cli import main
 from resonance.nbc import betti_via_nbc, charpoly_via_nbc, is_nbc
 from resonance.prototypes import coefficients
-from resonance.stirling import betti2_closed, betti3_closed, fit_stirling_coefficients
+from resonance.stirling import betti2_closed, betti3_closed, closed_form, fit_stirling_coefficients
 from resonance.table1 import GOLDEN_BETTI, GOLDEN_REGIONS
 from resonance.universality import embed, minor_matroid_check, verify_embedding
 
@@ -118,9 +114,9 @@ def test_criterion_7_circuit_census():
         assert b3_via_circuits(n) == betti3_closed(n)
     for n in range(1, 5):
         tetra = set(tetrahedron_circuits(n))
-        assert len(tetra) == count_tetrahedron_circuits(n)
+        assert len(tetra) == closed_form("tetrahedron_circuits", n)
         rects = rectangle_circuit_families(n)
-        assert len(rects) == count_rectangle_circuits(n)
+        assert len(rects) == closed_form("rectangle_circuits", n)
     assert time.time() - t < 60
     report("criterion 7 b3 via circuits n<=9, enumerations n<=4", t)
 

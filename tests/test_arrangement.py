@@ -306,6 +306,15 @@ def test_jobs_run_without_sched_getaffinity(monkeypatch):
     assert charpoly_via_nbc(3, workers=2) == charpoly_via_nbc(3) == CharPoly(CHI_A3)
 
 
+def test_finite_field_refuses_n_without_a_determinant_bound():
+    # Without primes default_primes refuses n=9; with them, the prime check.
+    with pytest.raises(ValueError, match="no determinant bound tabulated for n=9"):
+        finite_field_charpoly(9, cap=None)
+    primes = [101, 103, 107, 109, 113, 127, 131, 137, 139, 149]
+    with pytest.raises(ValueError, match="no determinant bound tabulated for n=9"):
+        finite_field_charpoly(9, primes=primes, cap=None)
+
+
 def test_default_primes_exceed_determinant_bound():
     assert default_primes(2) == [2, 3, 5]
     assert default_primes(6)[:3] == [11, 13, 17]

@@ -3,15 +3,10 @@ from itertools import combinations
 import pytest
 
 from resonance import circuits
-from resonance.circuits import (
-    b3_via_circuits,
-    count_intersecting_triples,
-    count_rectangle_circuits,
-    count_tetrahedron_circuits,
-)
+from resonance.circuits import b3_via_circuits
 from resonance.errors import InternalCheckError
 from resonance.nbc import is_nbc
-from resonance.stirling import betti3_closed, stirling2
+from resonance.stirling import betti3_closed, closed_form, stirling2
 
 from kernel_helpers import CircuitTag, classify_relevant_4circuit, sides_from_rectangle
 from oracles import (
@@ -47,8 +42,8 @@ def test_triples_formula_vs_bruteforce():
     # both sides give 0 (no three distinct subsets of a 2-set intersect
     # pairwise), so there is no discrepancy to reconcile.
     for n in range(1, 6):
-        assert count_intersecting_triples(n) == intersecting_triples_bruteforce(n)
-    assert count_intersecting_triples(2) == 0
+        assert closed_form("intersecting_triples", n) == intersecting_triples_bruteforce(n)
+    assert closed_form("intersecting_triples", 2) == 0
 
 
 def test_partition_enumeration_counts_are_stirling():
@@ -58,9 +53,9 @@ def test_partition_enumeration_counts_are_stirling():
 
 
 def test_triples_known_values():
-    assert count_intersecting_triples(1) == 0
-    assert count_intersecting_triples(3) == 13
-    assert count_intersecting_triples(4) == 222
+    assert closed_form("intersecting_triples", 1) == 0
+    assert closed_form("intersecting_triples", 3) == 13
+    assert closed_form("intersecting_triples", 4) == 222
 
 
 def test_classify_reference_families():
@@ -88,9 +83,9 @@ def test_classifier_matches_linear_algebra_census():
 
 
 def test_tetrahedron_counts():
-    assert count_tetrahedron_circuits(2) == 0
-    assert count_tetrahedron_circuits(3) == 1
-    assert count_tetrahedron_circuits(5) == 65
+    assert closed_form("tetrahedron_circuits", 2) == 0
+    assert closed_form("tetrahedron_circuits", 3) == 1
+    assert closed_form("tetrahedron_circuits", 5) == 65
     assert set(tetrahedron_circuits(3)) == {
         frozenset({M([1, 2]), M([1, 3]), M([2, 3]), M([1, 2, 3])})
     }
@@ -145,10 +140,11 @@ def test_sides_from_rectangle_rejects_degenerate():
 
 
 def test_rectangle_counts():
-    assert count_rectangle_circuits(2) == 0
-    assert count_rectangle_circuits(3) == 3
-    assert count_rectangle_circuits(4) == 3 * 10 + 12 * 1
-    assert count_rectangle_circuits(5) == 3 * stirling2(6, 4) + 12 * stirling2(6, 5) + 15 * stirling2(6, 6)
+    assert closed_form("rectangle_circuits", 2) == 0
+    assert closed_form("rectangle_circuits", 3) == 3
+    assert closed_form("rectangle_circuits", 4) == 3 * 10 + 12 * 1
+    expected = 3 * stirling2(6, 4) + 12 * stirling2(6, 5) + 15 * stirling2(6, 6)
+    assert closed_form("rectangle_circuits", 5) == expected
 
 
 def test_rectangles_classify_as_type_three_or_four():
@@ -193,7 +189,9 @@ def test_b3_assembly():
 
 
 def test_b3_assembly_is_checked_against_the_closed_form(monkeypatch):
-    exact = circuits.count_rectangle_circuits
-    monkeypatch.setattr(circuits, "count_rectangle_circuits", lambda n: exact(n) + 1)
+    exact = circuits.closed_form
+    monkeypatch.setattr(
+        circuits, "closed_form", lambda name, n: exact(name, n) + (name == "rectangle_circuits")
+    )
     with pytest.raises(InternalCheckError, match="closed form"):
         b3_via_circuits(5)

@@ -1,9 +1,13 @@
 import json
+import os
+import subprocess
+import sys
 from math import factorial
+from pathlib import Path
 
 import pytest
 
-from resonance import arrangement, circuits, prototypes, stirling, table1
+from resonance import arrangement, prototypes, stirling, table1
 from resonance.arrangement import CharPoly
 from resonance.cli import main
 from resonance.errors import InternalCheckError
@@ -260,6 +264,7 @@ EXIT_CASES = {
     # --threads and --guard-override exist only where the command reads them.
     "closed-form-threads": (["closed-form", "--i", "3", "--n", "9", "--threads", "2"], 1, None),
     "census-override": (["circuits-census", "--n", "3", "--guard-override"], 1, None),
+    "table1-override": (["table1", "--n-max", "2", "--i-max", "1", "--guard-override"], 1, None),
     "guard": (["charpoly", "--n", "9"], 2, "n capped at 7"),
     "huge-prime": (
         ["charpoly", "--n", "2", "--method", "ff", "--primes", "3,5,1000000000000000003"],
@@ -322,12 +327,6 @@ EXIT_CASES = {
     "closed-form-i3-huge": (["closed-form", "--i", "3", "--n", "200000"], 1, "decimal digits"),
     "census-huge": (["circuits-census", "--n", "200000"], 1, "decimal digits"),
     "closed-form-i2-huge": (["closed-form", "--i", "2", "--n", "20000"], 1, "decimal digits"),
-    # The report runs every route at its default guard; the flag would be ignored.
-    "table1-override": (
-        ["table1", "--n-max", "2", "--i-max", "1", "--guard-override"],
-        1,
-        "--guard-override does not apply",
-    ),
 }
 
 
@@ -408,8 +407,8 @@ SELF_CHECKS = {
                "betti2 expressions disagree", ["closed-form", "--i", "2", "--n", "3"]),
     "betti3": (_stirling_off_at_four, lambda: stirling.betti3_closed(3),
                "betti3 expressions disagree", ["closed-form", "--i", "3", "--n", "3"]),
-    "triples": (_stirling_off_at_four, lambda: circuits.count_intersecting_triples(3),
-                "triple-count expressions disagree", ["circuits-census", "--n", "3"]),
+    "triples": (_stirling_off_at_four, lambda: stirling.closed_form("intersecting_triples", 3),
+                "intersecting_triples expressions disagree", ["circuits-census", "--n", "3"]),
     "prototypes": (_indivisible_census, lambda: prototypes.coefficients(2),
                    "not divisible by 2!", ["prototypes", "--i", "2"]),
     "prototypes-closed-form": (_census_off_the_closed_form, lambda: prototypes.coefficients(2),
@@ -450,6 +449,25 @@ def test_embed_ambient_guard(tmp_path, capsys):
     code, out = run_cli(capsys, "embed", "--input", str(wide), "--guard-override", "--format", "json")
     assert code == 0
     assert json.loads(out)["ambient_dim"] == 257
+
+
+def test_closed_stdout_exits_1_without_a_traceback():
+    # The pipe's read end is closed before the command starts, so its
+    # first write to stdout fails with EPIPE.
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        run = subprocess.run(
+            [sys.executable, "-m", "resonance.cli", "closed-form", "--i", "3", "--n", "9",
+             "--format", "json"],
+            stdout=write_end, stderr=subprocess.PIPE, env={**os.environ, "PYTHONPATH": path},
+        )
+    finally:
+        os.close(write_end)
+    assert run.returncode == 1
+    assert run.stderr == b""
 
 
 def test_json_output_round_trips(tmp_path, capsys):

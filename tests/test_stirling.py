@@ -90,7 +90,7 @@ def test_every_closed_form_row_evaluates_both_ways():
 def test_circuit_rows_combine_to_betti3():
     # betti3 - triples + tetrahedra + rectangles vanishes as coefficient data,
     # the power sums taken over their common divisor 24.
-    names = ("betti3", "triple-count", "tetrahedron-count", "rectangle-count")
+    names = ("betti3", "intersecting_triples", "tetrahedron_circuits", "rectangle_circuits")
     for side, scale in ((0, lambda divisor: 1), (1, lambda divisor: 24 // divisor)):
         total = Counter()
         for sign, name in zip((1, -1, 1, 1), names):

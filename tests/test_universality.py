@@ -7,6 +7,7 @@ import pytest
 
 from resonance.linalg import bareiss_rank
 from resonance.universality import (
+    certificate_dict,
     decompose_column,
     embed,
     minor_matroid_check,
@@ -83,9 +84,11 @@ def test_embed_example_matches_display():
     emb = embed(EXAMPLE)
     assert emb.ambient_dim == 8
     assert len(emb.helper_vectors) == 5
-    assert emb.column_order == ("v1", "r1,-1", "r1,-2", "r1,+1", "r1,++1", "v2", "r2,-1")
-    cols = certificate_columns(emb)
-    got = [[(c >> i) & 1 for c in cols] for i in range(8)]
+    certificate = certificate_dict(emb)
+    order = ["v1", "r1,-1", "r1,-2", "r1,+1", "r1,++1", "v2", "r2,-1"]
+    assert certificate["column_order"] == order
+    cols = certificate_columns(certificate)
+    got = [[c[i] for c in cols] for i in range(8)]
     assert got == EXAMPLE_BEFORE
 
 
@@ -97,8 +100,9 @@ def test_embed_vector_invariants():
     assert all(v < (1 << emb.ambient_dim) for v in vectors)
     m_minus = [len(d.negative_sets) for d in emb.decompositions]
     m_plus = [len(d.positive_sets) for d in emb.decompositions]
-    assert emb.ambient_dim == emb.rows + sum(m + 2 * p for m, p in zip(m_minus, m_plus))
-    assert len(emb.helper_vectors) == sum(m + 2 * p for m, p in zip(m_minus, m_plus))
+    levels = sum(m + 2 * p for m, p in zip(m_minus, m_plus))
+    assert emb.ambient_dim == len(emb.cleared_matrix) + levels
+    assert len(emb.helper_vectors) == levels
 
 
 def test_embed_identity_and_single_entry():
@@ -132,8 +136,9 @@ def test_verify_example_reproduces_pivoted_matrix():
     from resonance.linalg import ExactMatrix
 
     mat = ExactMatrix(EXAMPLE_BEFORE)
-    order = {lab: idx for idx, lab in enumerate(emb.column_order)}
-    rows = {name: idx for idx, name in enumerate(emb.coordinate_names)}
+    layout = certificate_dict(emb)
+    order = {lab: idx for idx, lab in enumerate(layout["column_order"])}
+    rows = {name: idx for idx, name in enumerate(layout["coordinates"])}
     for row_name, col_label in cert["pivots"]:
         mat = mat.pivot(rows[row_name], order[col_label])
     assert mat.entries == ExactMatrix(EXAMPLE_AFTER).entries
@@ -167,17 +172,7 @@ def test_verify_detects_tampering():
     emb = embed(EXAMPLE)
     flipped = list(emb.helper_vectors)
     flipped[0] ^= 1 << 2  # flip one bit of one helper
-    tampered = type(emb)(
-        rows=emb.rows,
-        cols=emb.cols,
-        ambient_dim=emb.ambient_dim,
-        coordinate_names=emb.coordinate_names,
-        carrier_vectors=emb.carrier_vectors,
-        helper_vectors=tuple(flipped),
-        column_order=emb.column_order,
-        decompositions=emb.decompositions,
-        cleared_matrix=emb.cleared_matrix,
-    )
+    tampered = dataclasses.replace(emb, helper_vectors=tuple(flipped))
     ok, cert = verify_embedding(tampered, EXAMPLE)
     assert not ok
     assert "failure" in cert
@@ -186,7 +181,8 @@ def test_verify_detects_tampering():
 def test_verify_rejects_vector_outside_its_block():
     emb = embed(EXAMPLE)
     flipped = list(emb.helper_vectors)
-    flipped[0] |= 1 << emb.coordinate_names.index("e2,-1")  # block 2's coordinate
+    coordinates = certificate_dict(emb)["coordinates"]
+    flipped[0] |= 1 << coordinates.index("e2,-1")  # block 2's coordinate
     tampered = dataclasses.replace(emb, helper_vectors=tuple(flipped))
     ok, cert = verify_embedding(tampered, EXAMPLE)
     assert not ok and cert["verified"] is False
@@ -241,16 +237,8 @@ def test_minor_check_example_exhaustive():
 
 def test_minor_check_detects_duplicate_carrier():
     emb = embed(EXAMPLE)
-    broken = type(emb)(
-        rows=emb.rows,
-        cols=emb.cols,
-        ambient_dim=emb.ambient_dim,
-        coordinate_names=emb.coordinate_names,
-        carrier_vectors=(emb.helper_vectors[0], emb.carrier_vectors[1]),
-        helper_vectors=emb.helper_vectors,
-        column_order=emb.column_order,
-        decompositions=emb.decompositions,
-        cleared_matrix=emb.cleared_matrix,
+    broken = dataclasses.replace(
+        emb, carrier_vectors=(emb.helper_vectors[0], emb.carrier_vectors[1])
     )
     assert not minor_matroid_check(broken, EXAMPLE)
 
@@ -317,14 +305,15 @@ def test_random_matrices_verify_and_contract():
         assert ok
         assert minor_matroid_check(emb, matrix)
         # the block-local replay agrees with pivoting the whole ambient matrix
-        replay = dense_pivot_replay(emb, cert["pivots"])
+        layout = certificate_dict(emb)
+        replay = dense_pivot_replay(layout, cert["pivots"])
         carriers = [replay[f"v{j + 1}"] for j in range(n)]
         assert [[str(c[i]) for c in carriers] for i in range(r)] == cert["residual_matrix"]
         assert sorted(lab for _, lab in cert["pivots"]) == sorted(
-            lab for lab in emb.column_order if lab.startswith("r")
+            lab for lab in layout["column_order"] if lab.startswith("r")
         )
         for row_name, lab in cert["pivots"]:
-            unit = emb.coordinate_names.index(row_name)
+            unit = layout["coordinates"].index(row_name)
             assert replay[lab] == [int(i == unit) for i in range(emb.ambient_dim)]
         # independent spot check of one rank identity via the oracle
         dim = emb.ambient_dim
