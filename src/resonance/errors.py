@@ -36,13 +36,13 @@ GUARDS = {
     # per hyperplane, past the interpreter's recursion limit at n=9.
     "deletion_restriction_n": 6,
     # Deepest NBC search for each n = 1 .. 7: full depth through n=6.
-    # Beyond it, at 2 workers: b_5(A_7) 4-6 s, b_6(A_7) 23-35 s, b_4(A_8) 7-8 s,
-    # chi(A_7) 32-35 s (86 s when the rank-7 level was formed).
+    # Beyond it, at 2 workers: b_5(A_7) 3.0-3.8 s, b_6(A_7) 23.5-24 s, b_4(A_8)
+    # 3.7-4.5 s, chi(A_7) 22-26 s (86 s when the rank-7 level was formed).
     "nbc_depth": {**{n: n for n in range(1, 7)}, 7: 4},
     # Betti index of the prototype census.  It walks every injective map
     # {1..k-1} -> nonempty subsets of [i] for k = i+1 .. 2^i: 13650 maps at
     # i=3, of which 13614 have distinct nonempty sets; one is_nbc call per
-    # S_3-orbit makes 2269 calls and 2145 is_broken_circuit calls (0.3 s).
+    # S_3-orbit makes 2269 calls and 2145 is_broken_circuit calls (0.14-0.15 s).
     # More than 15! = 1.3e12 maps at i=4.  That count is too large to
     # evaluate for big i, so the census is limited by its index.
     "prototype_i": 3,

@@ -2,10 +2,11 @@
 
 One elimination kernel serves every general job: ``EchelonBasis``, an
 incrementally built, fully reduced integer row basis.  Rank, span
-membership, the coefficients expressing a vector over others and square
-solves all go through it.  ``restrict`` is its row-update step on its
-own: it restricts a list of integer normals to the hyperplane with
-normal ``h``, and the region recursion uses it too.
+membership, the coefficients expressing a vector over others, square
+solves and the 0/1 points of a span all go through it.  ``restrict`` is
+its row-update step on its own: it restricts a list of integer normals
+to the hyperplane with normal ``h``, and the region recursion uses it
+too.
 ``ExactMatrix.pivot`` is the one other elimination step; it replays the
 pivots an embedding certificate prescribes, each on an entry equal to 1.
 Every elimination is in ints, never floats; the only rationals are the
@@ -14,7 +15,7 @@ coefficients ``span_coefficients`` returns.
 
 from __future__ import annotations
 
-from math import gcd
+from math import gcd, lcm
 
 
 def _normalize_int_row(row):
@@ -138,6 +139,29 @@ def _span_solver(vectors):
         return [Fraction(-m, res[-1]) for m in res[-k - 1 : -1]]
 
     return sum(p < size for p in basis._pivots), solve
+
+
+def _binary_span_points(vectors):
+    """``(rank, points)`` for integer ``vectors``: their rank and every
+    nonzero 0/1 vector of their span, as tuples, in no fixed order.
+
+    A vector v of the span is fixed by its entries at the pivots of the
+    reduced basis: v = sum v[p_j] / a_j * r_j, for r_j the row of pivot
+    p_j and a_j = r_j[p_j].  A 0/1 point therefore is the sum of a subset
+    of the rows r_j / a_j, and scaling every row by L = lcm |a_j| keeps
+    the 2^rank - 1 subset sums in ints: the points are the sums whose
+    every entry is 0 or L.
+    """
+    basis = EchelonBasis()
+    for v in vectors:
+        basis.add(v)
+    scale = lcm(*(row[p] for p, row in zip(basis._pivots, basis._rows)))
+    sums = [[0] * len(basis._rows[0])] if basis._rows else [[]]
+    for p, row in zip(basis._pivots, basis._rows):
+        step = scale // row[p]
+        sums += [[x + step * y for x, y in zip(s, row)] for s in sums]
+    ends = {0, scale}
+    return basis.rank, [tuple(x // scale for x in s) for s in sums[1:] if ends.issuperset(s)]
 
 
 def span_coefficients(vectors, target):

@@ -44,10 +44,17 @@ A child row's key is its entries as base-p digits plus its parent
 row's index times p^n, so equal keys are equal directions in one child
 list; the last copy of each key is kept, in order, which is the rule
 above.  The kept rows are cut, at node boundaries, into blocks of
-about ``_BLOCK_PAIRS`` pairs for the next depth; the children of nodes
-at depth max - 2 are only counted.  One job per root hyperplane goes
-through ``run_jobs`` and the counts are summed, so neither the block
-cuts nor the worker count change them.
+about ``_BLOCK_PAIRS`` pairs for the next depth.  One job per root
+hyperplane goes through ``run_jobs`` and the counts are summed, so
+neither the block cuts nor the worker count change them.
+
+The children of nodes at depth max - 2 are only counted, and a level
+that is only counted never needs to know where its kept rows sit: it
+sorts its keys in place and counts the distinct ones.  ``parents``
+gives each pair's first row, and pairs come by that row, so it
+ascends; its distinct values, counted the same way without a sort, are
+the child nodes that the kept rows fall in, since every parent keeps
+the last copy of one of its keys.
 
 At full depth the last level is not formed either.  A node of a set S
 with |S| = n - 2 holds rows in the 2-dimensional space modulo span(S),
@@ -58,7 +65,7 @@ same for every j, and the last copy leaves one row.  So a row of a
 node at depth n - 2 with a later row in its node makes exactly one NBC
 set of size n, and a node of s rows makes s - 1 of them.  The count of
 size n is the number of kept rows at depth n - 2 less the number of
-nodes they fall in.
+nodes they fall in, and that level is only counted too.
 """
 
 from __future__ import annotations
@@ -71,12 +78,20 @@ import numpy as np
 
 from .arrangement import CharPoly, _is_prime, run_jobs
 from .errors import GUARDS, check_guard
-from .linalg import _span_solver
+from .linalg import _binary_span_points, _span_solver
 from .masks import MAX_GROUND_SET, mask_vector, validate_ground_set, validate_mask
 
 
 def is_broken_circuit(masks, n: int) -> bool:
-    """True iff some hyperplane above max(masks) closes the set to a circuit."""
+    """True iff some hyperplane above max(masks) closes the set to a circuit.
+
+    T + {h} is a circuit iff T is independent and h is a combination of
+    all of T with nonzero coefficients.  So only the hyperplanes in the
+    span of T can close it: its 0/1 points, at most 2^|T| - 1 of them,
+    which integer subset sums find (``linalg._binary_span_points``).
+    Only a point above max(T) is solved for its coefficients, and the
+    solver is built on the first such point.
+    """
     given = list(masks)
     T = sorted(set(given))
     if not T:
@@ -85,13 +100,16 @@ def is_broken_circuit(masks, n: int) -> bool:
         validate_mask(m, n)
     if len(T) != len(given):
         raise ValueError("elements must be distinct")
-    rank, solve = _span_solver([mask_vector(m, n) for m in T])
+    vectors = [mask_vector(m, n) for m in T]
+    rank, points = _binary_span_points(vectors)
     if rank < len(T):
         return False
-    for h in range(T[-1] + 1, 1 << n):
-        coeffs = solve(mask_vector(h, n))
-        if coeffs is not None and all(coeffs):
-            return True
+    solve = None
+    for point in points:
+        if sum(bit << j for j, bit in enumerate(point)) > T[-1]:
+            solve = solve or _span_solver(vectors)[1]
+            if all(solve(point)):
+                return True
     return False
 
 
@@ -193,6 +211,14 @@ def _last_copies(keys):
     return np.flatnonzero(np.bincount(order.take(ends), minlength=len(keys)))
 
 
+def _distinct(ascending):
+    """Number of distinct values in an ascending array: 0 when it is empty
+    (the last root's block is).  ``np.diff(a, prepend=-1)`` counts the
+    same, but its prepend costs 8 us a call, and a small search makes
+    thousands of calls."""
+    return int(np.count_nonzero(ascending[1:] - ascending[:-1])) + (len(ascending) > 0)
+
+
 def _pairs(sizes):
     """(pos, j) row indices of every pair pos < j inside one node of a
     block whose nodes hold ``sizes`` rows, by pos and then j."""
@@ -220,17 +246,23 @@ def _expand(f, rows, parents, tails, depth, max_depth, counts):
     node at depth + 1, whose list is its tail rows restricted to it.
     """
     new, keys = _children(f, rows, parents, tails)
+    full = depth + 3 == max_depth == rows.shape[1]
+    if full or depth + 2 == max_depth:
+        # Count-only level: the kept rows are the distinct keys, and the
+        # nodes they fall in are the distinct values of the ascending
+        # ``parents`` (module docstring).  The in-place sort adds 256 kB
+        # to the peak RSS the first time it runs; a stable sort adds 64 kB
+        # but took 7x as long on 2000 keys.
+        keys.sort()
+        kept = _distinct(keys)
+        counts[depth + 2] += kept
+        if full:
+            counts[max_depth] += kept - _distinct(parents)
+        return
     kept = _last_copies(keys)
     counts[depth + 2] += len(kept)
-    if depth + 2 == max_depth:
-        return
     parents = parents.take(kept)
     sizes = np.bincount(parents, minlength=len(rows))
-    if depth + 3 == max_depth == rows.shape[1]:
-        # The pairs of these children make the NBC sets of size n, one
-        # for each row with a later row in its node (module docstring).
-        counts[max_depth] += len(kept) - int(np.count_nonzero(sizes))
-        return
     # Nodes of one row have no pairs; their row is counted above.  The
     # kernel makes no comparisons (size // 2 picks the others): numpy's
     # comparison code alone would add 130 kB to the peak RSS.

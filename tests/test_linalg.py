@@ -8,6 +8,7 @@ import pytest
 from resonance.linalg import (
     EchelonBasis,
     ExactMatrix,
+    _binary_span_points,
     _normalize_int_row,
     bareiss_rank,
     restrict,
@@ -19,6 +20,7 @@ from oracles import (
     fraction_rank,
     mask_from_elements as M,
     mask_rank_oracle,
+    mask_vec,
     rank_mod_p,
     span_coefficients_oracle,
 )
@@ -196,6 +198,43 @@ def test_span_coefficients_edge_cases():
     assert span_coefficients([[2, 4]], [1, 2]) == [Fraction(1, 2)]
     with pytest.raises(ValueError):
         span_coefficients([[1, 0]], [1, 0, 0])
+
+
+def test_binary_span_points_match_bruteforce():
+    # Independent sets of A_4: all 120 of size 1 and 2, and 80 each of
+    # the 430 of size 3 and the 940 of size 4 (all 1490 take about 3 s).
+    # The four triples listed after them are the only ones whose reduced
+    # rows have a pivot entry other than 1 (it is 2).  Then integer sets
+    # whose reduced rows have pivot entries other than 1 ((2,1,0) and
+    # (0,3,1) reduce to (6,0,-1) and (0,3,1)) or negative entries.  The
+    # walk must find exactly the nonzero 0/1 vectors that the Fraction
+    # solve puts in the span, each once.
+    def bruteforce(vecs, n):
+        cube = (mask_vec(h, n) for h in range(1, 1 << n))
+        return sorted(tuple(h) for h in cube if span_coefficients_oracle(vecs, h) is not None)
+
+    rng = random.Random(11)
+    cases = []
+    for size in range(1, 5):
+        sets = [s for s in combinations(range(1, 16), size) if is_independent(s, 4)]
+        sets = sets if size < 3 else rng.sample(sets, 80)
+        if size == 3:
+            sets += [(3, 5, 14), (3, 6, 13), (5, 6, 11), (11, 13, 14)]
+        cases += [[mask_vec(m, 4) for m in s] for s in sets]
+    cases += [
+        [(2, 1, 0), (0, 3, 1)],
+        [(2, 1, 0), (0, 1, 0)],
+        [(0, 3, 1), (1, 0, 0)],
+        [(2, 1, 0), (0, 3, 1), (1, 1, 1)],
+        [(1, -1, 0), (0, 1, -1)],
+        [(1, -1, 0, 0), (0, 0, 2, 1), (1, 1, 1, 1)],
+        [(3, 0, 0, 1), (0, 2, 0, 1), (0, 0, 6, 1)],
+    ]
+    for vecs in cases:
+        n = len(vecs[0])
+        rank, points = _binary_span_points(vecs)
+        assert rank == fraction_rank(vecs) == len(vecs)
+        assert sorted(points) == bruteforce(vecs, n), vecs
 
 
 def test_pivot_identity():

@@ -39,10 +39,12 @@ def test_broken_triple_from_doubletons():
 
 
 def test_broken_circuit_matches_definition_oracle():
-    for n in (2, 3):
+    # n = 4 with every subset of size 1..4 (1940 candidates) reaches spans
+    # of up to 15 nonzero 0/1 points; n <= 3 reaches at most 7.
+    for n in (2, 3, 4):
         oracle = broken_circuits_oracle(n)
         universe = range(1, 1 << n)
-        for size in (1, 2, 3):
+        for size in (1, 2, 3, 4):
             for cand in combinations(universe, size):
                 assert is_broken_circuit(cand, n) == (frozenset(cand) in oracle)
 
@@ -250,8 +252,17 @@ def test_nbc_prime_is_the_first_prime_past_the_hadamard_bound():
 @pytest.mark.long_run
 def test_a7_charpoly_by_nbc_matches_ff():
     # The whole chi(A_7), so b_5, b_6 and b_7 each have a second route
-    # made of package code only (the search takes 32-35 s at 2 workers).
+    # made of package code only (the search takes 22-26 s at 2 workers).
     assert charpoly_via_nbc(7, workers=2, cap=None) == finite_field_charpoly(7)
+
+
+@pytest.mark.long_run
+def test_count_only_levels_reach_the_ff_values():
+    # The values on which ff and the NBC search agree.  Each search ends on
+    # a count-only level; the n = 8 one runs with p = 79, whose keys come
+    # closest to 2^63.
+    assert betti_via_nbc(8, 4, workers=2, cap=None)[4] == 81029004
+    assert betti_via_nbc(7, 5, workers=2, cap=None)[5] == 37769977
 
 
 @pytest.mark.parametrize(
