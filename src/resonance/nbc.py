@@ -39,12 +39,15 @@ copy still has a later twin, which the rule would add instead.
 
 A block is the concatenated lists of a group of sibling nodes at one
 depth, with the length of each list.  One expansion forms the child
-rows of all of its pairs pos < j at once, in a few numpy operations.
-A child row's key is its entries as base-p digits plus its parent
-row's index times p^n, so equal keys are equal directions in one child
-list; the last copy of each key is kept, in order, which is the rule
-above.  The kept rows are cut, at node boundaries, into blocks of
-about ``_BLOCK_PAIRS`` pairs for the next depth.  One job per root
+rows of all of its pairs pos < j at once, in a few numpy passes over
+whole arrays: a row has 8 int16 columns whatever n is (zero past n), so
+its nonzero flags are one int64, whose lowest set bit gives its leading
+position, and its entries are two int64 words, which one multiplication
+scales.  A child row's key is its entries as base-p digits plus its
+parent row's index times p^n, so equal keys are equal directions in
+one child list; the last copy of each key is kept, in order, which is
+the rule above.  The kept rows are cut, at node boundaries, into
+blocks of about ``_BLOCK_PAIRS`` pairs for the next depth.  One job per root
 hyperplane goes through ``run_jobs`` and the counts are summed, so
 neither the block cuts nor the worker count change them.
 
@@ -141,11 +144,28 @@ def is_nbc(masks, n: int) -> bool:
 
 
 # Pairs one block step expands, about; a block ends at a node boundary,
-# so one large node may take it past this.
-_BLOCK_PAIRS = 2000
+# so one large node may take it past this.  Measured in one process on a
+# 2-core shared box (Python 3.11.7, numpy 2.4.6): the fastest of 10
+# runs of b_4(A_7) and chi(A_6) at 1 worker, the traced heap peak of
+# chi(A_6), and the heap that the `betti7` workload holds at its end,
+# which its peak RSS includes:
+#
+#   pairs  b_4(A_7)  chi(A_6)  heap peak  betti7 heap
+#    1000   343 ms    105 ms    173 kB     5828 kB
+#    2000   291        79       272        5828
+#    3000   257        70       370        5828
+#    4000   240        67       474        5828
+#    5000   235        66       565        5924
+#    6000   235        68       673        5964
+#    8000   250        67       867        6076
+#
+# Past 4000 pairs the time stops falling and the heap grows.
+_BLOCK_PAIRS = 4000
 # Largest n searched.  A key needs p^n times the rows of its block below
 # 2^63: p^8 = 79^8 ~ 1.5e15 allows 6080 rows, and n = 9 has p = 197,
-# whose p^9 is past 2^63 and whose (p-1)^2 is past int16.
+# whose p^9 is past 2^63 and whose (p-1)^2 is past int16.  Rows have
+# this many columns whatever n is, zero past n: ``_leads`` and ``_scale``
+# read a row as whole int64 words.
 _MAX_N = 8
 
 
@@ -158,10 +178,12 @@ def _nbc_prime(n: int) -> int:
 
 
 class _Field:
-    """Arithmetic on int16 rows mod the prime of A_n."""
+    """Arithmetic on int16 rows mod the prime of A_n, padded with zeros to
+    ``_MAX_N`` columns."""
 
     def __init__(self, n: int):
         p = self.p = _nbc_prime(n)
+        self.n = n
         self.inverse = np.array([0] + [pow(x, -1, p) for x in range(1, p)], dtype=np.int16)
         self.parent = p**n
         # A block starts its last node below this row, so it holds fewer
@@ -177,12 +199,33 @@ class _Field:
         return t
 
     def key(self, rows):
-        """Each row's entries as the digits of one base-p int64."""
+        """Each row's n entries as the digits of one base-p int64."""
         key = rows[:, 0].astype(np.int64)
-        for j in range(1, rows.shape[1]):
+        for j in range(1, self.n):
             key *= self.p
             key += rows[:, j]
         return key
+
+
+def _leads(rows):
+    """For each nonzero row, 1 + the position of its first nonzero entry.
+    The row's 8 nonzero flags, read as one little-endian int64 x, have
+    their lowest set bit at 8 * position; x ^ (x - 1) sets every bit up to
+    it, and the mask keeps one bit per entry."""
+    x = rows.astype(bool).view("<i8").ravel()
+    x ^= x - 1
+    x &= 0x0101010101010101
+    return np.bitwise_count(x)
+
+
+def _scale(rows, factors):
+    """Multiply each row by its factor, in place.  Entries and factors are
+    below p <= 79, so each product fits the entry's 16 bits, and four
+    entries are one int64 word: the word times the factor is the four
+    products.  numpy then makes one pass per word column, not one short
+    loop per row."""
+    words = rows.view(np.int64).T
+    np.multiply(words, factors.astype(np.int64), out=words, order="C")
 
 
 def _children(f, rows, parents, tails):
@@ -191,24 +234,32 @@ def _children(f, rows, parents, tails):
     times p^n.  No result is zero: the rows of a node are distinct
     directions, so none is a multiple of another.
     """
-    n = rows.shape[1]
-    lead = rows.astype(bool).argmax(1)
+    # Where each child row starts in new.ravel(), less the 1 that _leads adds.
+    at = np.arange(-1, _MAX_N * len(tails) - 1, _MAX_N)
     new, head = rows.take(tails, 0), rows.take(parents, 0)
-    head *= new.ravel().take(np.arange(len(tails)) * n + lead.take(parents))[:, None]
+    _scale(head, new.ravel().take(at + _leads(rows).take(parents)))
     new -= head
-    f.mod(new)
-    lead = new.ravel().take(np.arange(len(new)) * n + new.astype(bool).argmax(1))
-    new *= f.inverse.take(lead)[:, None]
+    # Spent temporaries go at once: a block's peak memory bounds _BLOCK_PAIRS.
+    del head
+    at += _leads(f.mod(new))
+    _scale(new, f.inverse.take(new.ravel().take(at)))
+    del at
     keys = f.key(f.mod(new))
     keys += parents * f.parent
     return new, keys
 
 
 def _last_copies(keys):
-    """Ascending positions of the last copy of each key (keys are >= 0)."""
-    order = np.argsort(keys, kind="stable")
-    ends = np.flatnonzero(np.diff(keys.take(order), append=-1))
-    return np.flatnonzero(np.bincount(order.take(ends), minlength=len(keys)))
+    """Ascending positions of the last copy of each key.  A stable sort
+    keeps each run of equal keys in position order, so the last copy ends
+    its run."""
+    order = keys.argsort(kind="stable")
+    step = keys.take(order)
+    step[:-1] -= step[1:]  # numpy reads the overlapping operand as a copy
+    step[-1:] = 1  # a run ends at the last key, and at every nonzero step
+    last = order.take(step.nonzero()[0])
+    last.sort()
+    return last
 
 
 def _distinct(ascending):
@@ -221,22 +272,31 @@ def _distinct(ascending):
 
 def _pairs(sizes):
     """(pos, j) row indices of every pair pos < j inside one node of a
-    block whose nodes hold ``sizes`` rows, by pos and then j."""
-    later = np.repeat(np.cumsum(sizes), sizes) - np.arange(sizes.sum()) - 1
-    pos = np.repeat(np.arange(len(later)), later)
-    start = np.cumsum(later) - later
-    return pos, pos + 1 + np.arange(len(pos)) - np.repeat(start, later)
+    block whose nodes hold ``sizes`` rows, by pos and then j.  Row i has
+    later[i] rows after it, up to the end ends[i] of its node; its pairs
+    are the k in stops[i] - later[i] .. stops[i] - 1, for stops the
+    running sum of later, with j = k + ends[i] - stops[i].  It calls
+    array methods: each numpy module function adds a Python call."""
+    ends = sizes.cumsum().repeat(sizes)
+    rows = np.arange(len(ends))
+    later = ends - rows
+    later -= 1
+    ends -= later.cumsum()
+    j = ends.repeat(later)
+    j += np.arange(len(j))
+    return rows.repeat(later), j
 
 
 def _blocks(f, rows, sizes):
     """Cut the nodes of ``rows`` into blocks of about ``_BLOCK_PAIRS`` pairs."""
-    before = np.cumsum(sizes) - sizes
+    starts = sizes.cumsum() - sizes
     pairs = sizes * (sizes - 1) // 2
-    group = (np.cumsum(pairs) - pairs) // _BLOCK_PAIRS + before // f.max_rows
-    cuts = np.flatnonzero(np.diff(group)) + 1
-    starts = np.append(before, len(rows))
-    for lo, hi in zip(np.append(0, cuts), np.append(cuts, len(sizes))):
-        yield rows[starts[lo] : starts[hi]], sizes[lo:hi]
+    group = (pairs.cumsum() - pairs) // _BLOCK_PAIRS + starts // f.max_rows
+    cuts = ((group[1:] - group[:-1]).nonzero()[0] + 1).tolist()
+    edges = [0, *starts.take(cuts).tolist(), len(rows)]
+    cuts = [0, *cuts, len(sizes)]
+    for lo, hi, first, last in zip(cuts, cuts[1:], edges, edges[1:]):
+        yield rows[first:last], sizes[lo:hi]
 
 
 def _expand(f, rows, parents, tails, depth, max_depth, counts):
@@ -246,7 +306,7 @@ def _expand(f, rows, parents, tails, depth, max_depth, counts):
     node at depth + 1, whose list is its tail rows restricted to it.
     """
     new, keys = _children(f, rows, parents, tails)
-    full = depth + 3 == max_depth == rows.shape[1]
+    full = depth + 3 == max_depth == f.n
     if full or depth + 2 == max_depth:
         # Count-only level: the kept rows are the distinct keys, and the
         # nodes they fall in are the distinct values of the ascending
@@ -266,8 +326,8 @@ def _expand(f, rows, parents, tails, depth, max_depth, counts):
     # Nodes of one row have no pairs; their row is counted above.  The
     # kernel makes no comparisons (size // 2 picks the others): numpy's
     # comparison code alone would add 130 kB to the peak RSS.
-    new = new.take(kept.take(np.flatnonzero(sizes.take(parents) // 2)), 0)
-    sizes = sizes.take(np.flatnonzero(sizes // 2))
+    new = new.take(kept.take((sizes.take(parents) // 2).nonzero()[0]), 0)
+    sizes = sizes.take((sizes // 2).nonzero()[0])
     # Free this level's pair arrays before descending: it lowers peak RSS.
     del parents, tails, keys, kept
     for block, block_sizes in _blocks(f, new, sizes):
@@ -280,7 +340,7 @@ def _count_from_root(root, n, max_depth):
     counts[1] = 1
     if max_depth > 1:
         # The root and the later hyperplanes: 0/1 rows, leading entry 1.
-        rows = (np.arange(root, 1 << n)[:, None] >> np.arange(n) & 1).astype(np.int16)
+        rows = (np.arange(root, 1 << n)[:, None] >> np.arange(_MAX_N) & 1).astype(np.int16)
         tails = np.arange(1, len(rows))
         _expand(_Field(n), rows, np.zeros_like(tails), tails, 0, max_depth, counts)
     return counts

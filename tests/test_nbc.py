@@ -1,6 +1,7 @@
 import random
 from itertools import combinations
 
+import numpy as np
 import pytest
 
 from resonance import arrangement, nbc
@@ -199,21 +200,73 @@ def test_block_cuts_and_workers_do_not_change_counts(monkeypatch):
     # One pair per block cuts at every node; 10**9 never cuts.  b_4(A_6)
     # also covers b_3(A_6), and its depth-2 nodes are cut into blocks.
     # chi(A_6), whose rank-6 level is counted from node sizes, is left out
-    # of the one-pair run, which would take too long on it.
+    # of the one-pair run, which would take too long on it.  b_3(A_7) runs
+    # with p = 37, past the p <= 17 of n <= 6, cut at 64 pairs and uncut.
     cases = [(n, n) for n in range(1, 6)] + [(6, 4)]
     full = cases + [(6, 6)]
-    want = {(n, d): betti_via_nbc(n, d) for n, d in full}
+    want = {(n, d): betti_via_nbc(n, d) for n, d in full + [(7, 3)]}
     for n in range(1, 6):
         assert want[n, n] == list(whitney_charpoly(n).betti)
     assert want[6, 4] == [1] + [GOLDEN_BETTI[i][6] for i in range(1, 5)]
+    assert want[7, 3][3] == betti3_closed(7)
     for n, d in full:
         assert betti_via_nbc(n, d, workers=2) == want[n, d], n
     # One worker runs the jobs in this process, so the patched size is the
     # one used, whatever the pool's start method.
-    for block, runs in ((1, cases), (10**9, full)):
+    for block, runs in ((1, cases), (64, [(7, 3)]), (10**9, full + [(7, 3)])):
         monkeypatch.setattr(nbc, "_BLOCK_PAIRS", block)
         for n, d in runs:
             assert betti_via_nbc(n, d) == want[n, d], (block, n)
+
+
+def test_field_key_is_the_base_p_value_below_2_63():
+    # int64 arithmetic that overflows wraps silently, so each key is checked
+    # against Python ints, up to the largest key a block can form: every
+    # entry p - 1 at the last row a block can hold (its last node starts
+    # below max_rows and holds fewer than 2^n rows).
+    rng = random.Random(24)
+    for n in range(1, 9):
+        f = nbc._Field(n)
+        p = f.p
+        rows = [[rng.randrange(p) for _ in range(n)] for _ in range(200)] + [[p - 1] * n]
+        array = np.zeros((len(rows), nbc._MAX_N), dtype=np.int16)
+        array[:, :n] = rows
+        digits = [sum(e * p ** (n - 1 - j) for j, e in enumerate(row)) for row in rows]
+        assert f.key(array).tolist() == digits, n
+        last = f.max_rows + (1 << n) - 1
+        top = f.key(array[-1:]) + np.array([last]) * f.parent
+        assert int(top[0]) == last * p**n + p**n - 1 < 2**63, n
+
+
+def test_leads_and_scale_match_their_row_by_row_meaning():
+    # Both read a row of 8 int16 entries as int64 words; entries and
+    # factors go up to 78 = p - 1 at n = 8, whose products are the largest.
+    rng = np.random.default_rng(7)
+    rows = rng.integers(0, 79, size=(2000, nbc._MAX_N)).astype(np.int16)
+    rows[rng.random(rows.shape) < 0.7] = 0
+    rows = rows[rows.any(1)]
+    want = [1 + next(j for j, e in enumerate(row) if e) for row in rows.tolist()]
+    assert nbc._leads(rows).tolist() == want
+    factors = rng.integers(0, 79, size=len(rows)).astype(np.int16)
+    scaled = rows.copy()
+    nbc._scale(scaled, factors)
+    assert scaled.tolist() == [[e * c for e in row] for row, c in zip(rows.tolist(), factors.tolist())]
+
+
+def test_last_copies_match_a_python_reference():
+    def reference(keys):
+        last = {key: pos for pos, key in enumerate(keys.tolist())}
+        return sorted(last.values())
+
+    rng = np.random.default_rng(24)
+    int64 = np.iinfo(np.int64)
+    for size, distinct in ((2000, 5), (2000, 300), (3000, 3000), (50, 1)):
+        pool = rng.integers(int64.min, int64.max, size=distinct, dtype=np.int64, endpoint=True)
+        keys = pool.take(rng.integers(0, distinct, size=size))
+        assert nbc._last_copies(keys).tolist() == reference(keys), (size, distinct)
+    for keys in ([], [7]):
+        keys = np.array(keys, dtype=np.int64)
+        assert nbc._last_copies(keys).tolist() == reference(keys)
 
 
 def test_rank_n_count_leaves_the_lower_levels_unchanged():
