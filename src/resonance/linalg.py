@@ -164,6 +164,18 @@ def _binary_span_points(vectors):
     return basis.rank, [tuple(x // scale for x in s) for s in sums[1:] if ends.issuperset(s)]
 
 
+def _closing_points(vectors):
+    """The 0/1 points of the span of integer ``vectors`` whose coefficients
+    over them are all nonzero, as tuples; none when the vectors are
+    dependent.  With two or more vectors these are the points p for which
+    ``vectors + [p]`` is a circuit."""
+    rank, points = _binary_span_points(vectors)
+    if rank < len(vectors):
+        return []
+    solve = _span_solver(vectors)[1]
+    return [point for point in points if all(solve(point))]
+
+
 def span_coefficients(vectors, target):
     """Exact coefficients c with sum c_i * vectors[i] == target, or None
     when ``target`` lies outside the span of the integer ``vectors``."""

@@ -13,22 +13,6 @@ from __future__ import annotations
 MAX_GROUND_SET = 63  # masks stay within one machine word
 
 
-def validate_ground_set(n: int) -> None:
-    if not 1 <= n <= MAX_GROUND_SET:
-        raise ValueError(f"ground set size must be in 1..{MAX_GROUND_SET}, got {n}")
-
-
-def validate_mask(mask: int, n: int) -> int:
-    validate_ground_set(n)
-    if not isinstance(mask, int) or isinstance(mask, bool):
-        raise ValueError(f"mask must be an int, got {type(mask).__name__}")
-    if mask <= 0:
-        raise ValueError("mask must encode a nonempty subset")
-    if mask >= 1 << n:
-        raise ValueError(f"mask {mask} out of range for n={n}")
-    return mask
-
-
 def mask_elements(mask: int) -> list[int]:
     """1-based elements of a mask, ascending."""
     out = []

@@ -74,73 +74,13 @@ nodes they fall in, and that level is only counted too.
 from __future__ import annotations
 
 from functools import partial
-from itertools import combinations
 from math import isqrt
 
 import numpy as np
 
 from .arrangement import CharPoly, _is_prime, run_jobs
 from .errors import GUARDS, check_guard
-from .linalg import _binary_span_points, _span_solver
-from .masks import MAX_GROUND_SET, mask_vector, validate_ground_set, validate_mask
-
-
-def is_broken_circuit(masks, n: int) -> bool:
-    """True iff some hyperplane above max(masks) closes the set to a circuit.
-
-    T + {h} is a circuit iff T is independent and h is a combination of
-    all of T with nonzero coefficients.  So only the hyperplanes in the
-    span of T can close it: its 0/1 points, at most 2^|T| - 1 of them,
-    which integer subset sums find (``linalg._binary_span_points``).
-    Only a point above max(T) is solved for its coefficients, and the
-    solver is built on the first such point.
-    """
-    given = list(masks)
-    T = sorted(set(given))
-    if not T:
-        raise ValueError("broken circuits are nonempty")
-    for m in T:
-        validate_mask(m, n)
-    if len(T) != len(given):
-        raise ValueError("elements must be distinct")
-    vectors = [mask_vector(m, n) for m in T]
-    rank, points = _binary_span_points(vectors)
-    if rank < len(T):
-        return False
-    solve = None
-    for point in points:
-        if sum(bit << j for j, bit in enumerate(point)) > T[-1]:
-            solve = solve or _span_solver(vectors)[1]
-            if all(solve(point)):
-                return True
-    return False
-
-
-def is_nbc(masks, n: int) -> bool:
-    """True iff no subset is a broken circuit.
-
-    Two-element broken circuits are exactly the disjoint pairs (the only
-    three-element circuits are {A, B, A+B} for disjoint A, B), which the
-    mask intersection test settles without linear algebra; larger
-    subsets go through the generic circuit search.  n is checked, even
-    with no masks, and every mask against it, whichever test would
-    reach it.
-    """
-    validate_ground_set(n)
-    given = list(masks)
-    for m in given:
-        validate_mask(m, n)
-    S = sorted(set(given))
-    if len(S) != len(given):
-        raise ValueError("elements must be distinct")
-    for a, b in combinations(S, 2):
-        if not a & b:
-            return False
-    for size in range(3, len(S) + 1):
-        for T in combinations(S, size):
-            if is_broken_circuit(T, n):
-                return False
-    return True
+from .masks import MAX_GROUND_SET
 
 
 # Pairs one block step expands, about; a block ends at a node boundary,
@@ -334,15 +274,15 @@ def _expand(f, rows, parents, tails, depth, max_depth, counts):
         _expand(f, block, *_pairs(block_sizes), depth + 1, max_depth, counts)
 
 
-def _count_from_root(root, n, max_depth):
-    """NBC sets per cardinality whose least hyperplane is ``root``."""
+def _count_from_root(root, f, max_depth):
+    """NBC sets per cardinality of A_{f.n} whose least hyperplane is ``root``."""
     counts = [0] * (max_depth + 1)
     counts[1] = 1
     if max_depth > 1:
         # The root and the later hyperplanes: 0/1 rows, leading entry 1.
-        rows = (np.arange(root, 1 << n)[:, None] >> np.arange(_MAX_N) & 1).astype(np.int16)
+        rows = (np.arange(root, 1 << f.n)[:, None] >> np.arange(_MAX_N) & 1).astype(np.int16)
         tails = np.arange(1, len(rows))
-        _expand(_Field(n), rows, np.zeros_like(tails), tails, 0, max_depth, counts)
+        _expand(f, rows, np.zeros_like(tails), tails, 0, max_depth, counts)
     return counts
 
 
@@ -368,7 +308,8 @@ def betti_via_nbc(
     if i_max == 0:
         return counts
     jobs = range(1, 1 << n)
-    for sub in run_jobs(partial(_count_from_root, n=n, max_depth=i_max), jobs, workers):
+    count = partial(_count_from_root, f=_Field(n), max_depth=i_max)
+    for sub in run_jobs(count, jobs, workers):
         for d in range(1, i_max + 1):
             counts[d] += sub[d]
     return counts

@@ -1,9 +1,13 @@
 """Matroid, circuit and prototype helpers that only the tests call.
 
 Unlike ``oracles``, these are built on the package's own kernels
-(``EchelonBasis``, the span solver, ``restrict`` and ``is_nbc``), so the
-tests compare them with ``oracles`` or with the package's other routes
-rather than trusting them as references.  ``betti_via_integer_nbc`` is
+(``EchelonBasis``, the span solver, the 0/1 span points and
+``restrict``), so the tests compare them with ``oracles`` or with the
+package's other routes rather than trusting them as references.
+``is_nbc`` and ``is_broken_circuit`` test one set of hyperplanes by the
+definition; the prototype census, which judges the orderings of an image
+set together, is held to ``is_nbc`` one prototype at a time.
+``betti_via_integer_nbc`` is
 the NBC search over the integers, one node at a time, that the block
 search over F_p in ``resonance.nbc`` replaced; the tests hold the new
 kernel to its counts.  ``sides_from_rectangle`` inverts the
@@ -18,11 +22,84 @@ from enum import Enum
 from itertools import combinations
 
 from resonance.errors import InternalCheckError
-from resonance.linalg import EchelonBasis, _span_solver, restrict
-from resonance.masks import mask_vector, validate_mask
-from resonance.nbc import is_nbc
+from resonance.linalg import EchelonBasis, _binary_span_points, _span_solver, restrict
+from resonance.masks import MAX_GROUND_SET, mask_vector
 
 from oracles import SideMidpointTuple
+
+
+def validate_ground_set(n: int) -> None:
+    if not 1 <= n <= MAX_GROUND_SET:
+        raise ValueError(f"ground set size must be in 1..{MAX_GROUND_SET}, got {n}")
+
+
+def validate_mask(mask: int, n: int) -> int:
+    validate_ground_set(n)
+    if not isinstance(mask, int) or isinstance(mask, bool):
+        raise ValueError(f"mask must be an int, got {type(mask).__name__}")
+    if mask <= 0:
+        raise ValueError("mask must encode a nonempty subset")
+    if mask >= 1 << n:
+        raise ValueError(f"mask {mask} out of range for n={n}")
+    return mask
+
+
+def is_broken_circuit(masks, n: int) -> bool:
+    """True iff some hyperplane above max(masks) closes the set to a circuit.
+
+    T + {h} is a circuit iff T is independent and h is a combination of
+    all of T with nonzero coefficients.  So only the hyperplanes in the
+    span of T can close it: its 0/1 points, at most 2^|T| - 1 of them,
+    which integer subset sums find (``linalg._binary_span_points``).
+    Only a point above max(T) is solved for its coefficients, and the
+    solver is built on the first such point.
+    """
+    given = list(masks)
+    T = sorted(set(given))
+    if not T:
+        raise ValueError("broken circuits are nonempty")
+    for m in T:
+        validate_mask(m, n)
+    if len(T) != len(given):
+        raise ValueError("elements must be distinct")
+    vectors = [mask_vector(m, n) for m in T]
+    rank, points = _binary_span_points(vectors)
+    if rank < len(T):
+        return False
+    solve = None
+    for point in points:
+        if sum(bit << j for j, bit in enumerate(point)) > T[-1]:
+            solve = solve or _span_solver(vectors)[1]
+            if all(solve(point)):
+                return True
+    return False
+
+
+def is_nbc(masks, n: int) -> bool:
+    """True iff no subset is a broken circuit.
+
+    Two-element broken circuits are exactly the disjoint pairs (the only
+    three-element circuits are {A, B, A+B} for disjoint A, B), which the
+    mask intersection test settles without linear algebra; larger
+    subsets go through the generic circuit search.  n is checked, even
+    with no masks, and every mask against it, whichever test would
+    reach it.
+    """
+    validate_ground_set(n)
+    given = list(masks)
+    for m in given:
+        validate_mask(m, n)
+    S = sorted(set(given))
+    if len(S) != len(given):
+        raise ValueError("elements must be distinct")
+    for a, b in combinations(S, 2):
+        if not a & b:
+            return False
+    for size in range(3, len(S) + 1):
+        for T in combinations(S, size):
+            if is_broken_circuit(T, n):
+                return False
+    return True
 
 
 def _validated_masks(masks, n):

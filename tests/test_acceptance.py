@@ -18,13 +18,13 @@ from resonance.arrangement import (
 )
 from resonance.circuits import b3_via_circuits
 from resonance.cli import main
-from resonance.nbc import betti_via_nbc, charpoly_via_nbc, is_nbc
+from resonance.nbc import betti_via_nbc, charpoly_via_nbc
 from resonance.prototypes import coefficients
 from resonance.stirling import betti2_closed, betti3_closed, closed_form, fit_stirling_coefficients
 from resonance.table1 import GOLDEN_BETTI, GOLDEN_REGIONS
 from resonance.universality import embed, minor_matroid_check, verify_embedding
 
-from kernel_helpers import nbc_extend, realize, sides_from_rectangle
+from kernel_helpers import is_nbc, nbc_extend, realize, sides_from_rectangle
 from oracles import (
     betti_bound_holds,
     rectangle_circuit_families,

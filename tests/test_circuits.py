@@ -5,10 +5,9 @@ import pytest
 from resonance import circuits
 from resonance.circuits import b3_via_circuits
 from resonance.errors import InternalCheckError
-from resonance.nbc import is_nbc
 from resonance.stirling import betti3_closed, closed_form, stirling2
 
-from kernel_helpers import CircuitTag, classify_relevant_4circuit, sides_from_rectangle
+from kernel_helpers import CircuitTag, classify_relevant_4circuit, is_nbc, sides_from_rectangle
 from oracles import (
     SideMidpointTuple,
     intersecting_triples_bruteforce,

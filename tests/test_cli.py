@@ -305,6 +305,8 @@ EXIT_CASES = {
     ),
     "betti-i-max": (["betti", "--n", "3", "--i-max", "-1"], 1, "i_max=-1"),
     "prototypes-i": (["prototypes", "--i", "-1"], 1, "i=-1"),
+    # The census holds all 15! orderings of one image set at i = 4.
+    "prototypes-i4-override": (["prototypes", "--i", "4", "--guard-override"], 1, "runs to i = 3"),
     "fit-coeffs-i": (["fit-coeffs", "--i", "-1"], 1, "i=-1"),
     "fit-coeffs-40": (["fit-coeffs", "--i", "40"], 1, "up to n="),  # no golden row
     "fit-coeffs-20000": (["fit-coeffs", "--i", "20000"], 1, "golden Betti values"),

@@ -9,6 +9,7 @@ from resonance.linalg import (
     EchelonBasis,
     ExactMatrix,
     _binary_span_points,
+    _closing_points,
     _normalize_int_row,
     bareiss_rank,
     restrict,
@@ -201,6 +202,7 @@ def test_span_coefficients_edge_cases():
 
 
 def test_binary_span_points_match_bruteforce():
+    # Also the closing points: those whose coefficients are all nonzero.
     # Independent sets of A_4: all 120 of size 1 and 2, and 80 each of
     # the 430 of size 3 and the 940 of size 4 (all 1490 take about 3 s).
     # The four triples listed after them are the only ones whose reduced
@@ -235,6 +237,12 @@ def test_binary_span_points_match_bruteforce():
         rank, points = _binary_span_points(vecs)
         assert rank == fraction_rank(vecs) == len(vecs)
         assert sorted(points) == bruteforce(vecs, n), vecs
+        closing = [h for h in bruteforce(vecs, n) if all(span_coefficients_oracle(vecs, h))]
+        assert sorted(_closing_points(vecs)) == closing, vecs
+    # Dependent vectors close to no circuit, though their span has points.
+    for vecs in ([(1, 0), (1, 0)], [(1, 0, 0), (0, 1, 0), (1, 1, 0)], [(1, 1), (2, 2)]):
+        assert _binary_span_points(vecs)[1]
+        assert _closing_points(vecs) == []
 
 
 def test_pivot_identity():

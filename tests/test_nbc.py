@@ -6,7 +6,7 @@ import pytest
 
 from resonance import arrangement, nbc
 from resonance.errors import GuardExceeded
-from resonance.nbc import betti_via_nbc, charpoly_via_nbc, is_broken_circuit, is_nbc
+from resonance.nbc import betti_via_nbc, charpoly_via_nbc
 from resonance.arrangement import (
     MAX_01_DETERMINANT,
     count_points_avoiding,
@@ -17,7 +17,14 @@ from resonance.arrangement import (
 from resonance.stirling import betti3_closed
 from resonance.table1 import GOLDEN_BETTI
 
-from kernel_helpers import NbcSet, betti_via_integer_nbc, is_independent, nbc_extend
+from kernel_helpers import (
+    NbcSet,
+    betti_via_integer_nbc,
+    is_broken_circuit,
+    is_independent,
+    is_nbc,
+    nbc_extend,
+)
 from oracles import (
     broken_circuits_oracle,
     mask_from_elements as M,
@@ -217,6 +224,19 @@ def test_block_cuts_and_workers_do_not_change_counts(monkeypatch):
         monkeypatch.setattr(nbc, "_BLOCK_PAIRS", block)
         for n, d in runs:
             assert betti_via_nbc(n, d) == want[n, d], (block, n)
+
+
+def test_one_field_serves_every_root(monkeypatch):
+    built = []
+
+    def field(n):
+        built.append(n)
+        return _Field(n)
+
+    _Field = nbc._Field
+    monkeypatch.setattr(nbc, "_Field", field)
+    assert betti_via_nbc(5, 3) == [1] + [GOLDEN_BETTI[i][5] for i in range(1, 4)]
+    assert built == [5]
 
 
 def test_field_key_is_the_base_p_value_below_2_63():

@@ -4,11 +4,13 @@ from math import factorial
 
 import pytest
 
-from resonance.errors import GuardExceeded
-from resonance.nbc import betti_via_nbc, is_nbc
+from resonance import prototypes
+from resonance.errors import GuardExceeded, InternalCheckError
+from resonance.linalg import _closing_points
+from resonance.nbc import betti_via_nbc
 from resonance.prototypes import _functional_counts, betti_via_prototypes, coefficients
 
-from kernel_helpers import realize, tuple_prototype
+from kernel_helpers import is_nbc, realize, tuple_prototype
 from oracles import partitions_into_blocks
 
 
@@ -35,11 +37,17 @@ def broken(i, images, blocks):
     return 0 in tup or len(set(tup)) != i or not is_nbc(tup, n)
 
 
+# Functional (i, k)-prototypes per k, before division by i!.
+_KNOWN_COUNTS = {
+    1: ((2, 1),),
+    2: ((3, 4), (4, 6)),
+    3: ((4, 54), (5, 480), (6, 2070), (7, 5040), (8, 5040)),
+}
+
+
 def test_prototype_counts():
-    """Functional (i, k)-prototypes per k, before division by i!."""
-    assert _functional_counts(1) == ((2, 1),)
-    assert _functional_counts(2) == ((3, 4), (4, 6))
-    assert _functional_counts(3) == ((4, 54), (5, 480), (6, 2070), (7, 5040), (8, 5040))
+    for i, counts in _KNOWN_COUNTS.items():
+        assert _functional_counts(i) == counts
 
 
 def test_realize_on_singletons():
@@ -67,19 +75,20 @@ def test_round_trip_through_partitions():
 
 
 def test_classification_counts_match_known_coefficients():
-    expected = {
-        (2, 3): 4,   # 2 of 3 unordered maps survive
-        (2, 4): 6,   # every map survives at k = 2^i
-        (3, 4): 54,  # 9 * 3!
-    }
-    for (i, k), count in expected.items():
-        got = sum(
-            1
-            for images in permutations(range(1, 2**i), k - 1)
-            if not broken(i, images, singletons(k))
-        )
-        assert got == count
-        assert dict(_functional_counts(i))[k] == count
+    """Every prototype through i = 3, 13650 of them at i = 3, judged one by
+    one by ``is_nbc`` on its realized tuple."""
+    for i in (1, 2, 3):
+        expected = {
+            k: sum(
+                1
+                for images in permutations(range(1, 2**i), k - 1)
+                if not broken(i, images, singletons(k))
+            )
+            for k in range(i + 1, 2**i + 1)
+        }
+        assert dict(_functional_counts(i)) == expected
+    assert expected[4] == 54  # 9 * 3!
+    assert expected[8] == 5040  # every map survives at k = 2^i
 
 
 def test_degenerate_realizations_are_broken():
@@ -100,6 +109,17 @@ def test_coefficients_known_rows():
 def test_coefficients_guard():
     with pytest.raises(GuardExceeded):
         coefficients(4)
+
+
+def test_census_refuses_i4_before_any_work(monkeypatch):
+    def no_census(i):
+        raise AssertionError(f"the census ran for i={i}")
+
+    monkeypatch.setattr(prototypes, "_functional_counts", no_census)
+    with pytest.raises(ValueError, match="runs to i = 3, got i=4"):
+        coefficients(4, cap=None)
+    with pytest.raises(ValueError, match="runs to i = 3, got i=5"):
+        betti_via_prototypes(5, 9, cap=None)
 
 
 def test_betti_via_prototypes_table_cells():
@@ -154,28 +174,75 @@ def test_coefficient_bound_tight_at_top():
         assert combo.coefficients[k] == bound
 
 
-def test_census_calls_is_nbc_once_per_orbit(monkeypatch):
+def _counting_closers(monkeypatch, corrupt=None):
+    """Record every span solve of the census; ``corrupt(call, points)``
+    may replace the closing points that call returns."""
     calls = []
 
-    def counting_is_nbc(masks, n):
-        calls.append(masks)
-        return is_nbc(masks, n)
+    def closers(vectors):
+        points = _closing_points(vectors)
+        calls.append(tuple(vectors))
+        return corrupt(len(calls) - 1, points) if corrupt else points
 
-    monkeypatch.setattr("resonance.prototypes.is_nbc", counting_is_nbc)
+    monkeypatch.setattr(prototypes, "_closing_points", closers)
     _functional_counts.cache_clear()
+    return calls
+
+
+@pytest.mark.parametrize("i, solves", [(2, 4), (3, 372)])
+def test_census_solves_each_image_set_and_row_subset_once(monkeypatch, i, solves):
+    calls = _counting_closers(monkeypatch)
     try:
-        counts = _functional_counts(3)
+        counts = _functional_counts(i)
     finally:
         _functional_counts.cache_clear()
-    assert counts == ((4, 54), (5, 480), (6, 2070), (7, 5040), (8, 5040))
-    assert len(calls) == len(set(calls)) == 2269
-    valid = 0
-    for k in range(4, 9):
-        for images in permutations(range(1, 8), k - 1):
-            tup = realize(3, images, singletons(k))
-            valid += 0 not in tup and len(set(tup)) == 3
-    # S_3 acts freely on the prototypes whose sets are distinct and nonempty
-    assert valid == 13614 == len(calls) * factorial(3)
+    assert counts == _KNOWN_COUNTS[i]
+    # Image sets whose realized rows are nonzero and distinct, found one
+    # prototype at a time; each has 2^i - i - 1 row subsets of size >= 2.
+    valid = set()
+    for k in range(i + 1, 2**i + 1):
+        for images in permutations(range(1, 2**i), k - 1):
+            tup = realize(i, images, singletons(k))
+            if 0 not in tup and len(set(tup)) == i:
+                valid.add(tuple(sorted(images)))
+    assert len(calls) == len(valid) * (2**i - i - 1) == solves
+    assert {len(vectors) for vectors in calls} == set(range(2, i + 1))
+
+
+@pytest.mark.parametrize("i", [2, 3])
+@pytest.mark.parametrize("how", ["drop", "add"])
+def test_corrupted_closers_of_one_image_set_fail_the_census(monkeypatch, i, how):
+    """Each valid image set makes 2^i - i - 1 solves in a row.
+
+    "drop" empties the solves of the first image set, whose rows are the
+    unit vectors: its i! orderings, all broken, lose every closer and
+    count as functional.  "add" corrupts the image set of all 2^i - 1
+    patterns, the only one of its size, whose orderings are all
+    functional: the all-ones point it gains exceeds each of its rows, so
+    every ordering turns broken.
+    """
+    first = 2**i - i - 1
+
+    def corrupt(call, points):
+        if how == "drop":
+            return [] if call < first else points
+        if len(calls[call][0]) == 2**i - 1:
+            return points + [(1,) * (2**i - 1)]
+        return points
+
+    calls = _counting_closers(monkeypatch, corrupt)
+    try:
+        counts = dict(_functional_counts(i))
+        with pytest.raises(InternalCheckError):
+            coefficients(i)
+    finally:
+        _functional_counts.cache_clear()
+    known = dict(_KNOWN_COUNTS[i])
+    if how == "drop":
+        assert counts[i + 1] == known[i + 1] + factorial(i)
+    else:
+        assert counts[2**i] == 0 < known[2**i]
+    assert all(counts[k] == known[k] for k in known if k not in (i + 1, 2**i))
 
 
 def test_is_nbc_ignores_the_order_of_its_masks():
