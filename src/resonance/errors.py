@@ -41,7 +41,8 @@ GUARDS = {
     "nbc_depth": {**{n: n for n in range(1, 7)}, 7: 4},
     # Betti index of the prototype census.  It counts every injective map
     # {1..k-1} -> nonempty subsets of [i] for k = i+1 .. 2^i: 13650 maps at
-    # i=3, whose 93 valid image sets make 372 span solves (0.02-0.04 s).  More than
+    # i=3, whose 93 valid image sets make 372 closing-point solves of one
+    # integer elimination each (0.015-0.025 s).  More than
     # 15! = 1.3e12 maps at i=4, past the census's own limit of i = 3.
     "prototype_i": 3,
     "embed_ambient": 256,     # ambient dimension of a universality embedding

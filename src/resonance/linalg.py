@@ -3,7 +3,9 @@
 One elimination kernel serves every general job: ``EchelonBasis``, an
 incrementally built, fully reduced integer row basis.  Rank, span
 membership, the coefficients expressing a vector over others, square
-solves and the 0/1 points of a span all go through it.  ``restrict`` is
+solves and the closing points (the 0/1 points of a span whose
+coefficients are all nonzero, found by integer subset sums of one
+basis) all go through it.  ``restrict`` is
 its row-update step on its own: it restricts a list of integer normals
 to the hyperplane with normal ``h``, and the region recursion uses it
 too.
@@ -141,39 +143,36 @@ def _span_solver(vectors):
     return sum(p < size for p in basis._pivots), solve
 
 
-def _binary_span_points(vectors):
-    """``(rank, points)`` for integer ``vectors``: their rank and every
-    nonzero 0/1 vector of their span, as tuples, in no fixed order.
+def _closing_points(vectors):
+    """The 0/1 points of the span of integer ``vectors`` whose coefficients
+    over them are all nonzero, as tuples, in no fixed order; none when the
+    vectors are dependent.  With two or more vectors these are the points
+    p for which ``vectors + [p]`` is a circuit.
 
-    A vector v of the span is fixed by its entries at the pivots of the
-    reduced basis: v = sum v[p_j] / a_j * r_j, for r_j the row of pivot
-    p_j and a_j = r_j[p_j].  A 0/1 point therefore is the sum of a subset
-    of the rows r_j / a_j, and scaling every row by L = lcm |a_j| keeps
-    the 2^rank - 1 subset sums in ints: the points are the sums whose
-    every entry is 0 or L.
+    One basis holds the rows ``v_i | e_i``; the e-block of any combination
+    of them is its coefficients over the v_i.  The vectors are dependent
+    iff some row pivots in the e-block.  Otherwise a point p of the span
+    is sum p[p_j] / a_j * r_j, for r_j the row of pivot p_j and
+    a_j = r_j[p_j], so a 0/1 point is the sum of a subset of the rows
+    r_j / a_j.  Scaling every row by L = lcm |a_j| keeps the 2^k - 1
+    subset sums in ints: the closing points are the sums whose v-block
+    entries are all 0 or L and whose e-block has no zero.
     """
+    k = len(vectors)
+    size = len(vectors[0]) if vectors else 0
     basis = EchelonBasis()
-    for v in vectors:
-        basis.add(v)
+    for i, v in enumerate(vectors):
+        basis.add(list(v) + [0] * i + [1] + [0] * (k - 1 - i))
+    if any(p >= size for p in basis._pivots):
+        return []
     scale = lcm(*(row[p] for p, row in zip(basis._pivots, basis._rows)))
-    sums = [[0] * len(basis._rows[0])] if basis._rows else [[]]
+    sums = [[0] * (size + k)]
     for p, row in zip(basis._pivots, basis._rows):
         step = scale // row[p]
         sums += [[x + step * y for x, y in zip(s, row)] for s in sums]
     ends = {0, scale}
-    return basis.rank, [tuple(x // scale for x in s) for s in sums[1:] if ends.issuperset(s)]
-
-
-def _closing_points(vectors):
-    """The 0/1 points of the span of integer ``vectors`` whose coefficients
-    over them are all nonzero, as tuples; none when the vectors are
-    dependent.  With two or more vectors these are the points p for which
-    ``vectors + [p]`` is a circuit."""
-    rank, points = _binary_span_points(vectors)
-    if rank < len(vectors):
-        return []
-    solve = _span_solver(vectors)[1]
-    return [point for point in points if all(solve(point))]
+    return [tuple(x // scale for x in s[:size]) for s in sums[1:]
+            if ends.issuperset(s[:size]) and all(s[size:])]
 
 
 def span_coefficients(vectors, target):

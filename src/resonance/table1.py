@@ -54,10 +54,6 @@ def golden_betti(i: int, n: int):
     return GOLDEN_BETTI.get(i, {}).get(n)
 
 
-def golden_regions(n: int):
-    return GOLDEN_REGIONS.get(n)
-
-
 def _compute_betti(i, n, workers):
     if i <= 3:
         return betti_closed(i, n), "closed form"
@@ -97,7 +93,7 @@ def build_report(n_max: int, i_max: int, workers: int = 1) -> dict:
             value, method = _compute_betti(i, n, workers)
             cells.append(_cell(f"b{i}", n, golden, value, method))
     for n in range(1, n_max + 1):
-        golden = golden_regions(n)
+        golden = GOLDEN_REGIONS.get(n)
         value, method = _compute_regions(n, workers)
         cells.append(_cell("R", n, golden, value, method))
     return {

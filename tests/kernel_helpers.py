@@ -1,9 +1,12 @@
 """Matroid, circuit and prototype helpers that only the tests call.
 
 Unlike ``oracles``, these are built on the package's own kernels
-(``EchelonBasis``, the span solver, the 0/1 span points and
-``restrict``), so the tests compare them with ``oracles`` or with the
-package's other routes rather than trusting them as references.
+(``EchelonBasis``, the span solver and ``restrict``), so the tests
+compare them with ``oracles`` or with the package's other routes rather
+than trusting them as references.  ``_binary_span_points`` lists the
+0/1 points of a span by the integer subset sums that the census's
+``linalg._closing_points`` also runs, but over a basis of its own and
+with the coefficients left to the span solver.
 ``is_nbc`` and ``is_broken_circuit`` test one set of hyperplanes by the
 definition; the prototype census, which judges the orderings of an image
 set together, is held to ``is_nbc`` one prototype at a time.
@@ -20,9 +23,10 @@ tuple, a partition its blocks in ascending mask order.
 from dataclasses import dataclass
 from enum import Enum
 from itertools import combinations
+from math import lcm
 
 from resonance.errors import InternalCheckError
-from resonance.linalg import EchelonBasis, _binary_span_points, _span_solver, restrict
+from resonance.linalg import EchelonBasis, _span_solver, restrict
 from resonance.masks import MAX_GROUND_SET, mask_vector
 
 from oracles import SideMidpointTuple
@@ -44,13 +48,36 @@ def validate_mask(mask: int, n: int) -> int:
     return mask
 
 
+def _binary_span_points(vectors):
+    """``(rank, points)`` for integer ``vectors``: their rank and every
+    nonzero 0/1 vector of their span, as tuples, in no fixed order.
+
+    A vector v of the span is fixed by its entries at the pivots of the
+    reduced basis: v = sum v[p_j] / a_j * r_j, for r_j the row of pivot
+    p_j and a_j = r_j[p_j].  A 0/1 point therefore is the sum of a subset
+    of the rows r_j / a_j, and scaling every row by L = lcm |a_j| keeps
+    the 2^rank - 1 subset sums in ints: the points are the sums whose
+    every entry is 0 or L.
+    """
+    basis = EchelonBasis()
+    for v in vectors:
+        basis.add(v)
+    scale = lcm(*(row[p] for p, row in zip(basis._pivots, basis._rows)))
+    sums = [[0] * len(basis._rows[0])] if basis._rows else [[]]
+    for p, row in zip(basis._pivots, basis._rows):
+        step = scale // row[p]
+        sums += [[x + step * y for x, y in zip(s, row)] for s in sums]
+    ends = {0, scale}
+    return basis.rank, [tuple(x // scale for x in s) for s in sums[1:] if ends.issuperset(s)]
+
+
 def is_broken_circuit(masks, n: int) -> bool:
     """True iff some hyperplane above max(masks) closes the set to a circuit.
 
     T + {h} is a circuit iff T is independent and h is a combination of
     all of T with nonzero coefficients.  So only the hyperplanes in the
     span of T can close it: its 0/1 points, at most 2^|T| - 1 of them,
-    which integer subset sums find (``linalg._binary_span_points``).
+    which integer subset sums find (``_binary_span_points``).
     Only a point above max(T) is solved for its coefficients, and the
     solver is built on the first such point.
     """

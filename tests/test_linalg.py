@@ -8,7 +8,6 @@ import pytest
 from resonance.linalg import (
     EchelonBasis,
     ExactMatrix,
-    _binary_span_points,
     _closing_points,
     _normalize_int_row,
     bareiss_rank,
@@ -16,7 +15,13 @@ from resonance.linalg import (
     span_coefficients,
 )
 
-from kernel_helpers import closure, fundamental_circuit, is_independent, mask_rank
+from kernel_helpers import (
+    _binary_span_points,
+    closure,
+    fundamental_circuit,
+    is_independent,
+    mask_rank,
+)
 from oracles import (
     fraction_rank,
     mask_from_elements as M,
@@ -208,9 +213,10 @@ def test_binary_span_points_match_bruteforce():
     # The four triples listed after them are the only ones whose reduced
     # rows have a pivot entry other than 1 (it is 2).  Then integer sets
     # whose reduced rows have pivot entries other than 1 ((2,1,0) and
-    # (0,3,1) reduce to (6,0,-1) and (0,3,1)) or negative entries.  The
-    # walk must find exactly the nonzero 0/1 vectors that the Fraction
-    # solve puts in the span, each once.
+    # (0,3,1) reduce to (6,0,-1) and (0,3,1)) or negative entries, and
+    # the edge cases: no vectors, a pivot entry of 2 with one vector, a
+    # span with no 0/1 point.  The walk must find exactly the nonzero 0/1
+    # vectors that the Fraction solve puts in the span, each once.
     def bruteforce(vecs, n):
         cube = (mask_vec(h, n) for h in range(1, 1 << n))
         return sorted(tuple(h) for h in cube if span_coefficients_oracle(vecs, h) is not None)
@@ -231,17 +237,30 @@ def test_binary_span_points_match_bruteforce():
         [(1, -1, 0), (0, 1, -1)],
         [(1, -1, 0, 0), (0, 0, 2, 1), (1, 1, 1, 1)],
         [(3, 0, 0, 1), (0, 2, 0, 1), (0, 0, 6, 1)],
+        [],
+        [(2, 2)],
+        [(1, -1)],
     ]
     for vecs in cases:
-        n = len(vecs[0])
+        n = len(vecs[0]) if vecs else 0
         rank, points = _binary_span_points(vecs)
         assert rank == fraction_rank(vecs) == len(vecs)
         assert sorted(points) == bruteforce(vecs, n), vecs
         closing = [h for h in bruteforce(vecs, n) if all(span_coefficients_oracle(vecs, h))]
         assert sorted(_closing_points(vecs)) == closing, vecs
-    # Dependent vectors close to no circuit, though their span has points.
-    for vecs in ([(1, 0), (1, 0)], [(1, 0, 0), (0, 1, 0), (1, 1, 0)], [(1, 1), (2, 2)]):
-        assert _binary_span_points(vecs)[1]
+    # Dependent vectors close to no circuit, whether or not their span
+    # has points.
+    dependent = (
+        [(1, 0), (1, 0)],
+        [(1, 0, 0), (0, 1, 0), (1, 1, 0)],
+        [(1, 1), (2, 2)],
+        [(0, 0)],
+        [(1, 0), (0, 0)],
+    )
+    for vecs in dependent:
+        rank, points = _binary_span_points(vecs)
+        assert rank == fraction_rank(vecs) < len(vecs)
+        assert sorted(points) == bruteforce(vecs, len(vecs[0])), vecs
         assert _closing_points(vecs) == []
 
 

@@ -1,17 +1,18 @@
+import fractions
 import random
 from itertools import permutations
 from math import factorial
 
 import pytest
 
-from resonance import prototypes
+from resonance import linalg, prototypes
 from resonance.errors import GuardExceeded, InternalCheckError
 from resonance.linalg import _closing_points
 from resonance.nbc import betti_via_nbc
 from resonance.prototypes import _functional_counts, betti_via_prototypes, coefficients
 
 from kernel_helpers import is_nbc, realize, tuple_prototype
-from oracles import partitions_into_blocks
+from oracles import fraction_rank, mask_vec, partitions_into_blocks, span_coefficients_oracle
 
 
 def random_partition(rng, size, k):
@@ -207,6 +208,55 @@ def test_census_solves_each_image_set_and_row_subset_once(monkeypatch, i, solves
                 valid.add(tuple(sorted(images)))
     assert len(calls) == len(valid) * (2**i - i - 1) == solves
     assert {len(vectors) for vectors in calls} == set(range(2, i + 1))
+
+
+@pytest.mark.parametrize("i, solves", [(2, 4), (3, 372)])
+def test_census_closes_rows_with_one_basis_per_solve_and_no_fractions(monkeypatch, i, solves):
+    """The closing points come from one integer elimination per call: the
+    census never reaches the span solver, and no Fraction is made."""
+    built = []
+
+    class CountingBasis(linalg.EchelonBasis):
+        __slots__ = ()
+
+        def __init__(self):
+            built.append(self)
+            super().__init__()
+
+    def refuse(*args):
+        raise AssertionError("the census solved for coefficients")
+
+    monkeypatch.setattr(linalg, "EchelonBasis", CountingBasis)
+    monkeypatch.setattr(linalg, "_span_solver", refuse)
+    monkeypatch.setattr(fractions, "Fraction", refuse)
+    calls = _counting_closers(monkeypatch)
+    try:
+        counts = _functional_counts(i)
+    finally:
+        _functional_counts.cache_clear()
+    assert counts == _KNOWN_COUNTS[i]
+    assert len(built) == len(calls) == solves
+
+
+def test_closing_points_of_the_census_inputs_match_the_definition(monkeypatch):
+    """Every row subset the census solves at i = 3, against the 0/1 cube:
+    the points whose oracle coefficients exist and are all nonzero, and
+    none when the rows are dependent."""
+    calls = _counting_closers(monkeypatch)
+    try:
+        _functional_counts(3)
+    finally:
+        _functional_counts.cache_clear()
+    assert len(calls) == 372
+    for vectors in calls:
+        size = len(vectors[0])
+        expected = []
+        if fraction_rank(vectors) == len(vectors):
+            for h in range(1, 1 << size):
+                coeffs = span_coefficients_oracle(vectors, mask_vec(h, size))
+                if coeffs is not None and all(coeffs):
+                    expected.append(tuple(mask_vec(h, size)))
+        assert sorted(_closing_points(vectors)) == sorted(expected), vectors
 
 
 @pytest.mark.parametrize("i", [2, 3])
