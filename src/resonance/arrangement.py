@@ -19,8 +19,8 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import GUARDS, InternalCheckError, check_guard
-from .linalg import restrict, span_coefficients
-from .masks import mask_vector
+from .linalg import integer_coefficients, restrict
+from .masks import MAX_GROUND_SET, mask_vector
 
 # Largest determinant of an n x n 0/1 matrix.  Any prime strictly above
 # this bound preserves every rank among 0/1 columns when reducing mod p.
@@ -233,10 +233,10 @@ def _interpolate_integer_poly(points, degree):
     """Exact interpolation: solve the Vandermonde system through the
     echelon kernel; the coefficients must be integers."""
     columns = [[x**d for x, _ in points] for d in range(degree + 1)]
-    coeffs = span_coefficients(columns, [y for _, y in points])
-    if any(c.denominator != 1 for c in coeffs):
+    coeffs = integer_coefficients(columns, [y for _, y in points])
+    if coeffs is None:
         raise InternalCheckError("interpolated polynomial is not integral")
-    return [int(c) for c in coeffs]
+    return coeffs
 
 
 def finite_field_charpoly(
@@ -347,8 +347,8 @@ def _count_regions(normals: tuple) -> tuple:
 def _normals(n: int, cap: int | None) -> tuple:
     """The normals of A_n, sorted as tuples: the order of every memo key."""
     check_guard("deletion/restriction: n", n, cap)
-    if not 1 <= n <= 63:
-        raise ValueError(f"n must be in 1..63, got {n}")
+    if not 1 <= n <= MAX_GROUND_SET:
+        raise ValueError(f"n must be in 1..{MAX_GROUND_SET}, got {n}")
     if n > 8:  # _count_regions nests once per hyperplane, whatever the cap
         raise ValueError(f"deletion/restriction nests {(1 << n) - 1} calls deep at n={n}, "
                          "past the interpreter's recursion limit; it runs to n = 8")

@@ -26,7 +26,7 @@ from . import circuits, nbc, table1, universality
 from .arrangement import region_count
 from .errors import GuardExceeded, InternalCheckError
 from .prototypes import coefficients
-from .stirling import betti_closed, closed_form, fit_stirling_coefficients
+from .stirling import CLOSED_BETTI, betti_closed, closed_form, fit_stirling_coefficients
 
 
 def _cap(args):
@@ -73,11 +73,11 @@ def _regions(args):
 
 def _check_printable(what, bits):
     """Refuse, before any work, a result below 2**bits that could have more
-    decimal digits than this interpreter converts an int to (0: no limit)."""
-    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
-    if limit and bits * log10(2) > limit:
+    decimal digits than the interpreter prints (CPython's 4300 if unlimited)."""
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)() or 4300
+    if bits * log10(2) > limit:
         raise ValueError(f"{what} may have more than {limit} decimal digits, "
-                         "the interpreter's limit for printing an int")
+                         "the limit for printing an int")
 
 
 def _closed_form(args):
@@ -112,14 +112,19 @@ def _circuits_census(args):
     return {"n": args.n, **{key: str(c) for key, c in zip(_CENSUS, counts)}}
 
 
+def _check_embedding(emb, matrix, cert):
+    """Add to ``cert`` what both checks of ``emb`` against ``matrix`` find."""
+    cert.update(universality.verify_embedding(emb, matrix)[1],
+                minor_matroid_check=universality.minor_matroid_check(emb, matrix))
+
+
 def _embed(args):
     matrix = universality.read_matrix_file(args.input)
     emb = universality.embed(matrix, **_cap(args))
     cert = universality.certificate_dict(emb)
     if args.verify:
-        ok, findings = universality.verify_embedding(emb, matrix)
-        cert.update(findings, minor_matroid_check=universality.minor_matroid_check(emb, matrix))
-        if not ok:
+        _check_embedding(emb, matrix, cert)
+        if not cert["verified"]:
             raise InternalCheckError("embedding failed its own verification")
         if not cert["minor_matroid_check"]:
             raise InternalCheckError("embedding failed the minor matroid check")
@@ -143,10 +148,9 @@ def _verify_embed(args):
         json.dumps(stored.get(k), sort_keys=True) != json.dumps(v, sort_keys=True)
         for k, v in cert.items()
     )
-    ok, findings = universality.verify_embedding(emb, matrix)
-    cert.update(findings, certificate_consistent=not stale,
-                minor_matroid_check=universality.minor_matroid_check(emb, matrix))
-    cert["verified"] = ok and not stale and cert["minor_matroid_check"]
+    _check_embedding(emb, matrix, cert)
+    cert["certificate_consistent"] = not stale
+    cert["verified"] = cert["verified"] and not stale and cert["minor_matroid_check"]
     return cert
 
 
@@ -210,7 +214,7 @@ COMMANDS = {
         lambda p: f"regions of A_{p['n']}: {p['regions']}  (method: {p['method']})",
     ),
     "closed-form": (
-        "closed-form Betti numbers (i <= 3)",
+        f"closed-form Betti numbers (i <= {max(CLOSED_BETTI)})",
         [_I, _N],
         _closed_form,
         lambda p: f"b_{p['i']}(A_{p['n']}) = {p['value']}",

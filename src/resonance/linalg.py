@@ -1,23 +1,24 @@
 """Exact rank, span and pivot computations on integer matrices.
 
 One elimination kernel serves every general job: ``EchelonBasis``, an
-incrementally built, fully reduced integer row basis.  Rank, span
-membership, the coefficients expressing a vector over others, square
-solves and the closing points (the 0/1 points of a span whose
-coefficients are all nonzero, found by integer subset sums of one
-basis) all go through it.  ``restrict`` is
-its row-update step on its own: it restricts a list of integer normals
-to the hyperplane with normal ``h``, and the region recursion uses it
-too.
+incrementally built, fully reduced integer row basis.  Rank and span
+membership read it directly.  Coefficients read one basis of the rows
+v_i | e_i (``_augmented_rows``), whose e-block carries them: the closing
+points (the 0/1 points of a span whose coefficients are all nonzero) are
+integer subset sums of its rows, and ``integer_coefficients`` solves a
+target over independent vectors with one weighted sum of the same rows.
+``restrict`` is its row-update step on its own: it restricts a list of
+integer normals to the hyperplane with normal ``h``, and the region
+recursion uses it too.
 ``ExactMatrix.pivot`` is the one other elimination step; it replays the
 pivots an embedding certificate prescribes, each on an entry equal to 1.
-Every elimination is in ints, never floats; the only rationals are the
-coefficients ``span_coefficients`` returns.
+Everything here is in ints: no float and no rational.
 """
 
 from __future__ import annotations
 
 from math import gcd, lcm
+from operator import index
 
 
 def _normalize_int_row(row):
@@ -112,35 +113,28 @@ def bareiss_rank(rows) -> int:
     return basis.rank
 
 
-def _span_solver(vectors):
-    """``(rank, solve)`` for integer ``vectors``: their rank and a function
-    giving Fraction coefficients that express a target over them, or None
-    outside their span (unique coefficients when they are independent).
+def _augmented_rows(vectors):
+    """``(L, rows)`` for the integer ``vectors`` v_1 .. v_k; both are None
+    when the vectors are dependent.
 
-    Each v_i enters one basis as ``v_i | e_i | 0``; a target t reduces as
-    ``t | 0 | 1`` to ``d*t + sum m_i v_i | m | d`` with d != 0, zero at
-    every pivot.  Its first block vanishes iff t is in the span, and then
-    t = sum (-m_i / d) v_i.  Rows pivoting in the first block count the rank.
+    One basis holds the rows ``v_i | e_i``; the e-block of any combination
+    of them is its coefficients over the v_i.  The vectors are dependent
+    iff some row pivots in the e-block.  Otherwise every vector t of their
+    span is sum t[p_j] / a_j * r_j, for r_j the row of pivot p_j and
+    a_j = r_j[p_j] > 0.  ``rows`` pairs each p_j with (L / a_j) * r_j, for
+    L = lcm a_j, so that sum t[p_j] * (L / a_j) * r_j stays in ints and
+    is L * (t | c), c the coefficients of t.
     """
-    from fractions import Fraction
-    vecs = [list(v) for v in vectors]
-    k = len(vecs)
-    size = len(vecs[0]) if vecs else 0
+    k = len(vectors)
+    size = len(vectors[0]) if vectors else 0
     basis = EchelonBasis()
-    for i, v in enumerate(vecs):
-        basis.add(v + [0] * i + [1] + [0] * (k - i))
-    pad = [0] * k + [1]
-
-    def solve(target):
-        t = list(target)
-        if vecs and len(t) != size:
-            raise ValueError(f"target has {len(t)} entries, vectors have {size}")
-        res = basis.residual(t + pad)
-        if any(res[: -k - 1]):
-            return None
-        return [Fraction(-m, res[-1]) for m in res[-k - 1 : -1]]
-
-    return sum(p < size for p in basis._pivots), solve
+    for i, v in enumerate(vectors):
+        basis.add(list(v) + [0] * i + [1] + [0] * (k - 1 - i))
+    if any(p >= size for p in basis._pivots):
+        return None, None
+    scale = lcm(*(row[p] for p, row in zip(basis._pivots, basis._rows)))
+    return scale, [(p, [scale // row[p] * x for x in row])
+                   for p, row in zip(basis._pivots, basis._rows)]
 
 
 def _closing_points(vectors):
@@ -149,36 +143,44 @@ def _closing_points(vectors):
     vectors are dependent.  With two or more vectors these are the points
     p for which ``vectors + [p]`` is a circuit.
 
-    One basis holds the rows ``v_i | e_i``; the e-block of any combination
-    of them is its coefficients over the v_i.  The vectors are dependent
-    iff some row pivots in the e-block.  Otherwise a point p of the span
-    is sum p[p_j] / a_j * r_j, for r_j the row of pivot p_j and
-    a_j = r_j[p_j], so a 0/1 point is the sum of a subset of the rows
-    r_j / a_j.  Scaling every row by L = lcm |a_j| keeps the 2^k - 1
-    subset sums in ints: the closing points are the sums whose v-block
-    entries are all 0 or L and whose e-block has no zero.
+    A 0/1 point p of the span is L * (p | c) = the sum of the scaled rows
+    of ``_augmented_rows`` at the pivots where p is 1, so the closing
+    points are the 2^k - 1 subset sums whose v-block entries are all 0
+    or L and whose e-block has no zero.
     """
-    k = len(vectors)
-    size = len(vectors[0]) if vectors else 0
-    basis = EchelonBasis()
-    for i, v in enumerate(vectors):
-        basis.add(list(v) + [0] * i + [1] + [0] * (k - 1 - i))
-    if any(p >= size for p in basis._pivots):
+    scale, rows = _augmented_rows(vectors)
+    if rows is None:
         return []
-    scale = lcm(*(row[p] for p, row in zip(basis._pivots, basis._rows)))
-    sums = [[0] * (size + k)]
-    for p, row in zip(basis._pivots, basis._rows):
-        step = scale // row[p]
-        sums += [[x + step * y for x, y in zip(s, row)] for s in sums]
+    size = len(vectors[0]) if vectors else 0
+    sums = [[0] * (size + len(vectors))]
+    for _, row in rows:
+        sums += [[x + y for x, y in zip(s, row)] for s in sums]
     ends = {0, scale}
     return [tuple(x // scale for x in s[:size]) for s in sums[1:]
             if ends.issuperset(s[:size]) and all(s[size:])]
 
 
-def span_coefficients(vectors, target):
-    """Exact coefficients c with sum c_i * vectors[i] == target, or None
-    when ``target`` lies outside the span of the integer ``vectors``."""
-    return _span_solver(vectors)[1](target)
+def integer_coefficients(vectors, target):
+    """The integers c with sum c_i * vectors[i] == target, or None when
+    the integer ``vectors`` are dependent or no such integers exist; a
+    target entry that is not an int, a float say, raises TypeError.
+
+    The sum of the scaled rows of ``_augmented_rows`` weighted by t at
+    their pivots is L * (t | c) when t lies in the span, so the target is
+    in it iff that sum's v-block is L * t, and c is its e-block over L.
+    """
+    t = [index(x) for x in target]
+    if vectors and len(t) != len(vectors[0]):
+        raise ValueError(f"target has {len(t)} entries, vectors have {len(vectors[0])}")
+    scale, rows = _augmented_rows(vectors)
+    if rows is None:
+        return None
+    s = [0] * (len(t) + len(vectors))
+    for p, row in rows:
+        s = [x + t[p] * y for x, y in zip(s, row)]
+    if s[: len(t)] != [scale * x for x in t] or any(x % scale for x in s[len(t) :]):
+        return None
+    return [x // scale for x in s[len(t) :]]
 
 
 class ExactMatrix:

@@ -14,7 +14,7 @@ from functools import lru_cache
 from math import comb, factorial
 
 from .errors import InternalCheckError
-from .linalg import _span_solver
+from .linalg import integer_coefficients
 
 
 @lru_cache(maxsize=None)
@@ -73,6 +73,8 @@ CLOSED_FORMS = {
     "tetrahedron_circuits": ({4: 1}, {4: 1, 3: -3, 2: 3, 1: -1}, 6),
     "rectangle_circuits": ({4: 3, 5: 12, 6: 15}, {6: 1, 5: -1, 4: -2, 3: 2, 2: 1, 1: -1}, 8),
 }
+# The Betti indices i that have a ``betti{i}`` row, ascending.
+CLOSED_BETTI = tuple(sorted(int(name[5:]) for name in CLOSED_FORMS if name.startswith("betti")))
 
 
 def closed_form(name: str, n: int) -> int:
@@ -100,18 +102,19 @@ def betti3_closed(n: int) -> int:
 
 
 def betti_closed(i: int, n: int) -> int:
-    """b_i(A_n) in closed form, for i in {1, 2, 3}."""
-    if i not in (1, 2, 3):
-        raise ValueError("closed forms exist for i in {1, 2, 3}")
+    """b_i(A_n) in closed form, for i in ``CLOSED_BETTI``."""
+    if i not in CLOSED_BETTI:
+        raise ValueError(f"closed forms exist for i in {{{', '.join(map(str, CLOSED_BETTI))}}}")
     return closed_form(f"betti{i}", n)
 
 
 def fit_stirling_coefficients(i: int, values) -> StirlingCombination:
     """Recover the Stirling combination from b_i(A_1) .. b_i(A_{2**i}).
 
-    Expresses the values over the columns of the (invertible) Stirling
-    matrix and checks the solution has the shape the theory demands:
-    zero for k <= i, nonnegative integers above.
+    Expresses the values over the columns of the invertible Stirling
+    matrix in integers; ``StirlingCombination`` then checks that the
+    solution has the shape the theory demands: zero for k <= i, and
+    nonnegative and within the combinatorial bound for k > i.
     """
     if i < 0:
         raise ValueError(f"Betti index i must be nonnegative, got i={i}")
@@ -120,18 +123,7 @@ def fit_stirling_coefficients(i: int, values) -> StirlingCombination:
     if len(vals) != size:
         raise ValueError(f"need exactly {size} Betti values, got {len(vals)}")
     columns = [[stirling2(n + 1, k) for n in range(1, size + 1)] for k in range(1, size + 1)]
-    rank, solve = _span_solver(columns)
-    if rank < size:
-        raise ValueError("Stirling matrix is singular")
-    solution = solve(vals)
-    coeffs = {}
-    for k, c in enumerate(solution, start=1):
-        if c.denominator != 1 or c < 0:
-            raise ValueError(f"inconsistent inputs: c[{k}] = {c} is not a nonnegative integer")
-        c = int(c)
-        if k <= i:
-            if c != 0:
-                raise ValueError(f"inconsistent inputs: c[{k}] = {c} should vanish for k <= {i}")
-        elif c:
-            coeffs[k] = c
-    return StirlingCombination(i, coeffs)
+    solution = integer_coefficients(columns, vals)
+    if solution is None:
+        raise ValueError("inconsistent inputs: no integer Stirling combination fits them")
+    return StirlingCombination(i, {k: c for k, c in enumerate(solution, start=1) if c})

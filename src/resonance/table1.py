@@ -15,7 +15,7 @@ from __future__ import annotations
 from . import nbc
 from .arrangement import finite_field_charpoly, region_count, whitney_charpoly
 from .errors import GuardExceeded, InternalCheckError
-from .stirling import betti_closed
+from .stirling import CLOSED_BETTI, betti_closed
 
 GOLDEN_BETTI = {
     1: {1: 1, 2: 3, 3: 7, 4: 15, 5: 31, 6: 63, 7: 127, 8: 255, 9: 511},
@@ -55,7 +55,7 @@ def golden_betti(i: int, n: int):
 
 
 def _compute_betti(i, n, workers):
-    if i <= 3:
+    if i in CLOSED_BETTI:
         return betti_closed(i, n), "closed form"
     if n < i:
         return 0, "rank bound"

@@ -1,12 +1,14 @@
 """Matroid, circuit and prototype helpers that only the tests call.
 
 Unlike ``oracles``, these are built on the package's own kernels
-(``EchelonBasis``, the span solver and ``restrict``), so the tests
-compare them with ``oracles`` or with the package's other routes rather
-than trusting them as references.  ``_binary_span_points`` lists the
-0/1 points of a span by the integer subset sums that the census's
-``linalg._closing_points`` also runs, but over a basis of its own and
-with the coefficients left to the span solver.
+(``EchelonBasis`` and ``restrict``), so the tests compare them with
+``oracles`` or with the package's other routes rather than trusting
+them as references.  Where they need coefficients they take the Fraction
+solve ``oracles.span_coefficients_oracle``, not the package's solver, so
+the census's definition-level oracle stays independent of it.
+``_binary_span_points`` lists the 0/1 points of a span by the integer
+subset sums that the census's ``linalg._closing_points`` also runs, but
+over a basis of its own that carries no coefficients.
 ``is_nbc`` and ``is_broken_circuit`` test one set of hyperplanes by the
 definition; the prototype census, which judges the orderings of an image
 set together, is held to ``is_nbc`` one prototype at a time.
@@ -26,10 +28,10 @@ from itertools import combinations
 from math import lcm
 
 from resonance.errors import InternalCheckError
-from resonance.linalg import EchelonBasis, _span_solver, restrict
+from resonance.linalg import EchelonBasis, restrict
 from resonance.masks import MAX_GROUND_SET, mask_vector
 
-from oracles import SideMidpointTuple
+from oracles import SideMidpointTuple, span_coefficients_oracle
 
 
 def validate_ground_set(n: int) -> None:
@@ -78,8 +80,8 @@ def is_broken_circuit(masks, n: int) -> bool:
     all of T with nonzero coefficients.  So only the hyperplanes in the
     span of T can close it: its 0/1 points, at most 2^|T| - 1 of them,
     which integer subset sums find (``_binary_span_points``).
-    Only a point above max(T) is solved for its coefficients, and the
-    solver is built on the first such point.
+    Only a point above max(T) is solved for its coefficients, by the
+    Fraction oracle.
     """
     given = list(masks)
     T = sorted(set(given))
@@ -93,13 +95,11 @@ def is_broken_circuit(masks, n: int) -> bool:
     rank, points = _binary_span_points(vectors)
     if rank < len(T):
         return False
-    solve = None
-    for point in points:
-        if sum(bit << j for j, bit in enumerate(point)) > T[-1]:
-            solve = solve or _span_solver(vectors)[1]
-            if all(solve(point)):
-                return True
-    return False
+    return any(
+        sum(bit << j for j, bit in enumerate(point)) > T[-1]
+        and all(span_coefficients_oracle(vectors, point))
+        for point in points
+    )
 
 
 def is_nbc(masks, n: int) -> bool:
@@ -175,10 +175,9 @@ def fundamental_circuit(independent_masks, e: int, n: int):
     validate_mask(e, n)
     if e in base:
         raise ValueError("element already belongs to the independent set")
-    rank, solve = _span_solver([mask_vector(m, n) for m in base])
-    if rank < len(base):
+    if _basis_of(base, n).rank < len(base):
         raise ValueError("base set is not independent")
-    coeffs = solve(mask_vector(e, n))
+    coeffs = span_coefficients_oracle([mask_vector(m, n) for m in base], mask_vector(e, n))
     if coeffs is None:
         raise ValueError("element does not lie in the closure of the base set")
     support = [bm for bm, c in zip(base, coeffs) if c]

@@ -284,6 +284,15 @@ def test_finite_field_extra_primes_are_checked(monkeypatch):
         finite_field_charpoly(3, primes=primes)
 
 
+def test_finite_field_refuses_a_non_integral_interpolant(monkeypatch):
+    # One count off by one among the n + 1 interpolated: the Vandermonde
+    # solve has no integer solution.
+    exact = arrangement.count_points_avoiding
+    monkeypatch.setattr(arrangement, "count_points_avoiding", lambda n, q: exact(n, q) + (q == 5))
+    with pytest.raises(InternalCheckError, match="not integral"):
+        finite_field_charpoly(3, primes=[5, 7, 11, 13])
+
+
 def test_finite_field_point_guard():
     huge = 1000000000000000003
     with pytest.raises(GuardExceeded, match="point-count work"):

@@ -359,6 +359,23 @@ def test_exit_codes(tmp_path, capsys, case):
         assert message in err
 
 
+@pytest.mark.parametrize("argv", [
+    ["closed-form", "--i", "3", "--n", "200000"],
+    ["circuits-census", "--n", "200000"],
+])
+@pytest.mark.parametrize("unlimited", ["limit 0", "no limit function"])
+def test_printable_guard_holds_without_an_interpreter_limit(monkeypatch, capsys, argv, unlimited):
+    # An interpreter with no int-print limit (PYTHONINTMAXSTRDIGITS=0, or
+    # Python 3.10) still refuses before the work, at CPython's default 4300.
+    if unlimited == "limit 0":
+        monkeypatch.setattr(sys, "get_int_max_str_digits", lambda: 0, raising=False)
+    else:
+        monkeypatch.delattr(sys, "get_int_max_str_digits", raising=False)
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "more than 4300 decimal digits" in err
+
+
 def test_embed_self_check_failure_exits_three(tmp_path, monkeypatch, capsys):
     from resonance import universality
 
@@ -504,6 +521,17 @@ def test_table1_report_small():
     assert report["mismatches"] == 0
     matched = [c for c in report["cells"] if c["status"] == "MATCH"]
     assert len(matched) == 20  # 16 Betti cells plus 4 region cells
+
+
+@pytest.mark.parametrize("n_max, i_max, message", [
+    (0, 1, "n_max must be in 1..9"),
+    (10, 1, "n_max must be in 1..9"),
+    (1, 0, "i_max must be in 1..4"),
+    (1, 5, "i_max must be in 1..4"),
+])
+def test_table1_report_refuses_sizes_outside_the_table(n_max, i_max, message):
+    with pytest.raises(ValueError, match=message):
+        build_report(n_max, i_max)
 
 
 def test_table1_cli(capsys):

@@ -1,5 +1,5 @@
 import random
-from fractions import Fraction
+from collections import Counter
 from itertools import combinations
 from math import gcd
 
@@ -11,8 +11,8 @@ from resonance.linalg import (
     _closing_points,
     _normalize_int_row,
     bareiss_rank,
+    integer_coefficients,
     restrict,
-    span_coefficients,
 )
 
 from kernel_helpers import (
@@ -161,49 +161,45 @@ def _combine(vecs, coeffs):
     return [sum(c * v[i] for c, v in zip(coeffs, vecs)) for i in range(len(vecs[0]))]
 
 
-def test_span_coefficients_independent_match_oracle():
+def test_integer_coefficients_match_oracle():
+    # The Fraction solve's coefficients where they are integers and the
+    # vectors independent; None outside the span, for a fractional
+    # coefficient, and for dependent vectors even where the oracle solves.
     rng = random.Random(6)
-    checked = 0
-    while checked < 150:
-        _, vecs = _random_span_case(rng, dependent=False)
+    seen = Counter()
+    while len(seen) < 4 or min(seen.values()) < 100:
+        size, vecs = _random_span_case(rng, dependent=rng.random() < 0.25)
+        if rng.random() < 0.5:
+            target = _combine(vecs, [rng.randint(-5, 5) for _ in vecs])
+        else:
+            target = [rng.randint(-60, 60) for _ in range(size)]
+        expected = span_coefficients_oracle(vecs, target)
         if fraction_rank(vecs) < len(vecs):
-            continue
-        target = _combine(vecs, [rng.randint(-5, 5) for _ in vecs])
-        got = span_coefficients(vecs, target)
-        assert got == span_coefficients_oracle(vecs, target)
-        assert _combine(vecs, got) == target
-        checked += 1
+            kind = "dependent"
+        elif expected is None:
+            kind = "outside"
+        elif all(c.denominator == 1 for c in expected):
+            kind = "integer"
+        else:
+            kind = "fraction"
+        got = integer_coefficients(vecs, target)
+        assert got == (expected if kind == "integer" else None), (kind, vecs, target)
+        seen[kind] += 1
 
 
-def test_span_coefficients_dependent_reproduce_target():
-    rng = random.Random(7)
-    for _ in range(150):
-        _, vecs = _random_span_case(rng, dependent=True)
-        target = _combine(vecs, [Fraction(rng.randint(-5, 5), rng.randint(1, 4)) for _ in vecs])
-        got = span_coefficients(vecs, target)
-        assert span_coefficients_oracle(vecs, target) is not None
-        assert got is not None and _combine(vecs, got) == target
-
-
-def test_span_coefficients_outside_span_is_none():
-    rng = random.Random(8)
-    checked = 0
-    while checked < 150:
-        size, vecs = _random_span_case(rng, dependent=rng.random() < 0.5)
-        target = [rng.randint(-60, 60) for _ in range(size)]
-        if fraction_rank(vecs + [target]) == fraction_rank(vecs):
-            continue
-        assert span_coefficients(vecs, target) is None
-        assert span_coefficients_oracle(vecs, target) is None
-        checked += 1
-
-
-def test_span_coefficients_edge_cases():
-    assert span_coefficients([], []) == []
-    assert span_coefficients([[1, 0], [0, 1]], [0, 0]) == [0, 0]
-    assert span_coefficients([[2, 4]], [1, 2]) == [Fraction(1, 2)]
+def test_integer_coefficients_edge_cases():
+    assert integer_coefficients([], []) == []
+    assert integer_coefficients([], [0, 0]) == []
+    assert integer_coefficients([], [0, 1]) is None
+    assert integer_coefficients([[1, 0], [0, 1]], [0, 0]) == [0, 0]
+    assert integer_coefficients([[2, 4]], [4, 8]) == [2]
+    assert integer_coefficients([[2, 4]], [1, 2]) is None  # coefficient 1/2
+    assert integer_coefficients([[2, 4]], [1, 3]) is None  # outside the span
+    assert integer_coefficients([[1, 0], [2, 0]], [3, 0]) is None  # dependent
     with pytest.raises(ValueError):
-        span_coefficients([[1, 0]], [1, 0, 0])
+        integer_coefficients([[1, 0]], [1, 0, 0])
+    with pytest.raises(TypeError):
+        integer_coefficients([[1, 0]], [1.0, 0])  # no float reaches a result
 
 
 def test_binary_span_points_match_bruteforce():

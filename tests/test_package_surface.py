@@ -140,15 +140,40 @@ def test_no_module_imports_random():
     assert importers == []
 
 
-def test_only_linalg_and_universality_import_fractions():
-    """Elimination is in ints: rationals enter only where input is cleared
-    (``universality``) and where span coefficients are returned (``linalg``)."""
+def test_only_universality_imports_fractions():
+    """Elimination is in ints: rationals enter only where ``universality``
+    clears the input matrix's columns."""
     importers = [
         path.stem
         for path in MODULES + [PACKAGE / "__init__.py"]
         if any("fractions" in m.split(".") for m in _imports(path))
     ]
-    assert sorted(importers) == ["linalg", "universality"]
+    assert importers == ["universality"]
+
+
+def test_exact_solves_make_no_fraction(monkeypatch):
+    """The point-count interpolation, the Stirling fit and the prototype
+    census solve in ints: none of them makes a Fraction."""
+    import fractions
+
+    from resonance.arrangement import finite_field_charpoly
+    from resonance.prototypes import _functional_counts
+    from resonance.stirling import CLOSED_FORMS, fit_stirling_coefficients
+    from resonance.table1 import golden_betti
+
+    def refuse(*args):
+        raise AssertionError("a Fraction was made")
+
+    monkeypatch.setattr(fractions, "Fraction", refuse)
+    assert finite_field_charpoly(5).betti == (1, 31, 375, 2130, 5270, 3485)
+    for i in (1, 2, 3):
+        golden = [golden_betti(i, n) for n in range(1, 2**i + 1)]
+        assert fit_stirling_coefficients(i, golden).coefficients == CLOSED_FORMS[f"betti{i}"][0]
+    _functional_counts.cache_clear()
+    try:
+        assert _functional_counts(3) == ((4, 54), (5, 480), (6, 2070), (7, 5040), (8, 5040))
+    finally:
+        _functional_counts.cache_clear()
 
 
 def test_no_assert_statements_in_the_package():

@@ -213,7 +213,8 @@ def test_census_solves_each_image_set_and_row_subset_once(monkeypatch, i, solves
 @pytest.mark.parametrize("i, solves", [(2, 4), (3, 372)])
 def test_census_closes_rows_with_one_basis_per_solve_and_no_fractions(monkeypatch, i, solves):
     """The closing points come from one integer elimination per call: the
-    census never reaches the span solver, and no Fraction is made."""
+    census never solves a target for its coefficients, and no Fraction is
+    made."""
     built = []
 
     class CountingBasis(linalg.EchelonBasis):
@@ -227,7 +228,7 @@ def test_census_closes_rows_with_one_basis_per_solve_and_no_fractions(monkeypatc
         raise AssertionError("the census solved for coefficients")
 
     monkeypatch.setattr(linalg, "EchelonBasis", CountingBasis)
-    monkeypatch.setattr(linalg, "_span_solver", refuse)
+    monkeypatch.setattr(linalg, "integer_coefficients", refuse)
     monkeypatch.setattr(fractions, "Fraction", refuse)
     calls = _counting_closers(monkeypatch)
     try:

@@ -143,6 +143,20 @@ def test_fit_rejects_wrong_input_count():
 def test_fit_rejects_inconsistent_inputs():
     with pytest.raises(ValueError):
         fit_stirling_coefficients(2, [1, 2, 15, 80])  # b2(A_1) = 1 is impossible
+    with pytest.raises(ValueError, match="no integer Stirling combination"):
+        fit_stirling_coefficients(1, [1, 2])  # solved by c_1 = c_2 = 1/2
+
+
+@pytest.mark.parametrize("coefficients, message", [
+    ({2: 1}, "coefficient index k=2 outside 3..4"),  # S(n+1, 2), which b_2 cannot contain
+    ({3: -1}, "negative coefficient"),
+    ({4: 4}, "exceeds its combinatorial bound"),
+])
+def test_fit_refuses_a_combination_of_the_wrong_shape(coefficients, message):
+    # The fit solves exactly, so the shape checks are StirlingCombination's.
+    values = [sum(c * stirling2(n + 1, k) for k, c in coefficients.items()) for n in range(1, 5)]
+    with pytest.raises(ValueError, match=message):
+        fit_stirling_coefficients(2, values)
 
 
 def test_combination_rejects_bound_violation():

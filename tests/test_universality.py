@@ -5,6 +5,7 @@ from itertools import product
 
 import pytest
 
+from resonance import universality
 from resonance.linalg import bareiss_rank
 from resonance.universality import (
     certificate_dict,
@@ -120,6 +121,17 @@ def test_embed_rejects_zero_column():
         embed([[1, 0], [1, 0]])
 
 
+@pytest.mark.parametrize("matrix, message", [
+    ([], "matrix must be nonempty"),
+    ([[]], "matrix must be nonempty"),
+    ([[1, 2], [3]], "ragged matrix"),
+])
+def test_embed_rejects_empty_or_ragged_matrices(matrix, message):
+    # The file parser refuses these first; a library caller reaches embed.
+    with pytest.raises(ValueError, match=message):
+        embed(matrix)
+
+
 def test_embed_clears_rational_columns():
     emb = embed([[Fraction(1, 2)], [Fraction(-1, 3)]])
     assert emb.cleared_matrix == ((3,), (-2,))
@@ -219,6 +231,17 @@ def test_verify_refuses_a_pivot_entry_other_than_one():
     assert cert["pivots"] == [["e1,+1", "r1,+1"]]
 
 
+def test_verify_catches_a_pivot_step_that_leaves_its_column(monkeypatch):
+    # No certificate reaches this check: every helper is pivoted on an
+    # entry of 1, which makes its column a unit vector that later pivots
+    # keep.  A pivot step that clears nothing is caught by it.
+    emb = embed(EXAMPLE)
+    monkeypatch.setattr(universality.ExactMatrix, "pivot", lambda self, row, col: self)
+    ok, cert = verify_embedding(emb, EXAMPLE)
+    assert not ok
+    assert cert["failure"] == "column r1,-1 did not reduce to a basis vector"
+
+
 @pytest.mark.parametrize("entry, ambient", [(127, 255), (-255, 256)])
 def test_largest_single_entries_verify_both_ways(entry, ambient):
     # One block of ambient - 1 coordinates, the largest the embed guard allows.
@@ -267,6 +290,13 @@ def test_minor_check_rejects_a_missing_carrier_or_a_stray_bit():
     assert not minor_matroid_check(
         dataclasses.replace(emb, carrier_vectors=(emb.carrier_vectors[0], stray)), EXAMPLE
     )
+
+
+def test_minor_check_rejects_another_matrix_or_dependent_helpers():
+    emb = embed(EXAMPLE)
+    assert not minor_matroid_check(emb, [[1, -1], [-2, 0], [-1, 1]])
+    helpers = (emb.helper_vectors[0],) * 2 + emb.helper_vectors[2:]
+    assert not minor_matroid_check(dataclasses.replace(emb, helper_vectors=helpers), EXAMPLE)
 
 
 def test_embed_has_no_row_limit():
