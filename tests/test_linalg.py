@@ -153,7 +153,8 @@ def _random_span_case(rng, dependent):
     vecs = [[rng.randint(-60, 60) for _ in range(size)] for _ in range(k)]
     if dependent:
         a, b = rng.sample(range(k), 2) if k > 1 else (0, 0)
-        vecs.append([rng.randint(-3, 3) * x + y for x, y in zip(vecs[a], vecs[b])])
+        c = rng.randint(-3, 3)
+        vecs.append([c * x + y for x, y in zip(vecs[a], vecs[b])])
     return size, vecs
 
 
@@ -185,6 +186,54 @@ def test_integer_coefficients_match_oracle():
         got = integer_coefficients(vecs, target)
         assert got == (expected if kind == "integer" else None), (kind, vecs, target)
         seen[kind] += 1
+
+
+def test_span_coefficients_independent_match_oracle():
+    # Integer combinations of independent vectors come back as exactly the
+    # oracle's coefficients, and those reproduce the target.
+    rng = random.Random(6)
+    checked = 0
+    while checked < 150:
+        _, vecs = _random_span_case(rng, dependent=False)
+        if fraction_rank(vecs) < len(vecs):
+            continue
+        target = _combine(vecs, [rng.randint(-5, 5) for _ in vecs])
+        got = integer_coefficients(vecs, target)
+        assert got == span_coefficients_oracle(vecs, target)
+        assert _combine(vecs, got) == target
+        checked += 1
+
+
+def test_span_coefficients_dependent_reproduce_target():
+    # Dependent vectors are refused even where the oracle solves; dropping
+    # the last vector, an integer combination of the others, leaves an
+    # independent set whose integer coefficients reproduce the target.
+    rng = random.Random(7)
+    checked = 0
+    while checked < 150:
+        _, vecs = _random_span_case(rng, dependent=True)
+        rest = vecs[:-1]
+        if fraction_rank(rest) < len(rest):
+            continue
+        target = _combine(vecs, [rng.randint(-5, 5) for _ in vecs])
+        assert span_coefficients_oracle(vecs, target) is not None
+        assert integer_coefficients(vecs, target) is None
+        got = integer_coefficients(rest, target)
+        assert got is not None and _combine(rest, got) == target
+        checked += 1
+
+
+def test_span_coefficients_outside_span_is_none():
+    rng = random.Random(8)
+    checked = 0
+    while checked < 150:
+        size, vecs = _random_span_case(rng, dependent=rng.random() < 0.5)
+        target = [rng.randint(-60, 60) for _ in range(size)]
+        if fraction_rank(vecs + [target]) == fraction_rank(vecs):
+            continue
+        assert integer_coefficients(vecs, target) is None
+        assert span_coefficients_oracle(vecs, target) is None
+        checked += 1
 
 
 def test_integer_coefficients_edge_cases():
