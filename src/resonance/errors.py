@@ -37,7 +37,8 @@ GUARDS = {
     "deletion_restriction_n": 6,
     # Deepest NBC search for each n = 1 .. 7: full depth through n=6.
     # Beyond it, at 2 workers: b_5(A_7) 1.4-2.1 s, b_6(A_7) 10-12.5 s, b_4(A_8)
-    # 2.2-3.1 s, chi(A_7) 9.7-12.1 s (86 s when the rank-7 level was formed).
+    # 2.0-2.2 s at its depth prime 7 (2.9-3.6 s at p = 79), chi(A_7)
+    # 9.7-12.1 s (86 s when the rank-7 level was formed).
     "nbc_depth": {**{n: n for n in range(1, 7)}, 7: 4},
     # Betti index of the prototype census.  It counts every injective map
     # {1..k-1} -> nonempty subsets of [i] for k = i+1 .. 2^i: 13650 maps at

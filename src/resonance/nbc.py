@@ -14,42 +14,53 @@ incremental rule with the definition is a test obligation, not an
 assumption.
 
 The search runs over F_p, p the smallest prime above the Hadamard
-bound floor((n+1)^((n+1)/2) / 2^n) on an n x n 0/1 determinant (p = 2,
-2, 3, 5, 7, 17, 37, 79 for n = 1..8).  A 0/1 minor of any size is at
-most that bound in absolute value, so it is nonzero mod p exactly when
-it is nonzero over Q: every rank among the normals, and so the matroid
-of A_n, is the same over F_p.  Independence and "the residuals of e
-and f are proportional" (rank(S + {e, f}) = |S| + 1) are rank
-conditions, so no count changes.  The prime is computed here, not read
-from ``arrangement.MAX_01_DETERMINANT``, so this route and the point
-count share no table.
+bound floor((k+1)^((k+1)/2) / 2^k) on a k x k 0/1 determinant (p = 2,
+2, 3, 5, 7, 17, 37, 79 for k = 1..8).  A 0/1 minor of size at most k
+is at most that bound in absolute value, so it is nonzero mod p exactly
+when it is nonzero over Q, and normals of rank at most k over Q have
+the same rank over F_p.  Independence of S + {e} and "the residuals of
+e and f are proportional" (rank(S + {e, f}) = |S| + 1) are rank
+conditions on at most |S| + 2 normals.  A search to depth d forms sets
+S + {e} of at most d members, so it reads ranks of at most d + 1
+normals, and no rank exceeds n: k = min(d + 1, n) changes no count.
+Every search to depth 4 runs at p <= 7; full depth at n = 7 and 8 takes
+p = 37 and 79.  The prime is computed here, not read from
+``arrangement.MAX_01_DETERMINANT``, so this route and the point count
+share no table.
 
 A search node is the list of residual directions of the hyperplanes
-after max(S): int16 rows mod p, each scaled to a leading 1 and held
-once, at the position of its last copy.  Every member is then an
-extension, and a child is the tail after one member, restricted to it:
-row j becomes row_j - row_j[q] * row_pos, for q the leading position
-of row_pos, and is scaled to a leading 1 again.  No row is ever zero,
-by induction on |S|: at the root, distinct 0/1 vectors are never
-proportional, and a hyperplane after e in the span of S + {e} but not
-of S had e's direction at the node of S, where e is held only as the
-last copy of its direction.  Dropping an earlier copy loses nothing:
-equal rows stay equal under that step, so at every node below it the
-copy still has a later twin, which the rule would add instead.
+after max(S): rows mod p, each scaled to a leading 1 and held once, at
+the position of its last copy.  Every member is then an extension, and
+a child is the tail after one member, restricted to it: row j becomes
+row_j - row_j[q] * row_pos, for q the leading position of row_pos, and
+is scaled to a leading 1 again.  No row is ever zero, by induction on
+|S|: at the root, distinct 0/1 vectors are never proportional, and a
+hyperplane after e in the span of S + {e} but not of S had e's
+direction at the node of S, where e is held only as the last copy of
+its direction.  Dropping an earlier copy loses nothing: equal rows stay
+equal under that step, so at every node below it the copy still has a
+later twin, which the rule would add instead.
 
 A block is the concatenated lists of a group of sibling nodes at one
 depth, with the length of each list.  One expansion forms the child
 rows of all of its pairs pos < j at once, in a few numpy passes over
-whole arrays: a row has 8 int16 columns whatever n is (zero past n), so
-its nonzero flags are one int64, whose lowest set bit gives its leading
-position, and its entries are two int64 words, which one multiplication
-scales.  A child row's key is its entries as base-p digits plus its
-parent row's index times p^n, so equal keys are equal directions in
-one child list; the last copy of each key is kept, in order, which is
-the rule above.  The kept rows are cut, at node boundaries, into
-blocks of about ``_BLOCK_PAIRS`` pairs for the next depth.  One job per root
-hyperplane goes through ``run_jobs`` and the counts are summed, so
-neither the block cuts nor the worker count change them.
+whole arrays.  A row has 8 columns whatever n is (zero past n), so its
+nonzero flags are one int64, whose lowest set bit gives its leading
+position.  Its lanes are int8 when p * p - 1 < 128 (p <= 11, so every
+search to depth 4) and int16 above, so its entries are one or two
+int64 words, which one multiplication scales.  The restriction is
+row_j + (p - row_j[q]) * row_pos, whose lanes stay in 0 .. p^2 - 1:
+never negative, so whole words add and nothing borrows, and one
+reduction mod p follows.  A child row's key holds its entries and, in
+its high bits, its parent row's index, so equal keys are equal
+directions in one child list.  An int8 row's entries are below 16, so
+its word w folds to the 32 bits of w | w >> 28; int16 entries are
+base-p digits under the parent's index times p^n.  The last copy of
+each key is kept, in order, which is the rule above.  The kept rows
+are cut, at node boundaries, into blocks of about ``_BLOCK_PAIRS``
+pairs for the next depth.  One job per root hyperplane goes through
+``run_jobs`` and the counts are summed, so neither the block cuts nor
+the worker count change them.
 
 The children of nodes at depth max - 2 are only counted, and a level
 that is only counted never needs to know where its kept rows sit: it
@@ -86,26 +97,30 @@ from .masks import MAX_GROUND_SET
 # Pairs one block step expands, about; a block ends at a node boundary,
 # so one large node may take it past this.  Measured in one process on a
 # 2-core shared box (Python 3.11.7, numpy 2.4.6): the fastest of 10
-# runs of b_4(A_7) and chi(A_6) at 1 worker, the traced heap peak of
-# chi(A_6), and the heap that the `betti7` workload holds at its end,
-# which its peak RSS includes:
+# runs of b_4(A_7) (int8 rows, p = 7) and chi(A_6) (int16 rows, p = 17)
+# at 1 worker, and the traced heap peak of chi(A_6).  The heap that the
+# `betti7` workload holds at its end, which its peak RSS includes, was
+# measured on int16 rows, before each depth had its prime:
 #
 #   pairs  b_4(A_7)  chi(A_6)  heap peak  betti7 heap
-#    1000   343 ms    105 ms    173 kB     5828 kB
-#    2000   291        79       272        5828
-#    3000   257        70       370        5828
-#    4000   240        67       474        5828
-#    5000   235        66       565        5924
-#    6000   235        68       673        5964
-#    8000   250        67       867        6076
+#    1000   331 ms    107 ms    166 kB     5828 kB
+#    2000   196        77       268        5828
+#    3000   181        72       369        5828
+#    4000   176        71       480        5828
+#    5000   168        66       574        5924
+#    6000   170        69       680        5964
+#    8000   193        65       881        6076
 #
-# Past 4000 pairs the time stops falling and the heap grows.
+# Past 4000 pairs the time falls by a few percent at most, within the
+# box's noise, and the heap grows.
 _BLOCK_PAIRS = 4000
-# Largest n searched.  A key needs p^n times the rows of its block below
-# 2^63: p^8 = 79^8 ~ 1.5e15 allows 6080 rows, and n = 9 has p = 197,
-# whose p^9 is past 2^63 and whose (p-1)^2 is past int16.  Rows have
-# this many columns whatever n is, zero past n: ``_leads`` and ``_scale``
-# read a row as whole int64 words.
+# Largest n searched: a row has this many columns whatever n is, zero
+# past n, and ``_leads``, ``_scale`` and the int8 key read it as whole
+# int64 words.  The key does not stop n = 9 by itself: a search to depth
+# 2 has p = 3 there.  At full depth it would, with p = 197, whose p^9 is
+# past 2^63 and whose p^2 is past int16.  At n = 8 a base-p key needs
+# p^n times the rows of its block below 2^63: 79^8 ~ 1.5e15 allows 6080
+# rows.
 _MAX_N = 8
 
 
@@ -118,32 +133,48 @@ def _nbc_prime(n: int) -> int:
 
 
 class _Field:
-    """Arithmetic on int16 rows mod the prime of A_n, padded with zeros to
-    ``_MAX_N`` columns."""
+    """Arithmetic mod the prime of a search of A_n to ``depth``, on rows
+    padded with zeros to ``_MAX_N`` columns: int8 lanes, one int64 word a
+    row, when p * p - 1 < 128, and int16 lanes, two words, above."""
 
-    def __init__(self, n: int):
-        p = self.p = _nbc_prime(n)
+    def __init__(self, n: int, depth: int):
+        p = self.p = _nbc_prime(min(depth + 1, n))
         self.n = n
-        self.inverse = np.array([0] + [pow(x, -1, p) for x in range(1, p)], dtype=np.int16)
-        self.parent = p**n
+        self.dtype = np.int8 if p * p - 1 < 128 else np.int16
+        self.inverse = np.array([0] + [pow(x, -1, p) for x in range(1, p)], dtype=self.dtype)
         # A block starts its last node below this row, so it holds fewer
-        # than 2^63 / p^n rows and its keys stay below 2^63.
-        self.max_rows = (1 << 63) // p**n - (1 << n)
+        # rows than the parent's place in a key allows: 2^31 above the
+        # folded word, 2^63 / p^n above the base-p digits.
+        limit = 1 << 31 if self.dtype == np.int8 else (1 << 63) // p**n
+        self.max_rows = limit - (1 << n)
 
     def mod(self, t):
         """Reduce ``t`` into 0 .. p-1 in place (``//`` is several times
-        faster than ``%`` on int16)."""
+        faster than ``%`` on int8 and int16)."""
         q = t // self.p
         q *= self.p
         t -= q
         return t
 
-    def key(self, rows):
-        """Each row's n entries as the digits of one base-p int64."""
+    def key(self, rows, parents):
+        """One int64 per row, equal for two rows of one parent exactly when
+        the rows are equal, and ascending with the parent.  An int8 row is
+        one word w whose entries are below 16, so ``w | w >> 28`` holds all
+        eight in its low 32 bits, under the parent's index.  An int16 row
+        is its n entries as base-p digits, plus the parent's index times
+        p^n."""
+        if self.dtype == np.int8:
+            word = rows.view(np.int64).ravel()
+            key = word >> 28
+            key |= word
+            key &= 0xFFFFFFFF
+            key |= parents << 32
+            return key
         key = rows[:, 0].astype(np.int64)
         for j in range(1, self.n):
             key *= self.p
             key += rows[:, j]
+        key += parents * self.p**self.n
         return key
 
 
@@ -159,9 +190,9 @@ def _leads(rows):
 
 
 def _scale(rows, factors):
-    """Multiply each row by its factor, in place.  Entries and factors are
-    below p <= 79, so each product fits the entry's 16 bits, and four
-    entries are one int64 word: the word times the factor is the four
+    """Multiply each row by its factor, in place.  An int64 word holds
+    eight int8 or four int16 entries, and the callers keep every product
+    below its lane's sign bit, so the word times the factor is the
     products.  numpy then makes one pass per word column, not one short
     loop per row."""
     words = rows.view(np.int64).T
@@ -170,23 +201,27 @@ def _scale(rows, factors):
 
 def _children(f, rows, parents, tails):
     """Each ``rows[tails[k]]`` restricted to ``rows[parents[k]]`` and
-    scaled to a leading 1, and its key, which adds the parent's index
-    times p^n.  No result is zero: the rows of a node are distinct
-    directions, so none is a multiple of another.
+    scaled to a leading 1, and its key (``_Field.key``).  No result is
+    zero: the rows of a node are distinct directions, so none is a
+    multiple of another.
+
+    For c the tail's entry at the parent's leading position, the tail
+    less c times the parent is, mod p, the tail plus (p - c) times the
+    parent.  Its entries are at most p - 1 + (p - 1) * p = p^2 - 1, which
+    fits an int8 lane for p <= 11 and an int16 lane for p <= 181: no
+    lane is negative or carries, so whole words add.
     """
     # Where each child row starts in new.ravel(), less the 1 that _leads adds.
     at = np.arange(-1, _MAX_N * len(tails) - 1, _MAX_N)
     new, head = rows.take(tails, 0), rows.take(parents, 0)
-    _scale(head, new.ravel().take(at + _leads(rows).take(parents)))
-    new -= head
+    _scale(head, f.p - new.ravel().take(at + _leads(rows).take(parents)))
+    new += head
     # Spent temporaries go at once: a block's peak memory bounds _BLOCK_PAIRS.
     del head
     at += _leads(f.mod(new))
     _scale(new, f.inverse.take(new.ravel().take(at)))
     del at
-    keys = f.key(f.mod(new))
-    keys += parents * f.parent
-    return new, keys
+    return new, f.key(f.mod(new), parents)
 
 
 def _last_copies(keys):
@@ -280,7 +315,7 @@ def _count_from_root(root, f, max_depth):
     counts[1] = 1
     if max_depth > 1:
         # The root and the later hyperplanes: 0/1 rows, leading entry 1.
-        rows = (np.arange(root, 1 << f.n)[:, None] >> np.arange(_MAX_N) & 1).astype(np.int16)
+        rows = (np.arange(root, 1 << f.n)[:, None] >> np.arange(_MAX_N) & 1).astype(f.dtype)
         tails = np.arange(1, len(rows))
         _expand(f, rows, np.zeros_like(tails), tails, 0, max_depth, counts)
     return counts
@@ -302,13 +337,13 @@ def betti_via_nbc(
         check_guard(f"NBC search at n={n}: depth", i_max, cap[n])
     if n > _MAX_N:  # checked after the guard, which refuses it first
         raise ValueError(f"the NBC search runs to n = {_MAX_N}, got n={n}: "
-                         "past it a row mod p does not fit an int64 key")
+                         f"a row has {_MAX_N} columns")
     counts = [0] * (i_max + 1)
     counts[0] = 1
     if i_max == 0:
         return counts
     jobs = range(1, 1 << n)
-    count = partial(_count_from_root, f=_Field(n), max_depth=i_max)
+    count = partial(_count_from_root, f=_Field(n, i_max), max_depth=i_max)
     for sub in run_jobs(count, jobs, workers):
         for d in range(1, i_max + 1):
             counts[d] += sub[d]

@@ -12,6 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from math import comb, factorial
+from operator import index
 
 from .errors import InternalCheckError
 from .linalg import integer_coefficients
@@ -103,6 +104,7 @@ def betti3_closed(n: int) -> int:
 
 def betti_closed(i: int, n: int) -> int:
     """b_i(A_n) in closed form, for i in ``CLOSED_BETTI``."""
+    i = index(i)  # True is 1 and names row betti1; 3.0 raises TypeError
     if i not in CLOSED_BETTI:
         raise ValueError(f"closed forms exist for i in {{{', '.join(map(str, CLOSED_BETTI))}}}")
     return closed_form(f"betti{i}", n)

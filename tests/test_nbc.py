@@ -15,7 +15,7 @@ from resonance.arrangement import (
     whitney_charpoly,
 )
 from resonance.stirling import betti3_closed
-from resonance.table1 import GOLDEN_BETTI
+from resonance.table1 import GOLDEN_BETTI, GOLDEN_REGIONS
 
 from kernel_helpers import (
     NbcSet,
@@ -207,8 +207,9 @@ def test_block_cuts_and_workers_do_not_change_counts(monkeypatch):
     # One pair per block cuts at every node; 10**9 never cuts.  b_4(A_6)
     # also covers b_3(A_6), and its depth-2 nodes are cut into blocks.
     # chi(A_6), whose rank-6 level is counted from node sizes, is left out
-    # of the one-pair run, which would take too long on it.  b_3(A_7) runs
-    # with p = 37, past the p <= 17 of n <= 6, cut at 64 pairs and uncut.
+    # of the one-pair run, which would take too long on it.  b_3(A_7), at
+    # p = 5 on int8 rows, and chi(A_6), at p = 17 on int16 rows, run cut at
+    # 64 pairs and uncut.
     cases = [(n, n) for n in range(1, 6)] + [(6, 4)]
     full = cases + [(6, 6)]
     want = {(n, d): betti_via_nbc(n, d) for n, d in full + [(7, 3)]}
@@ -220,57 +221,104 @@ def test_block_cuts_and_workers_do_not_change_counts(monkeypatch):
         assert betti_via_nbc(n, d, workers=2) == want[n, d], n
     # One worker runs the jobs in this process, so the patched size is the
     # one used, whatever the pool's start method.
-    for block, runs in ((1, cases), (64, [(7, 3)]), (10**9, full + [(7, 3)])):
+    for block, runs in ((1, cases), (64, [(6, 6), (7, 3)]), (10**9, full + [(7, 3)])):
         monkeypatch.setattr(nbc, "_BLOCK_PAIRS", block)
         for n, d in runs:
             assert betti_via_nbc(n, d) == want[n, d], (block, n)
 
 
 def test_one_field_serves_every_root(monkeypatch):
+    # b_3(A_5) runs at p = 5 on int8 rows, chi(A_6) at p = 17 on int16.
     built = []
 
-    def field(n):
-        built.append(n)
-        return _Field(n)
+    def field(n, depth):
+        built.append(_Field(n, depth))
+        return built[-1]
 
     _Field = nbc._Field
     monkeypatch.setattr(nbc, "_Field", field)
     assert betti_via_nbc(5, 3) == [1] + [GOLDEN_BETTI[i][5] for i in range(1, 4)]
-    assert built == [5]
+    assert sum(betti_via_nbc(6, 6)) == GOLDEN_REGIONS[6]
+    assert [(f.n, f.p, f.dtype) for f in built] == [(5, 5, np.int8), (6, 17, np.int16)]
+
+
+def _at_the_prime_of_n(monkeypatch):
+    """Make every search run on the field of its full depth, p = _nbc_prime(n).
+    The class itself stays, so a pool can pickle its fields."""
+    init = nbc._Field.__init__
+    monkeypatch.setattr(nbc._Field, "__init__", lambda f, n, depth: init(f, n, n))
+
+
+def test_the_depth_prime_counts_what_the_prime_of_n_counts(monkeypatch):
+    # A search to depth d reads ranks of at most d + 1 normals.  Through
+    # depth 4 its prime is at most 7, while n = 6 and 7 have 17 and 37.
+    want = {(n, d): betti_via_nbc(n, d) for n in range(1, 8) for d in range(min(n, 4) + 1)}
+    _at_the_prime_of_n(monkeypatch)
+    for (n, d), counts in want.items():
+        assert betti_via_nbc(n, d) == counts, (n, d)
+    assert want[7, 4] == [1] + [GOLDEN_BETTI[i][7] for i in range(1, 5)]
+
+
+def test_field_prime_and_lanes_follow_the_depth():
+    # |det| of a k x k 0/1 matrix is at most (k+1)^((k+1)/2) / 2^k.
+    for n in range(1, 9):
+        for depth in range(1, n + 1):
+            f = nbc._Field(n, depth)
+            k = min(depth + 1, n)
+            assert f.p == nbc._nbc_prime(k) and f.p * f.p * 4**k > (k + 1) ** (k + 1)
+            assert MAX_01_DETERMINANT[k] < f.p
+            assert (f.dtype == np.int8) == (f.p * f.p - 1 < 128)
+            assert f.inverse.dtype == f.dtype
+            assert [x * int(f.inverse[x]) % f.p for x in range(1, f.p)] == [1] * (f.p - 1)
+            if depth <= 4:
+                assert f.dtype == np.int8, (n, depth)
 
 
 def test_field_key_is_the_base_p_value_below_2_63():
     # int64 arithmetic that overflows wraps silently, so each key is checked
     # against Python ints, up to the largest key a block can form: every
     # entry p - 1 at the last row a block can hold (its last node starts
-    # below max_rows and holds fewer than 2^n rows).
+    # below max_rows and holds fewer than 2^n rows).  An int8 row's entry
+    # j < 8 is a nibble of the key's low 32 bits, at bit 8j for j < 4 and
+    # 8j - 28 above; an int16 row's entries are base-p digits.
     rng = random.Random(24)
+    widths = set()
     for n in range(1, 9):
-        f = nbc._Field(n)
-        p = f.p
-        rows = [[rng.randrange(p) for _ in range(n)] for _ in range(200)] + [[p - 1] * n]
-        array = np.zeros((len(rows), nbc._MAX_N), dtype=np.int16)
-        array[:, :n] = rows
-        digits = [sum(e * p ** (n - 1 - j) for j, e in enumerate(row)) for row in rows]
-        assert f.key(array).tolist() == digits, n
-        last = f.max_rows + (1 << n) - 1
-        top = f.key(array[-1:]) + np.array([last]) * f.parent
-        assert int(top[0]) == last * p**n + p**n - 1 < 2**63, n
+        for depth in sorted({2, 4, n}):
+            f = nbc._Field(n, depth)
+            p = f.p
+            widths.add(f.dtype)
+            rows = [[rng.randrange(p) for _ in range(n)] for _ in range(200)] + [[p - 1] * n]
+            array = np.zeros((len(rows), nbc._MAX_N), dtype=f.dtype)
+            array[:, :n] = rows
+            last = f.max_rows + (1 << n) - 1
+            parents = [rng.randrange(last) for _ in rows[1:]] + [last]
+            if f.dtype == np.int8:
+                low = [sum(e << (8 * j if j < 4 else 8 * j - 28) for j, e in enumerate(row)) for row in rows]
+                want = [key + (parent << 32) for key, parent in zip(low, parents)]
+            else:
+                digits = [sum(e * p ** (n - 1 - j) for j, e in enumerate(row)) for row in rows]
+                want = [key + parent * p**n for key, parent in zip(digits, parents)]
+            assert f.key(array, np.array(parents)).tolist() == want, (n, depth)
+            assert want[-1] < 2**63, (n, depth)
+    assert widths == {np.int8, np.int16}
 
 
 def test_leads_and_scale_match_their_row_by_row_meaning():
-    # Both read a row of 8 int16 entries as int64 words; entries and
-    # factors go up to 78 = p - 1 at n = 8, whose products are the largest.
+    # Both read a row of 8 entries as int64 words.  Entries go up to p - 1
+    # and factors up to p, the largest the restriction scales by: at
+    # p = 11 on int8 and p = 79 (n = 8 at full depth) on int16.
     rng = np.random.default_rng(7)
-    rows = rng.integers(0, 79, size=(2000, nbc._MAX_N)).astype(np.int16)
-    rows[rng.random(rows.shape) < 0.7] = 0
-    rows = rows[rows.any(1)]
-    want = [1 + next(j for j, e in enumerate(row) if e) for row in rows.tolist()]
-    assert nbc._leads(rows).tolist() == want
-    factors = rng.integers(0, 79, size=len(rows)).astype(np.int16)
-    scaled = rows.copy()
-    nbc._scale(scaled, factors)
-    assert scaled.tolist() == [[e * c for e in row] for row, c in zip(rows.tolist(), factors.tolist())]
+    for p, dtype in ((11, np.int8), (79, np.int16)):
+        rows = rng.integers(0, p, size=(2000, nbc._MAX_N)).astype(dtype)
+        rows[rng.random(rows.shape) < 0.7] = 0
+        rows = rows[rows.any(1)]
+        want = [1 + next(j for j, e in enumerate(row) if e) for row in rows.tolist()]
+        assert nbc._leads(rows).tolist() == want
+        factors = rng.integers(0, p + 1, size=len(rows)).astype(dtype)
+        scaled = rows.copy()
+        nbc._scale(scaled, factors)
+        assert scaled.tolist() == [[e * c for e in row] for row, c in zip(rows.tolist(), factors.tolist())]
 
 
 def test_last_copies_match_a_python_reference():
@@ -297,10 +345,14 @@ def test_rank_n_count_leaves_the_lower_levels_unchanged():
         assert betti_via_nbc(n, n)[:n] == betti_via_nbc(n, n - 1), n
 
 
-def test_a8_depth_3_matches_the_closed_form():
-    # n = 8 has the largest prime, 79: (p-1)^2 = 6084 is near the int16
-    # limit, and a depth-3 search keys children by nonzero parent indices.
-    assert betti_via_nbc(8, 3, cap=None)[3] == betti3_closed(8)
+def test_a8_depth_3_matches_the_closed_form(monkeypatch):
+    # Its depth prime is 5.  At n = 8's own prime, 79, the restricted
+    # lanes reach p^2 - 1 = 6240 of int16's 32767, and a depth-3 search
+    # keys children by nonzero parent indices times 79^8.
+    want = betti3_closed(8)
+    assert betti_via_nbc(8, 3, cap=None)[3] == want
+    _at_the_prime_of_n(monkeypatch)
+    assert betti_via_nbc(8, 3, cap=None)[3] == want
 
 
 def test_nbc_prime_is_the_first_prime_past_the_hadamard_bound():
@@ -332,10 +384,19 @@ def test_a7_charpoly_by_nbc_matches_ff():
 @pytest.mark.long_run
 def test_count_only_levels_reach_the_ff_values():
     # The values on which ff and the NBC search agree.  Each search ends on
-    # a count-only level; the n = 8 one runs with p = 79, whose keys come
-    # closest to 2^63.
+    # a count-only level: b_4(A_8) at p = 7 on int8 rows, b_5(A_7) at
+    # p = 17 on int16 rows.
     assert betti_via_nbc(8, 4, workers=2, cap=None)[4] == 81029004
     assert betti_via_nbc(7, 5, workers=2, cap=None)[5] == 37769977
+
+
+@pytest.mark.long_run
+def test_a8_depth_4_at_the_depth_prime_matches_p_79(monkeypatch):
+    # b_4(A_8) at its depth prime, 7, and at n = 8's own prime, 79, whose
+    # base-p keys come closest to 2^63 (about 3 s each at 2 workers).
+    assert betti_via_nbc(8, 4, workers=2, cap=None)[4] == 81029004
+    _at_the_prime_of_n(monkeypatch)
+    assert betti_via_nbc(8, 4, workers=2, cap=None)[4] == 81029004
 
 
 @pytest.mark.parametrize(

@@ -78,6 +78,14 @@ def test_betti3_closed_row():
         assert betti3_closed(n) == v
 
 
+def test_betti_closed_reads_i_as_an_integer_index():
+    # A bool is an int, so True names row betti1; a float names no row.
+    assert stirling.betti_closed(True, 3) == stirling.betti_closed(1, 3) == 7
+    for i in (3.0, "3", None):
+        with pytest.raises(TypeError):
+            stirling.betti_closed(i, 4)
+
+
 def test_every_closed_form_row_evaluates_both_ways():
     assert len(CLOSED_FORMS) == 6
     for name in CLOSED_FORMS:
