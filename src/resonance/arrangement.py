@@ -16,7 +16,6 @@ from math import comb
 from operator import add
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import GUARDS, InternalCheckError, check_guard
 from .linalg import integer_coefficients, restrict
@@ -102,12 +101,18 @@ def default_primes(n: int):
     return primes
 
 
-# Parent rows expanded in one step.  A step holds up to _CHUNK * (q - 1)
-# children of q bytes each, 2.2 MB at q = 67.
-_CHUNK = 512
-# Primes from here on are refused: a row mask takes q bytes, and below it
-# every int64 chunk sum in _count_sorted stays under 2**63.
+# A step of the point count holds at most _CHUNK words of prefix masks
+# (32 kB), or the children of one prefix: the children it forms, or the
+# prefixes whose last coordinate it counts.  Each mask is ceil(q/64) words,
+# so a counting step has at most 64 * _CHUNK / q prefixes, each with under
+# q free values of weight at most (n - 1)! <= 7!, and every int64 step sum
+# in _count_sorted is below 64 * _CHUNK * 7! < 2**31, or q * 7! < 2**44
+# for a step of one prefix.
+_CHUNK = 4096
+# Primes from here on are refused: below it a mask takes at most 2**25
+# words and a one-prefix step sum stays under 2**44.
 _MAX_PRIME = 2**31
+_ALL = ~np.uint64(0)
 
 
 def _check_prime(n: int, q: int) -> None:
@@ -122,51 +127,129 @@ def _check_prime(n: int, q: int) -> None:
         raise ValueError(f"{q} is not prime")
 
 
-def _count_sorted(sums, last, run, weight, m, n, q):
+def _shift(x, d):
+    """``x << d`` where the per-mask amount d >= 0, ``x >> -d`` where d < 0.
+
+    numpy gives 0 for a uint64 shift of 64 or more, and a negative
+    amount cast to uint64 is one, so the other half of the OR is 0."""
+    return (x << d.astype(np.uint64)) | (x >> (-d).astype(np.uint64))
+
+
+def _rotate(masks, v, q):
+    """Each q-bit mask, a column of ``masks``, rotated down by its own
+    ``v`` in 1 .. q-1: bit j of the result is bit (j + v) mod q of the mask.
+
+    That is masks >> v | masks << (q - v), cut to q bits.  Word k of the
+    first takes word k + o of the mask, and word k of the second word
+    k - o, for o = 0, 1, ..., W - 1, each by a per-mask shift; the word
+    pairs a shift does not join get an amount of 64 or more, hence 0.
+    """
+    W = len(masks)
+    out = (masks >> v.astype(np.uint64)) | (masks << (q - v).astype(np.uint64))
+    for o in range(1, W):
+        out[:-o] |= _shift(masks[o:], 64 * o - v)
+        out[o:] |= _shift(masks[:-o], q - v - 64 * o)
+    out[-1] &= _ALL >> np.uint64(64 * W - q)
+    return out
+
+
+def _offsets(b, W):
+    """Per column, where bit ``b`` falls in each of W words: b - 64 k in word k."""
+    return b - 64 * np.arange(W)[:, None]
+
+
+def _bit(b, W):
+    """Per column, the W-word mask of bit ``b`` alone."""
+    return np.uint64(1) << _offsets(b, W).astype(np.uint64)
+
+
+def _at_least(d):
+    """Per column, the W-word mask of the bits at or above the bit whose
+    ``_offsets`` are ``d``."""
+    return _ALL << np.where(d > 0, d, 0).astype(np.uint64)
+
+
+def _count_sorted(neg, last, run, weight, m, n, q):
     """Weighted count of the sorted completions of a table of prefixes.
 
-    Row i is a prefix (1, x_2 <= ... <= x_{m+1}) with no zero subset sum:
-    ``sums[i]`` marks its subset sums in F_q (the empty sum 0 included),
+    Column i is a prefix (1, x_2 <= ... <= x_{m+1}) with no zero subset
+    sum: ``neg[:, i]`` is the q-bit mask, in W = ceil(q/64) uint64 words,
+    of the negated subset sums -S in F_q (the empty sum 0 included),
     ``last[i]`` is x_{m+1}, ``run[i]`` the multiplicity of x_{m+1} and
     ``weight[i]`` = m! / prod(mult!), the orderings of x_2 .. x_{m+1}.
-    Every row of a chunk is expanded at once.
+    v may follow iff v >= last and bit v of the mask is clear, and
+    appending v makes the mask neg | rotate(neg, v), since the new subset
+    sums are S and S + v.  Each step expands its prefixes at once.  Word
+    k of every mask is one row of ``neg``, so each numpy pass runs along
+    the prefixes, not along a mask's few words.
     """
-    values = np.arange(1, q)
+    W = len(neg)
     total = 0
-    for s in range(0, len(sums), _CHUNK):
-        S, L, r, w = (a[s : s + _CHUNK] for a in (sums, last, run, weight))
-        # ok[i, v - 1]: v >= last and -v is not a subset sum, so v may follow.
-        ok = ~S[:, :0:-1] & (values >= L[:, None])
-        if m + 2 == n:
-            # Last coordinate, counted without expansion: each allowed
-            # v > last has weight w(m+1), and v = last has w(m+1)/(run+1).
-            same = ok[np.arange(len(L)), L - 1]
-            above = ok.sum(axis=1) - same
-            # Per row at most (q - 1) * (n - 1)! < 2**31 * 7! < 2**44, so
-            # the chunk's int64 sum is below 512 * 2**44 = 2**53.
-            total += int((above * w * (m + 1) + same * (w * (m + 1) // (r + 1))).sum())
-            continue
-        i, j = np.nonzero(ok)
-        v = j + 1
-        new_run = np.where(v == L[i], r[i] + 1, 1)
-        # The child's subset sums are S | (S + v); S + v is a window of S twice over.
-        shifted = sliding_window_view(np.concatenate((S, S), axis=1), q, axis=1)[i, q - v]
-        total += _count_sorted(S[i] | shifted, v, new_run, w[i] * (m + 1) // new_run, m + 1, n, q)
+    if m + 2 == n:
+        # Last coordinate, counted without expansion: each allowed v > last
+        # has weight w(m+1), and v = last has w(m+1)/(run+1).
+        cols = max(1, _CHUNK // W)
+        for s in range(0, len(last), cols):
+            R = neg[:, s : s + cols]
+            L, r, w = (a[s : s + cols] for a in (last, run, weight))
+            d = _offsets(L, W)
+            # Of the q - L values v >= last, taken have their bit set, and
+            # same is 1 when v = last is free.
+            taken = np.bitwise_count(R & _at_least(d)).sum(axis=0, dtype=np.int64)
+            same = 1 - (R >> d.astype(np.uint64) & 1).sum(axis=0, dtype=np.int64)
+            above = q - L - taken - same
+            w = w * (m + 1)
+            total += int((above * w + same * (w // (r + 1))).sum())
+        return total
+    # free[:, i]: the clear bits v >= last of prefix i, the values that may follow.
+    free = ~neg & _at_least(_offsets(last, W))
+    free[-1] &= _ALL >> np.uint64(64 * W - q)
+    before = np.zeros(len(last) + 1, dtype=np.int64)  # children of the prefixes before i
+    np.bitwise_count(free).sum(axis=0, dtype=np.int64).cumsum(out=before[1:])
+    s = 0
+    while s < len(last):
+        e = max(s + 1, int(np.searchsorted(before, before[s] + _CHUNK // W, "right")) - 1)
+        table = neg[:, s:e], *(a[s:e] for a in (last, run, weight)), free[:, s:e]
+        total += _count_sorted(*_children(*table, m, q), m + 1, n, q)
+        s = e
     return total
 
 
+def _children(neg, last, run, weight, free, m, q):
+    """The children of a table of prefixes: each prefix with one of its
+    ``free`` values appended, in the order of ``_count_sorted``'s
+    arguments."""
+    # Row i of bits holds prefix i's q free flags, v's at column v.
+    bits = np.unpackbits(np.ascontiguousarray(free.T, dtype="<u8").view(np.uint8), axis=1,
+                         count=q, bitorder="little")
+    i, v = np.divmod(np.flatnonzero(bits.view(bool)), q)  # faster than a 2-d nonzero
+    new_run = np.where(v == last[i], run[i] + 1, 1)
+    parent = neg.take(i, axis=1)
+    return parent | _rotate(parent, v, q), v, new_run, weight[i] * (m + 1) // new_run
+
+
 def _count_slice(job, n):
-    """Weighted count of the sorted points (1, x2 <= x_3 <= ... <= x_n)
-    of F_q^n, for ``job`` = (q, x2)."""
-    q, x2 = job
-    sums = np.zeros(q, dtype=bool)
-    sums[[0, 1]] = True  # subset sums of (1,)
-    if sums[q - x2]:
-        return 0
+    """Weighted count of the sorted points (1, x_2 <= x_3 <= ... <= x_n)
+    of F_q^n whose x_2 lies in the strided piece ``job`` = (q, start, step):
+    x_2 = start + 1, start + 1 + step, ...  The piece is one table of
+    prefixes (1, x_2), cut into tables of _CHUNK words of masks where it
+    is larger (from q = 521 in one piece)."""
+    q, start, step = job
+    # x_2 = q - 1 is -1, and 1 is a subset sum of (1,).
+    x2 = np.arange(start + 1, q - 1, step)
     if n == 2:
-        return 1
-    one = np.ones(1, dtype=np.int64)
-    return _count_sorted((sums | np.roll(sums, x2))[None], np.array([x2]), one, one, 1, n, q)
+        return len(x2)
+    W = -(-q // 64)
+    cols = max(1, _CHUNK // W)
+    total = 0
+    for s in range(0, len(x2), cols):
+        x = x2[s : s + cols]
+        # The negated subset sums of (1, x_2): 0, -1, -x_2 and -1 - x_2.
+        neg = _bit(np.zeros_like(x), W) | _bit(np.full_like(x, q - 1), W)
+        neg |= _bit(q - x, W) | _bit(q - 1 - x, W)
+        one = np.ones(len(x), dtype=np.int64)
+        total += _count_sorted(neg, x, one, one, 1, n, q)
+    return total
 
 
 def count_points_avoiding(n: int, q: int) -> int:
@@ -182,7 +265,10 @@ def count_points_avoiding(n: int, q: int) -> int:
     point is valid.  The weights are integers throughout: appending v
     multiplies one by k / (run + 1), where k is the new number of free
     coordinates and run the multiplicity of v so far, and the quotient
-    is the new weight, itself an integer.
+    is the new weight, itself an integer.  A prefix is held as the q-bit
+    mask of its negated subset sums in ceil(q/64) uint64 words (one word
+    through q = 61, two through q = 127), so a value may follow when its
+    bit is clear, and the last coordinate is one popcount.
     """
     _check_prime(n, q)
     return _point_counts(n, [q], 1)[0]
@@ -191,20 +277,23 @@ def count_points_avoiding(n: int, q: int) -> int:
 def _point_counts(n: int, primes, workers: int) -> list[int]:
     """``count_points_avoiding(n, q)`` for each of the checked ``primes``.
 
-    The x_1 = 1 slice at q is split on x_2, its smallest free
-    coordinate, into q - 1 jobs.  Every prime's jobs go through one
-    ``run_jobs`` call, in a process pool when ``workers`` allows one, so
-    one pool serves them all and no prime waits for the slowest slices
-    of the one before.  The largest prime comes first: its low x_2
-    slices are the longest jobs, and started first they do not hold up
-    the end of the run.  Each prime's parts are summed in x_2 order, so
-    the counts do not depend on ``workers``.
+    The x_1 = 1 slice at q is cut on x_2, its smallest free coordinate,
+    into strided pieces, each one table of prefixes (``_count_slice``):
+    one piece per prime with one worker, otherwise 8 per worker (at most
+    q - 1), enough that ``run_jobs``' chunks of 8 pieces balance, since
+    striding spreads the long low-x_2 slices over every piece.  Every
+    prime's pieces go through one ``run_jobs`` call, so one pool serves
+    them all, the largest prime first.  The parts are exact ints summed
+    per prime, so the counts do not depend on ``workers``.
     """
     if n == 1:
         return [q - 1 for q in primes]
-    jobs = [(q, x2) for q in sorted(primes, reverse=True) for x2 in range(1, q)]
+    jobs = []
+    for q in sorted(primes, reverse=True):
+        pieces = 1 if workers <= 1 else min(8 * workers, q - 1)
+        jobs += [(q, start, pieces) for start in range(pieces)]
     slices = dict.fromkeys(primes, 0)
-    for (q, _), part in zip(jobs, run_jobs(partial(_count_slice, n=n), jobs, workers)):
+    for (q, _, _), part in zip(jobs, run_jobs(partial(_count_slice, n=n), jobs, workers)):
         slices[q] += part
     return [(q - 1) * slices[q] for q in primes]
 
@@ -263,8 +352,9 @@ def finite_field_charpoly(
         raise ValueError(f"need at least {n + 1} distinct primes, got {len(primes)}")
     work_cap = None if cap is None else GUARDS["finite_field_points"]
     for q in primes:
-        # The count walks C(q+n-3, n-1) sorted points in q - 1 jobs, one per
-        # x_2, and each job first sets up a q-byte mask.
+        # The count walks C(q+n-3, n-1) sorted points, and its first
+        # prefixes (1, x_2) hold (q - 1) * q bits of masks.  n = 2 forms
+        # none, but the term still bounds its q at 14142.
         work = comb(max(q + n - 3, 0), n - 1) + (q - 1) * q * (n > 1)
         check_guard(f"finite-field method at q={q}: point-count work", work, work_cap)
     for q in primes:

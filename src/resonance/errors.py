@@ -21,11 +21,12 @@ class InternalCheckError(RuntimeError):
 
 
 GUARDS = {
-    "finite_field_n": 7,      # point counts over n+1 primes: 0.05 s at n=6, 7 s at n=7
-    # Work of one finite-field count: C(q+n-3, n-1) sorted points plus a
-    # q-byte mask for each of its q-1 jobs.  1.4e8 at n=7, q=67 (2.5 s);
-    # n=8's smallest prime, 59, needs 6.2e8; n=2 allows q <= 14142.  It
-    # lifts with the finite-field method's ``cap``.
+    "finite_field_n": 7,      # point counts over n+1 primes: 0.01 s at n=6, 1.7 s at n=7
+    # Work of one finite-field count: C(q+n-3, n-1) sorted points plus
+    # (q-1) * q, the bits of its first prefixes (1, x_2).  1.4e8 at n=7,
+    # q=67 (0.8 s); n=8's smallest prime, 59, needs 6.2e8 (1-2 s); n=2
+    # allows q <= 14142, n=3 q <= 11547 (0.1 s).  It lifts with the
+    # finite-field method's ``cap``.
     "finite_field_points": 2 * 10**8,
     # Deletion/restriction, for both chi(A_n) and the chamber count: 0.2-0.3 s,
     # 12350 memo entries and 18061 restriction-table pairs at n=6; 14-18 s,

@@ -190,6 +190,31 @@ def test_point_count_matches_naive_loop():
         assert count_points_avoiding(n, q) == count_points_oracle(n, q)
 
 
+def test_point_count_across_word_boundaries():
+    # A prefix's subset-sum mask takes ceil(q/64) words: one at q = 61,
+    # two at 67 and 127, three at 131 and four at 193.
+    for q in (61, 67, 127, 131, 193):
+        assert count_points_avoiding(3, q) == (q - 1) * (q - 3) ** 2  # chi(A_3)(q)
+    chi4 = charpoly_via_nbc(4)
+    for q in (67, 131):
+        assert count_points_avoiding(4, q) == chi4(q)
+
+
+def test_serial_finite_field_counts_each_prime_once(monkeypatch):
+    # The benchmark wraps count_points_avoiding and expects one call per
+    # prime when no pool is asked for.
+    calls = []
+    exact = arrangement.count_points_avoiding
+
+    def counted(n, q):
+        calls.append(q)
+        return exact(n, q)
+
+    monkeypatch.setattr(arrangement, "count_points_avoiding", counted)
+    assert finite_field_charpoly(4) == charpoly_via_nbc(4)
+    assert calls == default_primes(4)
+
+
 def golden_chi(n):
     """chi(A_5) or chi(A_6) from golden b_0..b_4, the region count and
     chi(1) = 0."""
@@ -262,12 +287,29 @@ def test_finite_field_threads_match_serial():
     assert finite_field_charpoly(4, primes, workers=2) == serial
     counts = [count_points_avoiding(5, q) for q in primes]
     assert arrangement._point_counts(5, primes, 2) == counts
+    # One piece per prime at one worker; 16 and 24 strided pieces of x_2
+    # per prime at 2 and 3 workers, but at most q - 1 = 10 at q = 11.
+    primes = [11, 67, 71]
+    counts = [count_points_avoiding(5, q) for q in primes]
+    for workers in (1, 2, 3):
+        assert arrangement._point_counts(5, primes, workers) == counts
 
 
 def test_finite_field_a7_matches_golden_values():
     poly = finite_field_charpoly(7)
     assert poly.betti[:5] == (1,) + tuple(GOLDEN_BETTI[i][7] for i in range(1, 5))
     assert region_count(poly) == GOLDEN_REGIONS[7]
+    assert poly(1) == 0
+
+
+@pytest.mark.long_run
+def test_finite_field_a8_reaches_b4():
+    # chi(A_8) from nine primes 59 .. 97 with the guards lifted: b_4(A_8)
+    # is the NBC search's value, which GOLDEN_BETTI leaves open.
+    poly = finite_field_charpoly(8, workers=2, cap=None)
+    assert poly.betti[:4] == (1,) + tuple(GOLDEN_BETTI[i][8] for i in range(1, 4))
+    assert poly.betti[4] == 81029004
+    assert region_count(poly) == GOLDEN_REGIONS[8]
     assert poly(1) == 0
 
 

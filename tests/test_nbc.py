@@ -192,7 +192,7 @@ def test_pool_size_bounded_by_jobs_and_cores(monkeypatch):
     assert arrangement._point_counts(3, [5], 10**6) == [count_points_avoiding(3, 5)]
     assert arrangement._point_counts(3, [3], 10**6) == [count_points_avoiding(3, 3)]
     # Four usable cores; A_2 has three root jobs; the point count at q has
-    # one job per x_2 in 1 .. q-1.
+    # 8 strided pieces of x_2 per worker, but at most q - 1.
     assert sizes == [4, 3, 4, 2]
 
 
