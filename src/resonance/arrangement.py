@@ -236,9 +236,9 @@ def _count_slice(job, n):
     is larger (from q = 521 in one piece)."""
     q, start, step = job
     # x_2 = q - 1 is -1, and 1 is a subset sum of (1,).
-    x2 = np.arange(start + 1, q - 1, step)
     if n == 2:
-        return len(x2)
+        return len(range(start + 1, q - 1, step))
+    x2 = np.arange(start + 1, q - 1, step)
     W = -(-q // 64)
     cols = max(1, _CHUNK // W)
     total = 0
@@ -352,10 +352,9 @@ def finite_field_charpoly(
         raise ValueError(f"need at least {n + 1} distinct primes, got {len(primes)}")
     work_cap = None if cap is None else GUARDS["finite_field_points"]
     for q in primes:
-        # The count walks C(q+n-3, n-1) sorted points, and its first
-        # prefixes (1, x_2) hold (q - 1) * q bits of masks.  n = 2 forms
-        # none, but the term still bounds its q at 14142.
-        work = comb(max(q + n - 3, 0), n - 1) + (q - 1) * q * (n > 1)
+        # The count walks C(q+n-3, n-1) sorted points, and from n = 3 its
+        # first prefixes (1, x_2) hold (q - 1) * q bits of masks.
+        work = comb(max(q + n - 3, 0), n - 1) + (q - 1) * q * (n > 2)
         check_guard(f"finite-field method at q={q}: point-count work", work, work_cap)
     for q in primes:
         _check_prime(n, q)
@@ -374,59 +373,88 @@ def finite_field_charpoly(
 # One shared tuple per distinct Betti vector: through n=6 the memo holds
 # 12350 entries but only 1416 distinct values, at n=7 747587 and 45522.
 _BETTI = {}
-# The restriction table: _RESTRICTED[h][w] is the normal w induces on h.
+# The int code of each normal met (_CODE) and back (_NORMAL).  A memo key
+# is a sorted tuple of codes, which hashes and compares far faster than a
+# tuple of tuples, and holds one shared int per normal.
+_CODE = {}
+_NORMAL = {}
+# The restriction table: _RESTRICTED[h][w] is the code of the normal that
+# the normal coded w induces on the hyperplane coded h.
 _RESTRICTED = {}
-# One shared tuple per distinct induced normal, so the memo keys hold
-# references to the same normals instead of fresh copies.
-_INDUCED = {}
 
 
-def _restriction_table(h: tuple, rest: tuple) -> dict:
-    """``_RESTRICTED[h]``, extended by every normal of ``rest`` it lacks.
+def _code(v: tuple) -> int:
+    """The int code of the integer normal ``v``: a leading 1, then each
+    entry + 128 as one byte, big-endian.
+
+    Among normals of one dimension, codes order as the tuples do, so a
+    key sorted by code is the key sorted by normal.  Entries must lie in
+    -128 .. 127; through n=7 they are at most 9 in size.
+    """
+    c = _CODE.get(v)
+    if c is None:
+        try:
+            c = int.from_bytes(bytes([1, *(x + 128 for x in v)]), "big")
+        except ValueError:
+            raise InternalCheckError(f"normal {v} has an entry outside -128..127") from None
+        _CODE[v] = c
+        _NORMAL[c] = v
+    return c
+
+
+def _restrict_missing(h: int, table: dict, rest: tuple) -> None:
+    """Extend ``table``, ``_RESTRICTED[h]``, by every normal of ``rest`` it
+    lacks, with one ``restrict`` call.
 
     ``restrict`` eliminates the pivot p of h from w, which leaves it zero
     at p, so deleting coordinate p gives the normal w induces on h.  It
-    stays normalized, so parallel normals on h meet as one tuple.  A key
+    stays normalized, so parallel normals on h meet as one code.  A key
     holds distinct normalized normals, so none of ``rest`` is parallel
     to h; one that is would leave ``restrict`` nothing, and is refused.
     """
-    table = _RESTRICTED.setdefault(h, {})
     new = [w for w in rest if w not in table]
-    if new:
-        p = next(j for j, x in enumerate(h) if x)
-        for w in new:
-            v = restrict([w], h)
-            if not v:
-                raise InternalCheckError(f"normal {w} is parallel to the deleted {h}")
-            v = v[0][:p] + v[0][p + 1 :]
-            table[w] = _INDUCED.setdefault(v, v)
-    return table
+    hv = _NORMAL[h]
+    p = hv.index(next(filter(None, hv)))
+    out = restrict([_NORMAL[w] for w in new], hv)
+    if len(out) < len(new):
+        w = next(_NORMAL[w] for w in new if not restrict([_NORMAL[w]], hv))
+        raise InternalCheckError(f"normal {w} is parallel to the deleted {hv}")
+    for w, v in zip(new, out):
+        table[w] = _code(v[:p] + v[p + 1 :])
 
 
 @lru_cache(maxsize=None)
-def _count_regions(normals: tuple) -> tuple:
+def _count_regions(codes: tuple) -> tuple:
     """Betti numbers b_0 .. b_rank of the arrangement of the normalized
-    integer ``normals``; their sum is its number of regions.
+    integer normals whose ``_code``s are ``codes``; their sum is its
+    number of regions.
 
     Deletion/restriction: removing a hyperplane h and adding back the
     regions it cuts, one per region of the arrangement induced on h,
     counts every chamber once, and per Betti number this reads
     b_i(A) = b_i(A - h) + b_{i-1}(A^h); the empty arrangement has (1,).
-    ``_restriction_table`` gives the normals induced on h, each (h, w)
-    pair restricted once however many keys share it: through n=6 the
-    recursion looks up 196817 pairs, of which 18061 are distinct (over
-    558 hyperplanes), and at n=7 276008 are.  Parallel ones meet in the
-    set; sorting it makes the memo key canonical.  Every key is such a
-    sorted tuple, the top-level one included (``_normals``), so the
+    ``_RESTRICTED[h]`` gives the normals induced on h, each (h, w) pair
+    restricted once however many keys share it, in one batch per miss
+    that lacks some (``_restrict_missing``): through n=6 the recursion
+    looks up 196817 pairs, of which 18061 are distinct (over 558
+    hyperplanes), and at n=7 276008 are.  Parallel ones meet in the set;
+    sorting it makes the memo key canonical.  Every key is such a sorted
+    tuple of codes, the top-level one included (``_normals``), so the
     deletion A - h of a key is again canonical.  h is the last normal,
     the lexicographically largest: at n=6 that leaves 12350 memo entries
     where deleting the first one left 33223.
     """
-    if not normals:
+    if not codes:
         return (1,)
-    h, rest = normals[-1], normals[:-1]
-    table = _restriction_table(h, rest)
-    induced = {table[w] for w in rest}
+    h, rest = codes[-1], codes[:-1]
+    table = _RESTRICTED.get(h)
+    if table is None:
+        table = _RESTRICTED[h] = {}
+    try:
+        induced = {*map(table.__getitem__, rest)}
+    except KeyError:
+        _restrict_missing(h, table, rest)
+        induced = {*map(table.__getitem__, rest)}
     deleted = _count_regions(rest)
     restricted = (0,) + _count_regions(tuple(sorted(induced)))
     # A^h has rank one less than A, and A - h the rank of A or one less.
@@ -435,14 +463,14 @@ def _count_regions(normals: tuple) -> tuple:
 
 
 def _normals(n: int, cap: int | None) -> tuple:
-    """The normals of A_n, sorted as tuples: the order of every memo key."""
+    """The codes of the normals of A_n, sorted: the order of every memo key."""
     check_guard("deletion/restriction: n", n, cap)
     if not 1 <= n <= MAX_GROUND_SET:
         raise ValueError(f"n must be in 1..{MAX_GROUND_SET}, got {n}")
     if n > 8:  # _count_regions nests once per hyperplane, whatever the cap
         raise ValueError(f"deletion/restriction nests {(1 << n) - 1} calls deep at n={n}, "
                          "past the interpreter's recursion limit; it runs to n = 8")
-    return tuple(sorted(mask_vector(h, n) for h in range(1, 1 << n)))
+    return tuple(sorted(_code(mask_vector(h, n)) for h in range(1, 1 << n)))
 
 
 def whitney_charpoly(n: int, cap: int | None = GUARDS["deletion_restriction_n"]) -> CharPoly:

@@ -22,17 +22,19 @@ class InternalCheckError(RuntimeError):
 
 GUARDS = {
     "finite_field_n": 7,      # point counts over n+1 primes: 0.01 s at n=6, 1.7 s at n=7
-    # Work of one finite-field count: C(q+n-3, n-1) sorted points plus
-    # (q-1) * q, the bits of its first prefixes (1, x_2).  1.4e8 at n=7,
-    # q=67 (0.8 s); n=8's smallest prime, 59, needs 6.2e8 (1-2 s); n=2
-    # allows q <= 14142, n=3 q <= 11547 (0.1 s).  It lifts with the
-    # finite-field method's ``cap``.
+    # Work of one finite-field count: C(q+n-3, n-1) sorted points plus,
+    # from n=3, (q-1) * q, the bits of its first prefixes (1, x_2).  1.4e8
+    # at n=7, q=67 (0.8 s); n=8's smallest prime, 59, needs 6.2e8 (1-2 s);
+    # n=3 allows q <= 11547 (0.1 s).  n=2 forms no masks and only counts
+    # its q - 2 values of x_2, so it allows every prime q <= 2*10^8 + 1
+    # (under 1 ms).  It lifts with the finite-field method's ``cap``.
     "finite_field_points": 2 * 10**8,
-    # Deletion/restriction, for both chi(A_n) and the chamber count: 0.2-0.3 s,
-    # 12350 memo entries and 18061 restriction-table pairs at n=6; 14-18 s,
-    # 320 MB, 747587 entries and 276008 pairs at n=7 (restricting every row
-    # on every miss took 52-67 s and 447 MB; deleting the first normal
-    # instead of the last, 228 s, 1.36 GB and 2.97M entries).
+    # Deletion/restriction, for both chi(A_n) and the chamber count:
+    # 0.09-0.11 s, 12350 memo entries and 18061 restriction-table pairs at
+    # n=6; 8-10 s, 320 MB, 747587 entries and 276008 pairs at n=7 (keys of
+    # normal tuples, not int codes, 0.14-0.17 s and 12-13 s; restricting
+    # every row on every miss, 52-67 s and 447 MB; deleting the first
+    # normal instead of the last, 228 s, 1.36 GB and 2.97M entries).
     # With the cap lifted it still stops at n=8: the recursion nests once
     # per hyperplane, past the interpreter's recursion limit at n=9.
     "deletion_restriction_n": 6,

@@ -8,8 +8,9 @@ points (the 0/1 points of a span whose coefficients are all nonzero) are
 integer subset sums of its rows, and ``integer_coefficients`` solves a
 target over independent vectors with one weighted sum of the same rows.
 ``restrict`` is its row-update step on its own: it restricts a list of
-integer normals to the hyperplane with normal ``h``, and the region
-recursion uses it too.
+integer normals to the hyperplane with normal ``h``.  The region
+recursion calls it once per memo miss, on the batch of normals its
+restriction table lacks; it forms no row update of its own.
 ``ExactMatrix.pivot`` is the one other elimination step; it replays the
 pivots an embedding certificate prescribes, each on an entry equal to 1.
 Everything here is in ints: no float and no rational.
@@ -30,11 +31,11 @@ def _normalize_int_row(row):
     g = gcd(*row)
     if not g:
         return None
-    if next(x for x in row if x) < 0:
+    if next(filter(None, row)) < 0:
         g = -g
     elif g == 1:
         return tuple(row)
-    return tuple(x // g for x in row)
+    return tuple([x // g for x in row])
 
 
 def restrict(rows, h):
@@ -47,8 +48,8 @@ def restrict(rows, h):
     kept.  Every result is zero at p, so equal rows stay equal and
     normalized rows stay normalized.
     """
-    p = next(j for j, x in enumerate(h) if x)
-    a = h[p]
+    a = next(filter(None, h))
+    p = h.index(a)
     out = []
     for v in rows:
         c = v[p]

@@ -87,7 +87,7 @@ def test_deletion_restriction_matches_whitney_sum_on_random_arrangements():
     for _ in range(200):
         normals, dim = random_arrangement(rng)
         coeffs = whitney_charpoly_vectors_oracle(normals, dim)
-        betti = arrangement._count_regions(normals)
+        betti = arrangement._count_regions(codes(normals))
         # b_0 .. b_rank, each positive; chi has (-1)^i b_i at t^(dim - i).
         assert all(betti)
         assert betti + (0,) * (dim + 1 - len(betti)) == tuple(
@@ -97,21 +97,65 @@ def test_deletion_restriction_matches_whitney_sum_on_random_arrangements():
     assert short_rank >= 40
 
 
+def codes(normals):
+    """The memo key of the normalized integer ``normals``."""
+    return tuple(sorted(map(arrangement._code, normals)))
+
+
 def drop_region_tables():
-    """Empty the deletion/restriction memo and its restriction and intern
+    """Empty the deletion/restriction memo and its restriction and code
     tables."""
     arrangement._count_regions.cache_clear()
     arrangement._RESTRICTED.clear()
-    arrangement._INDUCED.clear()
+    arrangement._CODE.clear()
+    arrangement._NORMAL.clear()
+
+
+def memo_sizes():
+    """Memo entries and restriction-table pairs."""
+    pairs = sum(map(len, arrangement._RESTRICTED.values()))
+    return arrangement._count_regions.cache_info().currsize, pairs
 
 
 def test_deletion_restriction_memo_size_at_a6():
     drop_region_tables()
     try:
         assert enumerate_chambers_bruteforce(6) == GOLDEN_REGIONS[6]
-        # Deleting the first normal instead of the last left 33223 entries.
-        assert arrangement._count_regions.cache_info().currsize <= 12350
-        assert sum(map(len, arrangement._RESTRICTED.values())) == 18061
+        # Deleting the first normal instead of the last left 33223 entries;
+        # codes that sorted otherwise than the normals would leave more.
+        assert memo_sizes() == (12350, 18061)
+    finally:
+        drop_region_tables()
+
+
+def test_codes_order_as_normals():
+    drop_region_tables()
+    try:
+        for n in range(1, 7):
+            assert enumerate_chambers_bruteforce(n) == GOLDEN_REGIONS[n]
+        assert memo_sizes() == (12350, 18061)
+        # One code per normal met, and back: no two normals share a code.
+        assert len(arrangement._NORMAL) == len(arrangement._CODE) == 558
+        by_dim = {}
+        for c, v in arrangement._NORMAL.items():
+            assert arrangement._CODE[v] == c
+            by_dim.setdefault(len(v), []).append((c, v))
+        assert sorted(by_dim) == [1, 2, 3, 4, 5, 6]
+        for met in by_dim.values():
+            assert [v for _, v in sorted(met)] == sorted(v for _, v in met)
+    finally:
+        drop_region_tables()
+
+
+def test_code_refuses_entries_outside_a_byte():
+    try:
+        assert arrangement._code((127, -128, 0)) == 0x1FF0080
+        for v in ((128, 0), (0, -129), (1, 300)):
+            with pytest.raises(InternalCheckError, match="outside -128..127") as err:
+                arrangement._code(v)
+            assert "\n" not in str(err.value)
+            assert err.value.__cause__ is None and err.value.__suppress_context__
+            assert v not in arrangement._CODE
     finally:
         drop_region_tables()
 
@@ -130,7 +174,7 @@ def test_restriction_table_stands_in_for_restrict():
             if cold:
                 drop_region_tables()
             arrangement._count_regions.cache_clear()
-            out[normals] = arrangement._count_regions(normals)
+            out[normals] = arrangement._count_regions(codes(normals))
         return out
 
     try:
@@ -139,11 +183,12 @@ def test_restriction_table_stands_in_for_restrict():
         assert betti(cases[::-1], cold=False) == cold
         pairs = 0
         for h, table in arrangement._RESTRICTED.items():
+            h = arrangement._NORMAL[h]
             p = next(j for j, x in enumerate(h) if x)
             for w, induced in table.items():
-                [v] = restrict([w], h)
-                assert induced == v[:p] + v[p + 1 :]
-                assert arrangement._INDUCED[induced] is induced
+                [v] = restrict([arrangement._NORMAL[w]], h)
+                assert arrangement._NORMAL[induced] == v[:p] + v[p + 1 :]
+                assert arrangement._CODE[v[:p] + v[p + 1 :]] is induced
                 pairs += 1
         assert pairs > 1000
     finally:
@@ -155,18 +200,20 @@ def test_restriction_table_refuses_parallel_normals():
     # to restrict to; counted as if it were absent from A^h, this key gave
     # (1, 3, 2) where its arrangement has (1, 2, 1).
     try:
-        with pytest.raises(InternalCheckError, match="parallel"):
-            arrangement._count_regions(((0, 1), (1, 0), (1, 0)))
+        with pytest.raises(InternalCheckError, match=r"normal \(1, 0\) is parallel to the deleted"):
+            arrangement._count_regions(codes(((0, 1), (1, 0), (1, 0))))
     finally:
         drop_region_tables()
 
 
 @pytest.mark.long_run
 def test_deletion_restriction_a7_matches_ff():
-    # About 18 s with the point count, and 320 MB of memo and restriction
+    # About 9-12 s with the point count, and 320 MB of memo and restriction
     # table, which are dropped afterwards.
+    drop_region_tables()
     try:
         assert whitney_charpoly(7, cap=None) == finite_field_charpoly(7)
+        assert memo_sizes() == (747587, 276008)
     finally:
         drop_region_tables()
 
@@ -341,12 +388,15 @@ def test_finite_field_point_guard():
         finite_field_charpoly(2, primes=[3, 5, huge])
     with pytest.raises(GuardExceeded, match="q=59"):
         finite_field_charpoly(8, cap=8)  # C(64, 7) sorted points at q=59
-    # At n=2 the q - 1 per-x_2 masks of q bytes are the work: 14107 is the
-    # largest prime the guard allows, and its 14106 jobs take well under 1 s.
+    # At n=2 the count forms no masks: it counts the x_2 of each piece, and
+    # its work is the q - 1 sorted points.  199999991 is the largest prime
+    # the guard allows, and either count takes well under 1 s.
     assert finite_field_charpoly(2, primes=[3, 5, 14107]).coeffs == (2, -3, 1)
-    with pytest.raises(GuardExceeded, match="q=14143"):
-        finite_field_charpoly(2, primes=[3, 5, 14143])
-    assert finite_field_charpoly(2, primes=[3, 5, 14143], cap=None).coeffs == (2, -3, 1)
+    assert finite_field_charpoly(2, primes=[3, 5, 14143]).coeffs == (2, -3, 1)
+    assert finite_field_charpoly(2, primes=[3, 5, 199999991]).coeffs == (2, -3, 1)
+    with pytest.raises(GuardExceeded, match="q=200000033"):
+        finite_field_charpoly(2, primes=[3, 5, 200000033])
+    assert finite_field_charpoly(2, primes=[3, 5, 200000033], cap=None).coeffs == (2, -3, 1)
 
 
 def test_jobs_run_without_sched_getaffinity(monkeypatch):
