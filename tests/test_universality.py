@@ -93,6 +93,106 @@ def test_embed_example_matches_display():
     assert got == EXAMPLE_BEFORE
 
 
+# Whole certificates and verify findings, pinned: EXAMPLE, and a 2x2 matrix
+# with one p/q entry, cleared to (1, 2), and a column whose minimum is -3.
+PINNED = [
+    (
+        EXAMPLE,
+        {
+            "rows": 3,
+            "cols": 2,
+            "ambient_dim": 8,
+            "coordinates": ["e1", "e2", "e3", "e1,-1", "e1,-2", "e1,+1", "e1,++1", "e2,-1"],
+            "column_order": ["v1", "r1,-1", "r1,-2", "r1,+1", "r1,++1", "v2", "r2,-1"],
+            "carriers": {"v1": "00011010", "v2": "00000001"},
+            "helpers": {
+                "r1,-1": "01110000",
+                "r1,-2": "01001000",
+                "r1,+1": "10000100",
+                "r1,++1": "00000110",
+                "r2,-1": "10100001",
+            },
+            "decompositions": [
+                {"positive": ["{1}"], "negative": ["{2,3}", "{2}"]},
+                {"positive": [], "negative": ["{1,3}"]},
+            ],
+            "matrix": [["1", "-1"], ["-2", "0"], ["-1", "-1"]],
+        },
+        {
+            "pivots": [
+                ["e1,-1", "r1,-1"],
+                ["e1,-2", "r1,-2"],
+                ["e1,+1", "r1,+1"],
+                ["e1,++1", "r1,++1"],
+                ["e2,-1", "r2,-1"],
+            ],
+            "residual_matrix": [["1", "-1"], ["-2", "0"], ["-1", "-1"]],
+            "verified": True,
+        },
+    ),
+    (
+        [[Fraction(1, 2), -3], [1, 2]],
+        {
+            "rows": 2,
+            "cols": 2,
+            "ambient_dim": 13,
+            "coordinates": [
+                "e1", "e2", "e1,+1", "e1,+2", "e1,++1", "e1,++2",
+                "e2,-1", "e2,-2", "e2,-3", "e2,+1", "e2,+2", "e2,++1", "e2,++2",
+            ],
+            "column_order": [
+                "v1", "r1,+1", "r1,+2", "r1,++1", "r1,++2",
+                "v2", "r2,-1", "r2,-2", "r2,-3", "r2,+1", "r2,+2", "r2,++1", "r2,++2",
+            ],
+            "carriers": {"v1": "0000110000000", "v2": "0000001110011"},
+            "helpers": {
+                "r1,+1": "1110000000000",
+                "r1,+2": "0101000000000",
+                "r1,++1": "0010100000000",
+                "r1,++2": "0001010000000",
+                "r2,-1": "1000001000000",
+                "r2,-2": "1000000100000",
+                "r2,-3": "1000000010000",
+                "r2,+1": "0100000001000",
+                "r2,+2": "0100000000100",
+                "r2,++1": "0000000001010",
+                "r2,++2": "0000000000101",
+            },
+            "decompositions": [
+                {"positive": ["{1,2}", "{2}"], "negative": []},
+                {"positive": ["{2}", "{2}"], "negative": ["{1}", "{1}", "{1}"]},
+            ],
+            "matrix": [["1", "-3"], ["2", "2"]],
+        },
+        {
+            "pivots": [
+                ["e1,+1", "r1,+1"],
+                ["e1,++1", "r1,++1"],
+                ["e1,+2", "r1,+2"],
+                ["e1,++2", "r1,++2"],
+                ["e2,-1", "r2,-1"],
+                ["e2,-2", "r2,-2"],
+                ["e2,-3", "r2,-3"],
+                ["e2,+1", "r2,+1"],
+                ["e2,++1", "r2,++1"],
+                ["e2,+2", "r2,+2"],
+                ["e2,++2", "r2,++2"],
+            ],
+            "residual_matrix": [["1", "-3"], ["2", "2"]],
+            "verified": True,
+        },
+    ),
+]
+
+
+@pytest.mark.parametrize("matrix, certificate, findings", PINNED, ids=["example", "rational"])
+def test_certificate_and_findings_are_pinned(matrix, certificate, findings):
+    emb = embed(matrix)
+    assert certificate_dict(emb) == certificate
+    assert list(certificate_dict(emb)) == list(certificate)  # the JSON key order
+    assert verify_embedding(emb, matrix) == (True, findings)
+
+
 def test_embed_vector_invariants():
     emb = embed(EXAMPLE)
     vectors = list(emb.carrier_vectors) + list(emb.helper_vectors)
