@@ -19,7 +19,6 @@ import numpy as np
 
 from .errors import GUARDS, InternalCheckError, check_guard
 from .linalg import integer_coefficients, restrict
-from .masks import MAX_GROUND_SET, mask_vector
 
 # Largest determinant of an n x n 0/1 matrix.  Any prime strictly above
 # this bound preserves every rank among 0/1 columns when reducing mod p.
@@ -465,12 +464,11 @@ def _count_regions(codes: tuple) -> tuple:
 def _normals(n: int, cap: int | None) -> tuple:
     """The codes of the normals of A_n, sorted: the order of every memo key."""
     check_guard("deletion/restriction: n", n, cap)
-    if not 1 <= n <= MAX_GROUND_SET:
-        raise ValueError(f"n must be in 1..{MAX_GROUND_SET}, got {n}")
-    if n > 8:  # _count_regions nests once per hyperplane, whatever the cap
-        raise ValueError(f"deletion/restriction nests {(1 << n) - 1} calls deep at n={n}, "
-                         "past the interpreter's recursion limit; it runs to n = 8")
-    return tuple(sorted(_code(mask_vector(h, n)) for h in range(1, 1 << n)))
+    if not 1 <= n <= 8:  # _count_regions nests once per hyperplane, whatever the cap
+        deep = (f": deletion/restriction nests {(1 << n) - 1} calls deep at n={n}, past "
+                "the interpreter's recursion limit" if n > 8 else "")
+        raise ValueError(f"n must be in 1..8, got {n}{deep}")
+    return tuple(sorted(_code(tuple(h >> i & 1 for i in range(n))) for h in range(1, 1 << n)))
 
 
 def whitney_charpoly(n: int, cap: int | None = GUARDS["deletion_restriction_n"]) -> CharPoly:

@@ -91,7 +91,6 @@ import numpy as np
 
 from .arrangement import CharPoly, _is_prime, run_jobs
 from .errors import GUARDS, check_guard
-from .masks import MAX_GROUND_SET
 
 
 # Pairs one block step expands, about; a block ends at a node boundary,
@@ -328,16 +327,15 @@ def betti_via_nbc(
 
     ``cap`` maps each n from 1 to max(cap) to the deepest search allowed.
     """
-    if not 1 <= n <= MAX_GROUND_SET:
-        raise ValueError(f"n must be positive and at most {MAX_GROUND_SET}, got {n}")
+    if cap is not None:
+        check_guard("NBC search: n", n, max(cap))
+    if not 1 <= n <= _MAX_N:  # checked after the guard, which refuses n > max(cap) first
+        raise ValueError(f"n must be positive and at most {_MAX_N}, got {n}: "
+                         f"the NBC search runs to n = {_MAX_N}, where a row has {_MAX_N} columns")
     if not 0 <= i_max <= n:
         raise ValueError(f"cardinality limit i_max={i_max} outside 0..{n}")
     if cap is not None:
-        check_guard("NBC search: n", n, max(cap))
         check_guard(f"NBC search at n={n}: depth", i_max, cap[n])
-    if n > _MAX_N:  # checked after the guard, which refuses it first
-        raise ValueError(f"the NBC search runs to n = {_MAX_N}, got n={n}: "
-                         f"a row has {_MAX_N} columns")
     counts = [0] * (i_max + 1)
     counts[0] = 1
     if i_max == 0:

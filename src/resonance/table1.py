@@ -82,10 +82,10 @@ def _compute_regions(n, workers):
 
 def build_report(n_max: int, i_max: int, workers: int = 1) -> dict:
     """Recompute reachable golden cells and compare; never mutates the table."""
-    if not 1 <= n_max <= 9:
-        raise ValueError("n_max must be in 1..9")
-    if not 1 <= i_max <= 4:
-        raise ValueError("i_max must be in 1..4")
+    if not 1 <= n_max <= max(GOLDEN_REGIONS):
+        raise ValueError(f"n_max must be in 1..{max(GOLDEN_REGIONS)}")
+    if not 1 <= i_max <= max(GOLDEN_BETTI):
+        raise ValueError(f"i_max must be in 1..{max(GOLDEN_BETTI)}")
     cells = []
     for i in range(1, i_max + 1):
         for n in range(1, n_max + 1):

@@ -14,9 +14,12 @@ matrix as the result of restriction plus contraction.  The pivot
 sequence doubles as a machine-checkable certificate.
 
 Column j owns one block of coordinates, and its carrier and helpers
-touch only the base rows and that block.  Each helper pivots on its own
-coordinate of the block, so the pivots of different columns never mix
-and ``verify_embedding`` replays them on one small block per column.
+touch only the base rows and that block.  The level sets and the layout
+of every block follow from the cleared matrix alone: ``_blocks`` derives
+them, and ``embed``, ``verify_embedding`` and ``certificate_dict`` all
+read that one derivation.  Each helper pivots on its own coordinate of
+the block, so the pivots of different columns never mix and
+``verify_embedding`` replays them on one small block per column.
 ``minor_matroid_check`` is the independent second route, exact and blind
 to the block layout: one elimination of all helpers, with the base rows
 ordered last, then one reduction per carrier, which must leave a nonzero
@@ -32,29 +35,6 @@ from math import lcm
 
 from .errors import GUARDS, InternalCheckError, check_guard
 from .linalg import EchelonBasis, ExactMatrix, bareiss_rank
-from .masks import format_mask, mask_elements
-
-
-@dataclass(frozen=True)
-class ColumnDecomposition:
-    """Level sets of one integer column; masks index matrix rows."""
-
-    positive_sets: tuple[int, ...]
-    negative_sets: tuple[int, ...]
-
-    def __post_init__(self):
-        if 0 in self.positive_sets or 0 in self.negative_sets:
-            raise ValueError("level sets must be nonempty")
-
-    def reconstruct(self, nrows: int) -> tuple[int, ...]:
-        col = [0] * nrows
-        for p in self.positive_sets:
-            for e in mask_elements(p):
-                col[e - 1] += 1
-        for q in self.negative_sets:
-            for e in mask_elements(q):
-                col[e - 1] -= 1
-        return tuple(col)
 
 
 def _level_sets(col):
@@ -65,10 +45,9 @@ def _level_sets(col):
     )
 
 
-def decompose_column(column) -> ColumnDecomposition:
-    """Slice an integer vector into positive and negative level sets."""
-    col = [int(x) for x in column]
-    return ColumnDecomposition(_level_sets(col), _level_sets([-x for x in col]))
+def _ambient_dim(cleared):
+    """One coordinate per row, per negative level and per positive level twice."""
+    return len(cleared) + sum(max(0, -min(c)) + 2 * max(0, max(c)) for c in zip(*cleared))
 
 
 @dataclass(frozen=True)
@@ -76,22 +55,27 @@ class Embedding:
     """The compiled minor presentation of an integer matrix.
 
     Coordinates come as the r base rows followed by one block per
-    column; ``_blocks`` lays out and names each block.  Every carrier
-    and helper is a nonzero 0/1 vector of the ambient space, stored as
-    a bitmask over the coordinates.
+    column; ``_blocks`` derives each block's layout and names from
+    ``cleared_matrix``.  Every carrier and helper is a nonzero 0/1
+    vector of the ambient space, stored as a bitmask over the
+    coordinates.
     """
 
     cleared_matrix: tuple[tuple[int, ...], ...]
-    decompositions: tuple[ColumnDecomposition, ...]
-    ambient_dim: int
     carrier_vectors: tuple[int, ...]    # one per input column, in order
     helper_vectors: tuple[int, ...]     # contracted away, in column order
 
+    @property
+    def ambient_dim(self) -> int:
+        return _ambient_dim(self.cleared_matrix)
 
-def _blocks(decs):
-    """The column blocks of an embedding, in order:
-    (j, decomposition, first, coordinate names, column labels, pivot order).
 
+def _blocks(cleared):
+    """The column blocks of the embedding of ``cleared``, in order:
+    (j, negative level sets, positive level sets, first, coordinate
+    names, column labels, pivot order).
+
+    The level sets of column j are ``_level_sets`` of -a_j and of a_j.
     Block j owns coordinates ``rows + first + t`` and helpers ``first + t``
     for t < len(names); suffix s names coordinate ``e{j},s`` and helper
     ``r{j},s``, and the labels are the carrier ``v{j}`` then the helpers.
@@ -100,14 +84,15 @@ def _blocks(decs):
     helpers first, then each +k just before its ++k.
     """
     first = 0
-    for j, dec in enumerate(decs):
-        m, p = len(dec.negative_sets), len(dec.positive_sets)
+    for j, col in enumerate(zip(*cleared)):
+        negative, positive = _level_sets([-x for x in col]), _level_sets(col)
+        m, p = len(negative), len(positive)
         suffixes = [f"-{k}" for k in range(1, m + 1)]
         suffixes += [f"+{k}" for k in range(1, p + 1)] + [f"++{k}" for k in range(1, p + 1)]
         names = [f"e{j + 1},{s}" for s in suffixes]
         labels = [f"v{j + 1}"] + [f"r{j + 1},{s}" for s in suffixes]
         pivots = [*range(m), *(t for k in range(m, m + p) for t in (k, k + p))]
-        yield j, dec, first, names, labels, pivots
+        yield j, negative, positive, first, names, labels, pivots
         first += len(suffixes)
 
 
@@ -136,48 +121,38 @@ def embed(matrix, cap: int | None = GUARDS["embed_ambient"]) -> Embedding:
     with nonempty parts and nothing to pivot on.  ``cap`` bounds the
     ambient dimension, checked before any vector is built.
     """
-    cleared = _clear_columns(matrix)
-    nrows, ncols = len(cleared), len(cleared[0])
-    # One coordinate per row, per negative level and per positive level twice.
-    levels = sum(max(0, -min(c)) + 2 * max(0, max(c)) for c in zip(*cleared))
-    check_guard("embedding: ambient dimension", nrows + levels, cap)
-    decs = []
-    for j in range(ncols):
-        col = [cleared[i][j] for i in range(nrows)]
+    cleared = tuple(tuple(r) for r in _clear_columns(matrix))
+    nrows = len(cleared)
+    check_guard("embedding: ambient dimension", _ambient_dim(cleared), cap)
+    carriers, helpers = [], []
+    for j, negative, positive, first, names, _, _ in _blocks(cleared):
+        col = [row[j] for row in cleared]
         if not any(col):
             raise ValueError(f"column {j + 1} is zero; loops are not embeddable")
-        dec = decompose_column(col)
-        if dec.reconstruct(nrows) != tuple(col):
+        rebuilt = [sum(s >> i & 1 for s in positive) - sum(s >> i & 1 for s in negative)
+                   for i in range(nrows)]
+        if rebuilt != col:
             raise InternalCheckError("level-set decomposition failed to reconstruct")
-        decs.append(dec)
-
-    carriers, helpers = [], []
-    for _, dec, first, names, _, _ in _blocks(decs):
-        m, p = len(dec.negative_sets), len(dec.positive_sets)
+        m, p = len(negative), len(positive)
         bit = [1 << (nrows + first + t) for t in range(len(names))]
         carriers.append(sum(bit[:m]) + sum(bit[m + p :]))
-        helpers += [nk | bit[k] for k, nk in enumerate(dec.negative_sets)]
-        helpers += [pk | bit[m + k] for k, pk in enumerate(dec.positive_sets)]
+        helpers += [nk | bit[k] for k, nk in enumerate(negative)]
+        helpers += [pk | bit[m + k] for k, pk in enumerate(positive)]
         helpers += [bit[m + k] | bit[m + p + k] for k in range(p)]
 
     vectors = carriers + helpers
     if 0 in vectors or len(set(vectors)) != len(vectors):
         raise InternalCheckError("embedding vectors must be distinct and nonzero")
-    return Embedding(
-        cleared_matrix=tuple(tuple(r) for r in cleared),
-        decompositions=tuple(decs),
-        ambient_dim=nrows + levels,
-        carrier_vectors=tuple(carriers),
-        helper_vectors=tuple(helpers),
-    )
+    return Embedding(cleared, tuple(carriers), tuple(helpers))
 
 
 def verify_embedding(emb: Embedding, matrix) -> tuple[bool, dict]:
     """Replay the pivots block by block and check the minor equals the input.
 
     Block j is the 0/1 matrix of column j's carrier and helpers on the r
-    base rows and block j's own coordinates.  First there must be one
-    block and one carrier per input column and one helper per block
+    base rows and block j's own coordinates; ``_blocks`` lays the blocks
+    out from the input matrix, once it equals the stored one.  First
+    there must be one carrier per input column and one helper per block
     coordinate, and every vector must lie in its block.  Then a pivot
     of block j leaves every other block's columns unchanged: its pivot
     row is zero on them, and it only adds to rows that are nonzero in
@@ -207,14 +182,13 @@ def verify_embedding(emb: Embedding, matrix) -> tuple[bool, dict]:
     if cleared != emb.cleared_matrix:
         return fail("matrix does not match the one the embedding was built for")
     r, cols = len(cleared), len(cleared[0])
-    size = sum(len(names) for *_, names, _, _ in _blocks(emb.decompositions))
-    got = (len(emb.decompositions), len(emb.carrier_vectors), len(emb.helper_vectors))
-    if got != (cols, cols, size):
-        return fail(f"expected {cols} blocks, {cols} carriers and {size} helpers, "
-                    f"got {got[0]}, {got[1]} and {got[2]}")
+    size = _ambient_dim(cleared) - r
+    got = (len(emb.carrier_vectors), len(emb.helper_vectors))
+    if got != (cols, size):
+        return fail(f"expected {cols} carriers and {size} helpers, got {got[0]} and {got[1]}")
     findings["pivots"] = executed = []
     residual = []
-    for j, _, first, names, labels, pivots in _blocks(emb.decompositions):
+    for j, _, _, first, names, labels, pivots in _blocks(cleared):
         size = len(names)
         vectors = [emb.carrier_vectors[j], *emb.helper_vectors[first : first + size]]
         coords = [*range(r), *range(r + first, r + first + size)]
@@ -284,31 +258,31 @@ def minor_matroid_check(emb: Embedding, matrix) -> bool:
 
 def certificate_dict(emb: Embedding) -> dict:
     """JSON-ready description of the embedding."""
+    rows, dim = len(emb.cleared_matrix), emb.ambient_dim
 
     def bits(v):
-        return "".join("1" if v >> i & 1 else "0" for i in range(emb.ambient_dim))
+        return "".join("1" if v >> i & 1 else "0" for i in range(dim))
 
-    rows = len(emb.cleared_matrix)
-    blocks = [(names, labels) for _, _, _, names, labels, _ in _blocks(emb.decompositions)]
+    def subset(mask):
+        return "{" + ",".join(str(i + 1) for i in range(rows) if mask >> i & 1) + "}"
+
+    blocks = list(_blocks(emb.cleared_matrix))
     # Paired in order, so a malformed embedding still gets a certificate;
     # ``verify_embedding`` checks the counts.
-    carriers = zip((labels[0] for _, labels in blocks), emb.carrier_vectors)
-    helpers = zip((lab for _, labels in blocks for lab in labels[1:]), emb.helper_vectors)
+    carriers = zip((labels[0] for *_, labels, _ in blocks), emb.carrier_vectors)
+    helpers = zip((lab for *_, labels, _ in blocks for lab in labels[1:]), emb.helper_vectors)
     return {
         "rows": rows,
         "cols": len(emb.cleared_matrix[0]),
-        "ambient_dim": emb.ambient_dim,
+        "ambient_dim": dim,
         "coordinates": [f"e{i + 1}" for i in range(rows)]
-        + [name for names, _ in blocks for name in names],
-        "column_order": [lab for _, labels in blocks for lab in labels],
+        + [name for *_, names, _, _ in blocks for name in names],
+        "column_order": [lab for *_, labels, _ in blocks for lab in labels],
         "carriers": {lab: bits(v) for lab, v in carriers},
         "helpers": {lab: bits(v) for lab, v in helpers},
         "decompositions": [
-            {
-                "positive": [format_mask(p) for p in d.positive_sets],
-                "negative": [format_mask(q) for q in d.negative_sets],
-            }
-            for d in emb.decompositions
+            {"positive": [subset(s) for s in pos], "negative": [subset(s) for s in neg]}
+            for _, neg, pos, *_ in blocks
         ],
         "matrix": [[str(x) for x in row] for row in emb.cleared_matrix],
     }

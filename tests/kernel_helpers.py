@@ -29,9 +29,15 @@ from math import lcm
 
 from resonance.errors import InternalCheckError
 from resonance.linalg import EchelonBasis, restrict
-from resonance.masks import MAX_GROUND_SET, mask_vector
 
 from oracles import SideMidpointTuple, span_coefficients_oracle
+
+MAX_GROUND_SET = 63  # masks stay within one machine word
+
+
+def mask_vector(mask: int, n: int) -> tuple[int, ...]:
+    """The 0/1 normal vector of the hyperplane encoded by ``mask``."""
+    return tuple((mask >> i) & 1 for i in range(n))
 
 
 def validate_ground_set(n: int) -> None:

@@ -24,9 +24,9 @@ CHI_A3 = (-9, 15, -7, 1)
 
 
 def test_build_arrangement_range():
-    with pytest.raises(ValueError, match="n must be in 1..63"):
+    with pytest.raises(ValueError, match="n must be in 1..8"):
         whitney_charpoly(0, cap=None)
-    with pytest.raises(ValueError, match="n must be in 1..63"):
+    with pytest.raises(ValueError, match="n must be in 1..8"):
         enumerate_chambers_bruteforce(64, cap=None)
 
 

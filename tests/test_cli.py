@@ -311,14 +311,18 @@ EXIT_CASES = {
     "fit-coeffs-40": (["fit-coeffs", "--i", "40"], 1, "up to n="),  # no golden row
     "fit-coeffs-20000": (["fit-coeffs", "--i", "20000"], 1, "golden Betti values"),
     "betti-n0": (["betti", "--n", "0"], 1, "n must be positive"),
-    "whitney-n0": (["regions", "--n", "0", "--method", "whitney"], 1, "n must be in 1..63, got 0"),
+    "whitney-n0": (["regions", "--n", "0", "--method", "whitney"], 1, "n must be in 1..8, got 0"),
     # The recursion would nest 511 calls deep; refused before any work.
     "whitney-n9": (
         ["regions", "--n", "9", "--method", "whitney", "--guard-override"],
         1,
         "deletion/restriction nests 511 calls deep at n=9",
     ),
-    "betti-n64": (["betti", "--n", "64", "--i-max", "1", "--guard-override"], 1, "at most 63"),
+    "betti-n64": (
+        ["betti", "--n", "64", "--i-max", "1", "--guard-override"],
+        1,
+        "n must be positive and at most 8, got 64",
+    ),
     # Past n = 8 a row mod the search's prime no longer fits its int64 key.
     "betti-n9": (["betti", "--n", "9", "--i-max", "2", "--guard-override"], 1, "runs to n = 8"),
     # Without the override the guard refuses n = 9 first.
@@ -380,8 +384,8 @@ def test_embed_self_check_failure_exits_three(tmp_path, monkeypatch, capsys):
     from resonance import universality
 
     # Level sets of the doubled column cannot reconstruct the column.
-    exact = universality.decompose_column
-    monkeypatch.setattr(universality, "decompose_column", lambda col: exact([2 * x for x in col]))
+    exact = universality._level_sets
+    monkeypatch.setattr(universality, "_level_sets", lambda col: exact([2 * x for x in col]))
     mat = tmp_path / "a.mat"
     mat.write_text(REFERENCE_MATRIX)
     assert main(["embed", "--input", str(mat)]) == 3

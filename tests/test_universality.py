@@ -8,8 +8,8 @@ import pytest
 from resonance import universality
 from resonance.linalg import bareiss_rank
 from resonance.universality import (
+    _level_sets,
     certificate_dict,
-    decompose_column,
     embed,
     minor_matroid_check,
     parse_matrix_text,
@@ -51,26 +51,32 @@ EXAMPLE_AFTER = [
 ]
 
 
+def reconstruct(col):
+    """The column that the positive minus the negative level sets of ``col`` sum to."""
+    positive, negative = _level_sets(col), _level_sets([-x for x in col])
+    return tuple(
+        sum(s >> i & 1 for s in positive) - sum(s >> i & 1 for s in negative)
+        for i in range(len(col))
+    )
+
+
 def test_decompose_example_columns():
-    d1 = decompose_column([1, -2, -1])
-    assert d1.positive_sets == (0b001,)
-    assert d1.negative_sets == (0b110, 0b010)
-    d2 = decompose_column([-1, 0, -1])
-    assert d2.positive_sets == ()
-    assert d2.negative_sets == (0b101,)
+    assert _level_sets([1, -2, -1]) == (0b001,)
+    assert _level_sets([-1, 2, 1]) == (0b110, 0b010)
+    assert _level_sets([-1, 0, -1]) == ()
+    assert _level_sets([1, 0, 1]) == (0b101,)
 
 
 def test_decompose_zero_column_is_empty():
-    d = decompose_column([0, 0, 0])
-    assert d.positive_sets == () and d.negative_sets == ()
+    assert _level_sets([0, 0, 0]) == ()
 
 
 def test_decompose_reconstructs_exhaustive_grid():
     for dim in (1, 2):
         for col in product(range(-10, 11), repeat=dim):
-            assert decompose_column(col).reconstruct(dim) == col
+            assert reconstruct(col) == col
     for col in product(range(-3, 4), repeat=3):
-        assert decompose_column(col).reconstruct(3) == col
+        assert reconstruct(col) == col
 
 
 def test_decompose_reconstructs_random_high_dim():
@@ -78,7 +84,7 @@ def test_decompose_reconstructs_random_high_dim():
     for _ in range(200):
         dim = rng.randint(4, 8)
         col = tuple(rng.randint(-10, 10) for _ in range(dim))
-        assert decompose_column(col).reconstruct(dim) == col
+        assert reconstruct(col) == col
 
 
 def test_embed_example_matches_display():
@@ -199,10 +205,12 @@ def test_embed_vector_invariants():
     assert all(v > 0 for v in vectors)
     assert len(set(vectors)) == len(vectors)
     assert all(v < (1 << emb.ambient_dim) for v in vectors)
-    m_minus = [len(d.negative_sets) for d in emb.decompositions]
-    m_plus = [len(d.positive_sets) for d in emb.decompositions]
+    columns = list(zip(*emb.cleared_matrix))
+    m_minus = [len(_level_sets([-x for x in col])) for col in columns]
+    m_plus = [len(_level_sets(col)) for col in columns]
     levels = sum(m + 2 * p for m, p in zip(m_minus, m_plus))
     assert emb.ambient_dim == len(emb.cleared_matrix) + levels
+    assert emb.ambient_dim == len(certificate_dict(emb)["coordinates"])
     assert len(emb.helper_vectors) == levels
 
 
@@ -304,9 +312,9 @@ def test_verify_rejects_vector_outside_its_block():
 @pytest.mark.parametrize(
     "change, got",
     [
-        (lambda e: {"helper_vectors": e.helper_vectors + (1,)}, "2, 2 and 6"),
-        (lambda e: {"helper_vectors": e.helper_vectors[:-1]}, "2, 2 and 4"),
-        (lambda e: {"carrier_vectors": e.carrier_vectors[:-1]}, "2, 1 and 5"),
+        (lambda e: {"helper_vectors": e.helper_vectors + (1,)}, "2 and 6"),
+        (lambda e: {"helper_vectors": e.helper_vectors[:-1]}, "2 and 4"),
+        (lambda e: {"carrier_vectors": e.carrier_vectors[:-1]}, "1 and 5"),
     ],
     ids=["extra-helper", "missing-helper", "missing-carrier"],
 )
@@ -314,7 +322,7 @@ def test_verify_checks_the_vector_counts(change, got):
     emb = embed(EXAMPLE)
     ok, cert = verify_embedding(dataclasses.replace(emb, **change(emb)), EXAMPLE)
     assert not ok and cert["verified"] is False
-    assert cert["failure"] == f"expected 2 blocks, 2 carriers and 5 helpers, got {got}"
+    assert cert["failure"] == f"expected 2 carriers and 5 helpers, got {got}"
     assert "pivots" not in cert
 
 
