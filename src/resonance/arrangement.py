@@ -330,7 +330,7 @@ def _interpolate_integer_poly(points, degree):
 def finite_field_charpoly(
     n: int,
     primes=None,
-    cap: int | None = GUARDS["finite_field_n"],
+    cap: int | None = GUARDS["finite_field_points"],
     workers: int = 1,
 ) -> CharPoly:
     """Characteristic polynomial through point counts over n+1 prime fields.
@@ -338,10 +338,9 @@ def finite_field_charpoly(
     For admissible primes the count of points avoiding every hyperplane
     equals the polynomial evaluated at q, so n+1 counts determine it.
     Primes beyond the first n+1 are counted too, and each must agree
-    with the interpolant.  ``cap`` bounds n; the ``finite_field_points``
-    guard bounds the work of each count, and ``cap=None`` lifts both.
+    with the interpolant.  ``cap`` bounds the work of each count, once
+    every prime has passed ``_check_prime``.
     """
-    check_guard("finite-field method: n", n, cap)
     if n < 1:
         raise ValueError(f"n must be positive, got {n}")
     if primes is None:
@@ -349,14 +348,13 @@ def finite_field_charpoly(
     primes = sorted(set(primes))
     if len(primes) < n + 1:
         raise ValueError(f"need at least {n + 1} distinct primes, got {len(primes)}")
-    work_cap = None if cap is None else GUARDS["finite_field_points"]
+    for q in primes:
+        _check_prime(n, q)
     for q in primes:
         # The count walks C(q+n-3, n-1) sorted points, and from n = 3 its
         # first prefixes (1, x_2) hold (q - 1) * q bits of masks.
         work = comb(max(q + n - 3, 0), n - 1) + (q - 1) * q * (n > 2)
-        check_guard(f"finite-field method at q={q}: point-count work", work, work_cap)
-    for q in primes:
-        _check_prime(n, q)
+        check_guard(f"finite-field method at q={q}: point-count work", work, cap)
     if workers > 1:
         counts = _point_counts(n, primes, workers)
     else:  # no pool to share: one count_points_avoiding call per prime
@@ -463,11 +461,11 @@ def _count_regions(codes: tuple) -> tuple:
 
 def _normals(n: int, cap: int | None) -> tuple:
     """The codes of the normals of A_n, sorted: the order of every memo key."""
-    check_guard("deletion/restriction: n", n, cap)
-    if not 1 <= n <= 8:  # _count_regions nests once per hyperplane, whatever the cap
+    if not 1 <= n <= 8:  # _count_regions nests once per hyperplane
         deep = (f": deletion/restriction nests {(1 << n) - 1} calls deep at n={n}, past "
                 "the interpreter's recursion limit" if n > 8 else "")
         raise ValueError(f"n must be in 1..8, got {n}{deep}")
+    check_guard("deletion/restriction: n", n, cap)
     return tuple(sorted(_code(tuple(h >> i & 1 for i in range(n))) for h in range(1, 1 << n)))
 
 

@@ -227,8 +227,8 @@ COMMANDS = {
     ),
     "prototypes": (
         "Stirling coefficients by prototype census",
-        [_I, _OVERRIDE],
-        lambda args: _coefficients(coefficients(args.i, **_cap(args))),
+        [_I],
+        lambda args: _coefficients(coefficients(args.i)),
         _render_coefficients,
     ),
     "circuits-census": (

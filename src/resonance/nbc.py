@@ -327,14 +327,13 @@ def betti_via_nbc(
 
     ``cap`` maps each n from 1 to max(cap) to the deepest search allowed.
     """
-    if cap is not None:
-        check_guard("NBC search: n", n, max(cap))
-    if not 1 <= n <= _MAX_N:  # checked after the guard, which refuses n > max(cap) first
+    if not 1 <= n <= _MAX_N:
         raise ValueError(f"n must be positive and at most {_MAX_N}, got {n}: "
                          f"the NBC search runs to n = {_MAX_N}, where a row has {_MAX_N} columns")
     if not 0 <= i_max <= n:
         raise ValueError(f"cardinality limit i_max={i_max} outside 0..{n}")
     if cap is not None:
+        check_guard("NBC search: n", n, max(cap))
         check_guard(f"NBC search at n={n}: depth", i_max, cap[n])
     counts = [0] * (i_max + 1)
     counts[0] = 1

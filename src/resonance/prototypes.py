@@ -43,7 +43,7 @@ from math import factorial
 
 import numpy as np
 
-from .errors import GUARDS, InternalCheckError, check_guard
+from .errors import InternalCheckError
 from .linalg import _closing_points
 from .stirling import CLOSED_FORMS, StirlingCombination
 
@@ -84,13 +84,12 @@ def _functional_counts(i: int) -> tuple[tuple[int, int], ...]:
     return tuple(counts)
 
 
-def coefficients(i: int, cap: int | None = GUARDS["prototype_i"]) -> StirlingCombination:
+def coefficients(i: int) -> StirlingCombination:
     """The Stirling coefficients for Betti index i by full prototype census,
     compared with the row ``betti{i}`` of ``CLOSED_FORMS`` where there is one."""
     if i < 1:
         raise ValueError(f"Betti index i must be positive, got i={i}")
-    check_guard("coefficient census: i", i, cap)
-    if i > _MAX_I:  # checked after the guard, which refuses it first
+    if i > _MAX_I:
         raise ValueError(f"the prototype census runs to i = {_MAX_I}, got i={i}: "
                          f"it would hold all {2**i - 1}! orderings of an image set at once")
     coeffs = {}
@@ -110,8 +109,8 @@ def coefficients(i: int, cap: int | None = GUARDS["prototype_i"]) -> StirlingCom
     return StirlingCombination(i, coeffs)
 
 
-def betti_via_prototypes(i: int, n: int, cap: int | None = GUARDS["prototype_i"]) -> int:
+def betti_via_prototypes(i: int, n: int) -> int:
     """b_i(A_n) assembled from the prototype census."""
     if n < 1:
         raise ValueError("n must be positive")
-    return coefficients(i, cap=cap).evaluate(n)
+    return coefficients(i).evaluate(n)

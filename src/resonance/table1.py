@@ -7,7 +7,8 @@ MATCH or MISMATCH against the golden value; a region count comes from
 chi(A_n) computed by every row of ``ROUTES`` the default size guards
 allow, named as ``--method`` names it, and the routes must agree on the
 whole polynomial.  A cell beyond the default size guards is reported as
-SKIPPED ("needs long run"), not attempted.
+"needs long run", and one past the range of every route as "no route
+reaches n=...": neither is attempted.
 """
 
 from __future__ import annotations
@@ -63,17 +64,21 @@ def _compute_betti(i, n, workers):
         return nbc.betti_via_nbc(n, i, workers=workers)[i], f"nbc depth {i}"
     except GuardExceeded:
         return None, "needs long run"
+    except ValueError:
+        return None, f"no route reaches n={n}"
 
 
 def _compute_regions(n, workers):
-    polys = {}
+    polys, guarded = {}, False
     for method, route in ROUTES.items():
         try:
             polys[method] = route(n, workers)
         except GuardExceeded:
+            guarded = True
+        except ValueError:
             pass
     if not polys:
-        return None, "needs long run"
+        return None, "needs long run" if guarded else f"no route reaches n={n}"
     if len(set(polys.values())) > 1:
         betti = {method: p.betti for method, p in polys.items()}
         raise InternalCheckError(f"chi(A_{n}) differs between routes: {betti}")

@@ -123,12 +123,13 @@ def embed(matrix, cap: int | None = GUARDS["embed_ambient"]) -> Embedding:
     """
     cleared = tuple(tuple(r) for r in _clear_columns(matrix))
     nrows = len(cleared)
+    for j, col in enumerate(zip(*cleared)):
+        if not any(col):
+            raise ValueError(f"column {j + 1} is zero; loops are not embeddable")
     check_guard("embedding: ambient dimension", _ambient_dim(cleared), cap)
     carriers, helpers = [], []
     for j, negative, positive, first, names, _, _ in _blocks(cleared):
         col = [row[j] for row in cleared]
-        if not any(col):
-            raise ValueError(f"column {j + 1} is zero; loops are not embeddable")
         rebuilt = [sum(s >> i & 1 for s in positive) - sum(s >> i & 1 for s in negative)
                    for i in range(nrows)]
         if rebuilt != col:

@@ -384,10 +384,10 @@ def test_finite_field_refuses_a_non_integral_interpolant(monkeypatch):
 
 def test_finite_field_point_guard():
     huge = 1000000000000000003
-    with pytest.raises(GuardExceeded, match="point-count work"):
+    with pytest.raises(ValueError, match="too large for the point count"):
         finite_field_charpoly(2, primes=[3, 5, huge])
     with pytest.raises(GuardExceeded, match="q=59"):
-        finite_field_charpoly(8, cap=8)  # C(64, 7) sorted points at q=59
+        finite_field_charpoly(8)  # C(64, 7) sorted points at q=59
     # At n=2 the count forms no masks: it counts the x_2 of each piece, and
     # its work is the q - 1 sorted points.  199999991 is the largest prime
     # the guard allows, and either count takes well under 1 s.

@@ -265,11 +265,12 @@ EXIT_CASES = {
     "closed-form-threads": (["closed-form", "--i", "3", "--n", "9", "--threads", "2"], 1, None),
     "census-override": (["circuits-census", "--n", "3", "--guard-override"], 1, None),
     "table1-override": (["table1", "--n-max", "2", "--i-max", "1", "--guard-override"], 1, None),
-    "guard": (["charpoly", "--n", "9"], 2, "n capped at 7"),
+    "prototypes-override": (["prototypes", "--i", "2", "--guard-override"], 1, None),
+    "guard": (["charpoly", "--n", "8"], 2, "q=59: point-count work capped at"),
     "huge-prime": (
         ["charpoly", "--n", "2", "--method", "ff", "--primes", "3,5,1000000000000000003"],
-        2,
-        "point-count work capped at",
+        1,
+        "too large for the point count",
     ),
     "closed-form-i4": (["closed-form", "--i", "4", "--n", "3"], 1, "i in {1, 2, 3}"),
     "missing-file": (["embed", "--input", "{missing}"], 1, "No such file"),
@@ -306,7 +307,7 @@ EXIT_CASES = {
     "betti-i-max": (["betti", "--n", "3", "--i-max", "-1"], 1, "i_max=-1"),
     "prototypes-i": (["prototypes", "--i", "-1"], 1, "i=-1"),
     # The census holds all 15! orderings of one image set at i = 4.
-    "prototypes-i4-override": (["prototypes", "--i", "4", "--guard-override"], 1, "runs to i = 3"),
+    "prototypes-i4": (["prototypes", "--i", "4"], 1, "runs to i = 3"),
     "fit-coeffs-i": (["fit-coeffs", "--i", "-1"], 1, "i=-1"),
     "fit-coeffs-40": (["fit-coeffs", "--i", "40"], 1, "up to n="),  # no golden row
     "fit-coeffs-20000": (["fit-coeffs", "--i", "20000"], 1, "golden Betti values"),
@@ -325,8 +326,10 @@ EXIT_CASES = {
     ),
     # Past n = 8 a row mod the search's prime no longer fits its int64 key.
     "betti-n9": (["betti", "--n", "9", "--i-max", "2", "--guard-override"], 1, "runs to n = 8"),
-    # Without the override the guard refuses n = 9 first.
-    "betti-n9-guard": (["betti", "--n", "9", "--i-max", "2"], 2, "NBC search: n capped at 7"),
+    # The range is checked before the guard, so the default guards refuse
+    # n = 9 the same way; n = 8 is the guard's, which the override lifts.
+    "betti-n9-guard": (["betti", "--n", "9", "--i-max", "2"], 1, "runs to n = 8"),
+    "betti-n8-guard": (["betti", "--n", "8", "--i-max", "2"], 2, "NBC search: n capped at 7"),
     "charpoly-n-1": (["charpoly", "--n", "-1"], 1, "n must be positive"),
     "closed-form-n-3": (["closed-form", "--i", "1", "--n", "-3"], 1, "n must be positive"),
     # Values that could not be printed in decimal are refused before any work.
@@ -449,6 +452,27 @@ def test_self_checks_raise(monkeypatch, capsys, case):
     err = capsys.readouterr().err
     assert len(err.splitlines()) == 1
     assert err.startswith("internal invariant failure: ") and message in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["charpoly", "--n", "9"],
+    ["regions", "--n", "9", "--method", "nbc"],
+    ["regions", "--n", "9", "--method", "whitney"],
+    ["betti", "--n", "9", "--i-max", "2"],
+    ["charpoly", "--n", "2", "--primes", "3,5,1000000000000000003"],
+    ["embed", "--input", "{loop}"],  # ambient dimension 401, past the guard
+])
+def test_range_is_checked_before_the_guard(tmp_path, capsys, argv):
+    # An input no run can serve exits 1 whether or not the guards are lifted.
+    loop = tmp_path / "loop.mat"
+    loop.write_text("1 2\n200 0\n")
+    argv = [a.format(loop=loop) for a in argv]
+    errs = []
+    for extra in ([], ["--guard-override"]):
+        assert main(argv + extra) == 1
+        errs.append(capsys.readouterr().err)
+    assert len(errs[0].splitlines()) == 1 and errs[0].startswith("error: ")
+    assert errs[0] == errs[1]
 
 
 def test_guard_override_allows_expensive_run(capsys):
@@ -606,6 +630,7 @@ def test_table1_depth_limited_row(capsys):
 
 
 def test_table1_guards_refuse_n9_cells():
-    # Every route is guarded at n = 9, so these cells do no work.
-    assert table1._compute_regions(9, 1) == (None, "needs long run")
-    assert table1._compute_betti(4, 9, 1) == (None, "needs long run")
+    # No route reaches n = 9, so these cells do no work; the guards refuse n = 8.
+    assert table1._compute_regions(9, 1) == (None, "no route reaches n=9")
+    assert table1._compute_betti(4, 9, 1) == (None, "no route reaches n=9")
+    assert table1._compute_regions(8, 1) == (None, "needs long run")

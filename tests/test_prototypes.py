@@ -6,7 +6,7 @@ from math import factorial
 import pytest
 
 from resonance import linalg, prototypes
-from resonance.errors import GuardExceeded, InternalCheckError
+from resonance.errors import InternalCheckError
 from resonance.linalg import _closing_points
 from resonance.nbc import betti_via_nbc
 from resonance.prototypes import _functional_counts, betti_via_prototypes, coefficients
@@ -107,20 +107,15 @@ def test_coefficients_known_rows():
     assert coefficients(3).coefficients == {4: 9, 5: 80, 6: 345, 7: 840, 8: 840}
 
 
-def test_coefficients_guard():
-    with pytest.raises(GuardExceeded):
-        coefficients(4)
-
-
 def test_census_refuses_i4_before_any_work(monkeypatch):
     def no_census(i):
         raise AssertionError(f"the census ran for i={i}")
 
     monkeypatch.setattr(prototypes, "_functional_counts", no_census)
     with pytest.raises(ValueError, match="runs to i = 3, got i=4"):
-        coefficients(4, cap=None)
+        coefficients(4)
     with pytest.raises(ValueError, match="runs to i = 3, got i=5"):
-        betti_via_prototypes(5, 9, cap=None)
+        betti_via_prototypes(5, 9)
 
 
 def test_betti_via_prototypes_table_cells():
