@@ -12,8 +12,8 @@ import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import lru_cache, partial
+from itertools import zip_longest
 from math import comb
-from operator import add
 
 import numpy as np
 
@@ -138,16 +138,27 @@ def _rotate(masks, v, q):
     """Each q-bit mask, a column of ``masks``, rotated down by its own
     ``v`` in 1 .. q-1: bit j of the result is bit (j + v) mod q of the mask.
 
-    That is masks >> v | masks << (q - v), cut to q bits.  Word k of the
-    first takes word k + o of the mask, and word k of the second word
-    k - o, for o = 0, 1, ..., W - 1, each by a per-mask shift; the word
-    pairs a shift does not join get an amount of 64 or more, hence 0.
+    That is masks >> v | masks << (q - v), cut to q bits.  Through W = 3
+    words, word k of the first takes word k + o of the mask and of the
+    second word k - o, for o < W, by per-mask shifts (64 or more, hence 0,
+    where o joins nothing).  Past that the W**2 word pairs cost more than
+    a gather of words k + v // 64 and on of the doubled masks | masks << q.
     """
-    W = len(masks)
-    out = (masks >> v.astype(np.uint64)) | (masks << (q - v).astype(np.uint64))
-    for o in range(1, W):
-        out[:-o] |= _shift(masks[o:], 64 * o - v)
-        out[o:] |= _shift(masks[:-o], q - v - 64 * o)
+    W, N = masks.shape
+    if W <= 3:
+        out = (masks >> v.astype(np.uint64)) | (masks << (q - v).astype(np.uint64))
+        for o in range(1, W):
+            out[:-o] |= _shift(masks[o:], 64 * o - v)
+            out[o:] |= _shift(masks[:-o], q - v - 64 * o)
+    else:
+        c, r = divmod(q, 64)
+        y = np.zeros((2 * W + 1, N), dtype=np.uint64)
+        y[:W] = masks
+        y[c : c + W] |= masks << np.uint64(r)
+        y[c + 1 : c + W + 1] |= masks >> np.uint64(64 - r)
+        at = (v >> 6) * N + np.arange(N) + np.arange(0, W * N, N)[:, None]  # into y.flat
+        b = (v & 63).astype(np.uint64)
+        out = y.take(at) >> b | y.take(at + N) << (np.uint64(64) - b)
     out[-1] &= _ALL >> np.uint64(64 * W - q)
     return out
 
@@ -368,7 +379,7 @@ def finite_field_charpoly(
 
 
 # One shared tuple per distinct Betti vector: through n=6 the memo holds
-# 12350 entries but only 1416 distinct values, at n=7 747587 and 45522.
+# 1422 entries but only 203 distinct values, at n=7 68443 and 4538.
 _BETTI = {}
 # The int code of each normal met (_CODE) and back (_NORMAL).  A memo key
 # is a sorted tuple of codes, which hashes and compares far faster than a
@@ -426,45 +437,45 @@ def _count_regions(codes: tuple) -> tuple:
     integer normals whose ``_code``s are ``codes``; their sum is its
     number of regions.
 
-    Deletion/restriction: removing a hyperplane h and adding back the
-    regions it cuts, one per region of the arrangement induced on h,
-    counts every chamber once, and per Betti number this reads
-    b_i(A) = b_i(A - h) + b_{i-1}(A^h); the empty arrangement has (1,).
-    ``_RESTRICTED[h]`` gives the normals induced on h, each (h, w) pair
-    restricted once however many keys share it, in one batch per miss
-    that lacks some (``_restrict_missing``): through n=6 the recursion
-    looks up 196817 pairs, of which 18061 are distinct (over 558
-    hyperplanes), and at n=7 276008 are.  Parallel ones meet in the set;
-    sorting it makes the memo key canonical.  Every key is such a sorted
-    tuple of codes, the top-level one included (``_normals``), so the
-    deletion A - h of a key is again canonical.  h is the last normal,
-    the lexicographically largest: at n=6 that leaves 12350 memo entries
-    where deleting the first one left 33223.
+    Deletion/restriction, b_i(A) = b_i(A - h) + b_{i-1}(A^h) (removing h
+    adds back one region per region of A^h, the arrangement induced on
+    h), unrolled along the key h_1 < ... < h_m: b(A) = (1,) +
+    x * sum_j b(A_{<j}^{h_j}), where A_{<j}^{h_j} is what h_1 .. h_{j-1}
+    induce on h_j.  So only restrictions become memo keys, and calls
+    nest once per dimension, at most n + 1 deep for A_n.
+    ``_RESTRICTED[h]`` gives the induced normals, each (h, w) pair
+    restricted once (``_restrict_missing``); parallel ones meet in the
+    set, and sorting it makes the key canonical.  A key of dimension
+    <= 3 (codes below 2**32) restricts to planes or lines, where k
+    distinct normals have Betti numbers (1, k, k - 1), or (1, 1) and
+    (1,) for k = 1 and 0, summed here with no sort and no memo call.
     """
-    if not codes:
-        return (1,)
-    h, rest = codes[-1], codes[:-1]
-    table = _RESTRICTED.get(h)
-    if table is None:
-        table = _RESTRICTED[h] = {}
-    try:
-        induced = {*map(table.__getitem__, rest)}
-    except KeyError:
-        _restrict_missing(h, table, rest)
-        induced = {*map(table.__getitem__, rest)}
-    deleted = _count_regions(rest)
-    restricted = (0,) + _count_regions(tuple(sorted(induced)))
-    # A^h has rank one less than A, and A - h the rank of A or one less.
-    betti = tuple(map(add, deleted + (0,) * (len(restricted) - len(deleted)), restricted))
+    plane = codes and codes[-1] < 1 << 32
+    parts = []
+    for j, h in enumerate(codes):
+        rest = codes[:j]
+        table = _RESTRICTED.get(h)
+        if table is None:
+            table = _RESTRICTED[h] = {}
+        try:
+            induced = {*map(table.__getitem__, rest)}
+        except KeyError:
+            _restrict_missing(h, table, rest)
+            induced = {*map(table.__getitem__, rest)}
+        parts.append(len(induced) if plane else _count_regions(tuple(sorted(induced))))
+    if plane:
+        betti = (1, len(parts), sum(parts), sum(k - 1 for k in parts if k > 1))
+        betti = betti[: 4 - betti.count(0)]
+    else:
+        betti = (1, *map(sum, zip_longest(*parts, fillvalue=0)))
     return _BETTI.setdefault(betti, betti)
 
 
 def _normals(n: int, cap: int | None) -> tuple:
     """The codes of the normals of A_n, sorted: the order of every memo key."""
-    if not 1 <= n <= 8:  # _count_regions nests once per hyperplane
-        deep = (f": deletion/restriction nests {(1 << n) - 1} calls deep at n={n}, past "
-                "the interpreter's recursion limit" if n > 8 else "")
-        raise ValueError(f"n must be in 1..8, got {n}{deep}")
+    if not 1 <= n <= 8:
+        past = ": every other chi route stops at n=8, so nothing would check it" if n > 8 else ""
+        raise ValueError(f"n must be in 1..8, got {n}{past}")
     check_guard("deletion/restriction: n", n, cap)
     return tuple(sorted(_code(tuple(h >> i & 1 for i in range(n))) for h in range(1, 1 << n)))
 

@@ -32,12 +32,11 @@ GUARDS = {
     # (under 1 ms).  So the default primes run to n=7 (0.01 s at n=6,
     # 1.7 s at n=7), and n=8 needs the guard lifted.
     "finite_field_points": 2 * 10**8,
-    # Deletion/restriction, for both chi(A_n) and the chamber count:
-    # 0.09-0.11 s, 12350 memo entries and 18061 restriction-table pairs at
-    # n=6; 8-10 s, 320 MB, 747587 entries and 276008 pairs at n=7 (keys of
-    # normal tuples, not int codes, 0.14-0.17 s and 12-13 s; restricting
-    # every row on every miss, 52-67 s and 447 MB; deleting the first
-    # normal instead of the last, 228 s, 1.36 GB and 2.97M entries).
+    # Deletion/restriction, for both chi(A_n) and the chamber count: 0.13 s,
+    # 1420 memo entries and 17547 restriction-table pairs at n=6; 6-9 s,
+    # 66 MB, 68443 entries and 272237 pairs at n=7 (the recursive chain,
+    # which memoized every deletion too: 12350 entries and 0.13-0.15 s at
+    # n=6, 747587 entries, 7-10 s and 320 MB at n=7).
     "deletion_restriction_n": 6,
     # Deepest NBC search for each n = 1 .. 7: full depth through n=6, and
     # n=8 only with the guard lifted.  Beyond it, at 2 workers: b_5(A_7)

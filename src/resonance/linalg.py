@@ -9,8 +9,8 @@ integer subset sums of its rows, and ``integer_coefficients`` solves a
 target over independent vectors with one weighted sum of the same rows.
 ``restrict`` is its row-update step on its own: it restricts a list of
 integer normals to the hyperplane with normal ``h``.  The region
-recursion calls it once per memo miss, on the batch of normals its
-restriction table lacks; it forms no row update of its own.
+chain calls it once per table lookup that lacks some normals, on that
+batch; it forms no row update of its own.
 ``ExactMatrix.pivot`` is the one other elimination step; it replays the
 pivots an embedding certificate prescribes, each on an entry equal to 1.
 Everything here is in ints: no float and no rational.

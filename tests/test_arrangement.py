@@ -1,6 +1,9 @@
+import inspect
 import random
+import sys
 from math import gcd
 
+import numpy as np
 import pytest
 
 from resonance import arrangement
@@ -121,9 +124,10 @@ def test_deletion_restriction_memo_size_at_a6():
     drop_region_tables()
     try:
         assert enumerate_chambers_bruteforce(6) == GOLDEN_REGIONS[6]
-        # Deleting the first normal instead of the last left 33223 entries;
-        # codes that sorted otherwise than the normals would leave more.
-        assert memo_sizes() == (12350, 18061)
+        # Unrolled from the other end, each normal restricting the ones
+        # after it, the chain left 2454 entries; the recursive chain, which
+        # memoized every deletion too, 12350.
+        assert memo_sizes() == (1420, 17547)
     finally:
         drop_region_tables()
 
@@ -133,7 +137,7 @@ def test_codes_order_as_normals():
     try:
         for n in range(1, 7):
             assert enumerate_chambers_bruteforce(n) == GOLDEN_REGIONS[n]
-        assert memo_sizes() == (12350, 18061)
+        assert memo_sizes() == (1422, 17550)
         # One code per normal met, and back: no two normals share a code.
         assert len(arrangement._NORMAL) == len(arrangement._CODE) == 558
         by_dim = {}
@@ -144,6 +148,40 @@ def test_codes_order_as_normals():
         for met in by_dim.values():
             assert [v for _, v in sorted(met)] == sorted(v for _, v in met)
     finally:
+        drop_region_tables()
+
+
+def test_memo_holds_no_plane_or_line():
+    # Restrictions of dimension <= 2 are summed in closed form, so every
+    # nonempty key the chain looks up has dimension 3 or more.
+    memo = arrangement._count_regions
+    keys = set()
+
+    def record(codes):
+        keys.add(codes)
+        return memo(codes)
+
+    drop_region_tables()
+    arrangement._count_regions = record
+    try:
+        assert enumerate_chambers_bruteforce(6) == GOLDEN_REGIONS[6]
+        assert len(keys) == memo.cache_info().currsize
+        assert {len(arrangement._NORMAL[key[0]]) for key in keys if key} == {3, 4, 5, 6}
+    finally:
+        arrangement._count_regions = memo
+        drop_region_tables()
+
+
+def test_deletion_restriction_nests_once_per_dimension():
+    # The chain nests at most n + 1 calls deep; deleting one hyperplane per
+    # call nested 63 deep at n = 6.
+    limit = sys.getrecursionlimit()
+    drop_region_tables()
+    sys.setrecursionlimit(len(inspect.stack(0)) + 40)
+    try:
+        assert whitney_charpoly(6) == golden_chi(6)
+    finally:
+        sys.setrecursionlimit(limit)
         drop_region_tables()
 
 
@@ -208,12 +246,12 @@ def test_restriction_table_refuses_parallel_normals():
 
 @pytest.mark.long_run
 def test_deletion_restriction_a7_matches_ff():
-    # About 9-12 s with the point count, and 320 MB of memo and restriction
+    # About 7-9 s with the point count, and 66 MB of memo and restriction
     # table, which are dropped afterwards.
     drop_region_tables()
     try:
         assert whitney_charpoly(7, cap=None) == finite_field_charpoly(7)
-        assert memo_sizes() == (747587, 276008)
+        assert memo_sizes() == (68443, 272237)
     finally:
         drop_region_tables()
 
@@ -239,12 +277,30 @@ def test_point_count_matches_naive_loop():
 
 def test_point_count_across_word_boundaries():
     # A prefix's subset-sum mask takes ceil(q/64) words: one at q = 61,
-    # two at 67 and 127, three at 131 and four at 193.
+    # two at 67 and 127, three at 131, four at 193 and 17 at 1051.
     for q in (61, 67, 127, 131, 193):
         assert count_points_avoiding(3, q) == (q - 1) * (q - 3) ** 2  # chi(A_3)(q)
     chi4 = charpoly_via_nbc(4)
-    for q in (67, 131):
+    assert chi4.betti == (1, 15, 80, 170, 104)
+    for q in (67, 131, 1051):
         assert count_points_avoiding(4, q) == chi4(q)
+
+
+@pytest.mark.parametrize("q", [61, 127, 131, 193, 1051])
+def test_rotate_matches_int_rotation(q):
+    # Word-pair shifts through W = 3 words, the gather from W = 4 (q = 193);
+    # shifts by whole words (v = 64, 128, ...) included.
+    rng = random.Random(q)
+    W = -(-q // 64)
+    ints = [rng.getrandbits(q) for _ in range(400)]
+    v = [1, q - 1, *range(64, q, 64)]
+    v += [rng.randrange(1, q) for _ in range(len(ints) - len(v))]
+    masks = np.array([[x >> 64 * k & (1 << 64) - 1 for x in ints] for k in range(W)], dtype=np.uint64)
+    out = arrangement._rotate(masks, np.array(v, dtype=np.int64), q)
+    assert out.shape == masks.shape
+    for i, (x, s) in enumerate(zip(ints, v)):
+        rotated = (x >> s | x << (q - s)) & (1 << q) - 1
+        assert sum(int(out[k, i]) << 64 * k for k in range(W)) == rotated
 
 
 def test_serial_finite_field_counts_each_prime_once(monkeypatch):

@@ -313,11 +313,11 @@ EXIT_CASES = {
     "fit-coeffs-20000": (["fit-coeffs", "--i", "20000"], 1, "golden Betti values"),
     "betti-n0": (["betti", "--n", "0"], 1, "n must be positive"),
     "whitney-n0": (["regions", "--n", "0", "--method", "whitney"], 1, "n must be in 1..8, got 0"),
-    # The recursion would nest 511 calls deep; refused before any work.
+    # No other chi route reaches n = 9 to check it; refused before any work.
     "whitney-n9": (
         ["regions", "--n", "9", "--method", "whitney", "--guard-override"],
         1,
-        "deletion/restriction nests 511 calls deep at n=9",
+        "every other chi route stops at n=8",
     ),
     "betti-n64": (
         ["betti", "--n", "64", "--i-max", "1", "--guard-override"],
