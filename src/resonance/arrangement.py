@@ -138,27 +138,16 @@ def _rotate(masks, v, q):
     """Each q-bit mask, a column of ``masks``, rotated down by its own
     ``v`` in 1 .. q-1: bit j of the result is bit (j + v) mod q of the mask.
 
-    That is masks >> v | masks << (q - v), cut to q bits.  Through W = 3
-    words, word k of the first takes word k + o of the mask and of the
-    second word k - o, for o < W, by per-mask shifts (64 or more, hence 0,
-    where o joins nothing).  Past that the W**2 word pairs cost more than
-    a gather of words k + v // 64 and on of the doubled masks | masks << q.
+    That is masks >> v | masks << (q - v), cut to q bits.  Word k of the
+    first takes word k + o of the mask, and word k of the second word
+    k - o, for o = 0, 1, ..., W - 1, each by a per-mask shift; the word
+    pairs a shift does not join get an amount of 64 or more, hence 0.
     """
-    W, N = masks.shape
-    if W <= 3:
-        out = (masks >> v.astype(np.uint64)) | (masks << (q - v).astype(np.uint64))
-        for o in range(1, W):
-            out[:-o] |= _shift(masks[o:], 64 * o - v)
-            out[o:] |= _shift(masks[:-o], q - v - 64 * o)
-    else:
-        c, r = divmod(q, 64)
-        y = np.zeros((2 * W + 1, N), dtype=np.uint64)
-        y[:W] = masks
-        y[c : c + W] |= masks << np.uint64(r)
-        y[c + 1 : c + W + 1] |= masks >> np.uint64(64 - r)
-        at = (v >> 6) * N + np.arange(N) + np.arange(0, W * N, N)[:, None]  # into y.flat
-        b = (v & 63).astype(np.uint64)
-        out = y.take(at) >> b | y.take(at + N) << (np.uint64(64) - b)
+    W = len(masks)
+    out = (masks >> v.astype(np.uint64)) | (masks << (q - v).astype(np.uint64))
+    for o in range(1, W):
+        out[:-o] |= _shift(masks[o:], 64 * o - v)
+        out[o:] |= _shift(masks[:-o], q - v - 64 * o)
     out[-1] &= _ALL >> np.uint64(64 * W - q)
     return out
 
