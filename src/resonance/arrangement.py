@@ -9,7 +9,6 @@ interpolation.
 from __future__ import annotations
 
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import lru_cache, partial
 from itertools import zip_longest
@@ -304,7 +303,9 @@ def run_jobs(fn, jobs, workers: int):
     than two (0 and negative counts included), the jobs run in this
     process through ``map``; otherwise ``fn`` and the jobs must pickle.
     Where ``os.sched_getaffinity`` is missing (macOS, Windows) the
-    usable cores are ``os.cpu_count()``.
+    usable cores are ``os.cpu_count()``.  The pool module is imported
+    only when a pool starts, so a run at one worker never loads
+    ``multiprocessing``.
     """
     size = min(workers, len(jobs))
     if size > 1:
@@ -313,6 +314,8 @@ def run_jobs(fn, jobs, workers: int):
     if size <= 1:
         yield from map(fn, jobs)
         return
+    from concurrent.futures import ProcessPoolExecutor
+
     with ProcessPoolExecutor(max_workers=size) as pool:
         yield from pool.map(fn, jobs, chunksize=8)
 

@@ -1,3 +1,4 @@
+import concurrent.futures
 import random
 from itertools import combinations
 
@@ -185,7 +186,9 @@ def test_pool_size_bounded_by_jobs_and_cores(monkeypatch):
         def map(self, fn, jobs, chunksize=1):
             return map(fn, jobs)
 
-    monkeypatch.setattr(arrangement, "ProcessPoolExecutor", SerialPool)
+    # run_jobs imports the pool class when it starts one, so it reads
+    # the patched attribute of concurrent.futures.
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
     monkeypatch.setattr(arrangement.os, "sched_getaffinity", lambda pid: {0, 1, 2, 3})
     assert betti_via_nbc(3, 2, workers=10**6) == betti_via_nbc(3, 2) == [1, 7, 15]
     assert betti_via_nbc(2, 2, workers=10**6) == betti_via_nbc(2, 2)

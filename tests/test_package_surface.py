@@ -69,12 +69,9 @@ def test_every_exported_name_is_used_outside_the_tests():
     assert unused == {}
 
 
-def test_importing_the_package_loads_no_module():
-    """``import resonance`` loads no ``resonance.*`` module and no numpy."""
-    code = (
-        "import sys, resonance; print(resonance.__file__); "
-        "print(*sorted(m for m in sys.modules if m.startswith(('resonance.', 'numpy'))))"
-    )
+def _fresh_interpreter(code):
+    """The lines ``code`` prints in a new interpreter that imports the
+    package from ``src``."""
     path = os.pathsep.join(filter(None, [str(PACKAGE.parent), os.environ.get("PYTHONPATH")]))
     run = subprocess.run(
         [sys.executable, "-c", code],
@@ -83,9 +80,43 @@ def test_importing_the_package_loads_no_module():
         text=True,
         check=True,
     )
-    where, loaded = run.stdout.splitlines()
+    return run.stdout.splitlines()
+
+
+def test_importing_the_package_loads_no_module():
+    """``import resonance`` loads no ``resonance.*`` module and no numpy."""
+    code = (
+        "import sys, resonance; print(resonance.__file__); "
+        "print(*sorted(m for m in sys.modules if m.startswith(('resonance.', 'numpy'))))"
+    )
+    where, loaded = _fresh_interpreter(code)
     assert Path(where).parent == PACKAGE
     assert loaded == ""
+
+
+def test_single_worker_runs_load_no_process_pool():
+    """Every package module, ``cli`` included, and a run of each route at
+    one worker load no ``multiprocessing`` and no ``concurrent.futures``;
+    ``run_jobs`` imports the pool only when it starts one."""
+    modules = ", ".join(f"resonance.{path.stem}" for path in MODULES)
+    code = f"""
+import sys
+import {modules}
+from resonance.arrangement import enumerate_chambers_bruteforce, finite_field_charpoly
+from resonance.nbc import betti_via_nbc, charpoly_via_nbc
+from resonance.universality import embed, minor_matroid_check, verify_embedding
+
+assert enumerate_chambers_bruteforce(4) == 370
+assert finite_field_charpoly(4) == charpoly_via_nbc(4)
+matrix = [[1, 2], [3, 5]]
+emb = embed(matrix)
+assert verify_embedding(emb, matrix)[0] and minor_matroid_check(emb, matrix)
+print(*sorted(m for m in sys.modules if m.startswith(("multiprocessing", "concurrent"))))
+print(betti_via_nbc(4, 3, workers=2) == betti_via_nbc(4, 3))
+"""
+    loaded, pooled = _fresh_interpreter(code)
+    assert loaded == ""
+    assert pooled == "True"
 
 
 def test_every_public_method_is_read_outside_the_tests():
