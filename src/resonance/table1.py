@@ -2,13 +2,14 @@
 
 The table ships with the package and is never overwritten by
 computations; unknown entries are explicit Nones.  The report
-recomputes every reachable cell by at least one method and marks it
-MATCH or MISMATCH against the golden value; a region count comes from
-chi(A_n) computed by every row of ``ROUTES`` the default size guards
-allow, named as ``--method`` names it, and the routes must agree on the
-whole polynomial.  A cell beyond the default size guards is reported as
-"needs long run", and one past the range of every route as "no route
-reaches n=...": neither is attempted.
+recomputes every reachable cell by every route the default size guards
+allow: the rows of ``BETTI_ROUTES`` for b_i(A_n) (0 by the rank bound
+when n < i) and of ``ROUTES`` for chi(A_n), named as ``--method`` names
+them.  The routes must agree, on the whole polynomial for chi, and the
+value is marked MATCH or MISMATCH against the golden one.  A cell
+beyond the default size guards is reported as "needs long run", and one
+past the range of every route as "no route reaches n=...": neither is
+attempted.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from __future__ import annotations
 from . import nbc
 from .arrangement import finite_field_charpoly, region_count, whitney_charpoly
 from .errors import GuardExceeded, InternalCheckError
-from .stirling import CLOSED_BETTI, betti_closed
+from .stirling import betti_closed
 
 GOLDEN_BETTI = {
     1: {1: 1, 2: 3, 3: 7, 4: 15, 5: 31, 6: 63, 7: 127, 8: 255, 9: 511},
@@ -48,6 +49,13 @@ ROUTES = {
     "whitney": lambda n, workers, **keywords: whitney_charpoly(n, **keywords),
 }
 
+# Every route to b_i(A_n), looked up here as ``ROUTES`` are; ``betti_closed``
+# refuses an i with no ``betti{i}`` row.
+BETTI_ROUTES = {
+    "closed form": lambda i, n, workers: betti_closed(i, n),
+    "nbc": lambda i, n, workers: nbc.betti_via_nbc(n, i, workers=workers)[i],
+}
+
 
 def golden_betti(i: int, n: int):
     if i == 0 and n >= 1:
@@ -55,34 +63,24 @@ def golden_betti(i: int, n: int):
     return GOLDEN_BETTI.get(i, {}).get(n)
 
 
-def _compute_betti(i, n, workers):
-    if i in CLOSED_BETTI:
-        return betti_closed(i, n), "closed form"
-    if n < i:
-        return 0, "rank bound"
-    try:
-        return nbc.betti_via_nbc(n, i, workers=workers)[i], f"nbc depth {i}"
-    except GuardExceeded:
-        return None, "needs long run"
-    except ValueError:
-        return None, f"no route reaches n={n}"
+def _agreed(what, n, routes, *args):
+    """The value the routes that run agree on, and the routes' names.
 
-
-def _compute_regions(n, workers):
-    polys, guarded = {}, False
-    for method, route in ROUTES.items():
+    ValueError (out of range) and GuardExceeded (past its default guard) skip a route.
+    """
+    values, guarded = {}, False
+    for method, route in routes.items():
         try:
-            polys[method] = route(n, workers)
+            values[method] = route(*args)
         except GuardExceeded:
             guarded = True
         except ValueError:
             pass
-    if not polys:
+    if not values:
         return None, "needs long run" if guarded else f"no route reaches n={n}"
-    if len(set(polys.values())) > 1:
-        betti = {method: p.betti for method, p in polys.items()}
-        raise InternalCheckError(f"chi(A_{n}) differs between routes: {betti}")
-    return region_count(next(iter(polys.values()))), " + ".join(polys)
+    if len(set(values.values())) > 1:
+        raise InternalCheckError(f"{what} differs between routes: {values}")
+    return next(iter(values.values())), " + ".join(values)
 
 
 def build_report(n_max: int, i_max: int, workers: int = 1) -> dict:
@@ -94,13 +92,15 @@ def build_report(n_max: int, i_max: int, workers: int = 1) -> dict:
     cells = []
     for i in range(1, i_max + 1):
         for n in range(1, n_max + 1):
-            golden = golden_betti(i, n)
-            value, method = _compute_betti(i, n, workers)
-            cells.append(_cell(f"b{i}", n, golden, value, method))
+            if n < i:
+                value, method = 0, "rank bound"
+            else:
+                value, method = _agreed(f"b_{i}(A_{n})", n, BETTI_ROUTES, i, n, workers)
+            cells.append(_cell(f"b{i}", n, golden_betti(i, n), value, method))
     for n in range(1, n_max + 1):
-        golden = GOLDEN_REGIONS.get(n)
-        value, method = _compute_regions(n, workers)
-        cells.append(_cell("R", n, golden, value, method))
+        chi, method = _agreed(f"chi(A_{n})", n, ROUTES, n, workers)
+        value = None if chi is None else region_count(chi)
+        cells.append(_cell("R", n, GOLDEN_REGIONS.get(n), value, method))
     return {
         "n_max": n_max,
         "i_max": i_max,

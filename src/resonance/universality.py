@@ -97,21 +97,18 @@ def _blocks(cleared):
 
 
 def _clear_columns(matrix):
-    """Scale each column to integers (column scaling is matroid-invariant)."""
+    """Scale each column to integers (column scaling is matroid-invariant); rows as tuples."""
     rows = [list(r) for r in matrix]
     if not rows or not rows[0]:
         raise ValueError("matrix must be nonempty")
     if any(len(r) != len(rows[0]) for r in rows):
         raise ValueError("ragged matrix")
-    nrows, ncols = len(rows), len(rows[0])
-    out = [[0] * ncols for _ in range(nrows)]
-    for j in range(ncols):
-        col = [Fraction(rows[i][j]) for i in range(nrows)]
+    columns = []
+    for col in zip(*rows):
+        col = [Fraction(x) for x in col]
         mult = lcm(*(x.denominator for x in col))
-        for i in range(nrows):
-            v = col[i] * mult
-            out[i][j] = int(v)
-    return out
+        columns.append([int(x * mult) for x in col])
+    return tuple(zip(*columns))
 
 
 def embed(matrix, cap: int | None = GUARDS["embed_ambient"]) -> Embedding:
@@ -121,7 +118,7 @@ def embed(matrix, cap: int | None = GUARDS["embed_ambient"]) -> Embedding:
     with nonempty parts and nothing to pivot on.  ``cap`` bounds the
     ambient dimension, checked before any vector is built.
     """
-    cleared = tuple(tuple(r) for r in _clear_columns(matrix))
+    cleared = _clear_columns(matrix)
     nrows = len(cleared)
     for j, col in enumerate(zip(*cleared)):
         if not any(col):
@@ -172,7 +169,7 @@ def verify_embedding(emb: Embedding, matrix) -> tuple[bool, dict]:
     ``verified``, the executed ``pivots`` and the ``residual_matrix`` as
     far as the replay got, plus the ``failure`` reason when it fails.
     """
-    cleared = tuple(tuple(r) for r in _clear_columns(matrix))
+    cleared = _clear_columns(matrix)
     findings = {}
 
     def fail(reason):
@@ -234,7 +231,7 @@ def minor_matroid_check(emb: Embedding, matrix) -> bool:
     certificate's layout.
     """
     cleared = _clear_columns(matrix)
-    if tuple(tuple(r) for r in cleared) != emb.cleared_matrix:
+    if cleared != emb.cleared_matrix:
         return False
     r, dim = len(cleared), emb.ambient_dim
     if len(emb.carrier_vectors) != len(cleared[0]) or any(

@@ -234,10 +234,10 @@ TEXT_OUTPUT = [
     (["verify-embed", "--input", "{mat}", "--cert", "{cert}"], EMBED_TEXT + "verified: True\n"),
     (
         ["table1", "--n-max", "2", "--i-max", "2"],
-        "b1(A_1): golden=1 computed=1 [MATCH; closed form]\n"
-        "b1(A_2): golden=3 computed=3 [MATCH; closed form]\n"
-        "b2(A_1): golden=0 computed=0 [MATCH; closed form]\n"
-        "b2(A_2): golden=2 computed=2 [MATCH; closed form]\n"
+        "b1(A_1): golden=1 computed=1 [MATCH; closed form + nbc]\n"
+        "b1(A_2): golden=3 computed=3 [MATCH; closed form + nbc]\n"
+        "b2(A_1): golden=0 computed=0 [MATCH; rank bound]\n"
+        "b2(A_2): golden=2 computed=2 [MATCH; closed form + nbc]\n"
         "R(A_1): golden=2 computed=2 [MATCH; nbc + ff + whitney]\n"
         "R(A_2): golden=6 computed=6 [MATCH; nbc + ff + whitney]\n"
         "computed cells: 6, mismatches: 0\n",
@@ -530,10 +530,12 @@ def test_json_output_round_trips(tmp_path, capsys):
 
 def test_thread_count_does_not_change_output(capsys):
     # Fewer than two workers, 0 and negative counts included, run in-process.
-    argv = ["betti", "--n", "5", "--i-max", "3", "--format", "json"]
-    _, one = run_cli(capsys, *argv)
-    for threads in ("4", "0", "-3"):
-        assert run_cli(capsys, *argv, "--threads", threads) == (0, one)
+    for argv in (["betti", "--n", "5", "--i-max", "3"],
+                 ["table1", "--n-max", "4", "--i-max", "4"]):
+        argv = [*argv, "--format", "json"]
+        _, one = run_cli(capsys, *argv)
+        for threads in ("4", "0", "-3"):
+            assert run_cli(capsys, *argv, "--threads", threads) == (0, one)
 
 
 def test_ff_worker_count_does_not_change_output(capsys):
@@ -600,6 +602,16 @@ def test_table1_region_routes_must_agree_on_chi(monkeypatch):
         build_report(4, 1)
 
 
+def test_table1_betti_routes_must_agree(monkeypatch):
+    from resonance import table1 as t1
+
+    exact = t1.betti_closed
+    monkeypatch.setattr(t1, "betti_closed", lambda i, n: exact(i, n) + ((i, n) == (3, 4)))
+    assert build_report(3, 3)["mismatches"] == 0
+    with pytest.raises(InternalCheckError, match="b_3\\(A_4\\) differs"):
+        build_report(4, 3)
+
+
 def test_table1_region_row_through_six(capsys):
     code, out = run_cli(capsys, "table1", "--n-max", "6", "--i-max", "4", "--format", "json")
     assert code == 0
@@ -631,6 +643,13 @@ def test_table1_depth_limited_row(capsys):
 
 def test_table1_guards_refuse_n9_cells():
     # No route reaches n = 9, so these cells do no work; the guards refuse n = 8.
-    assert table1._compute_regions(9, 1) == (None, "no route reaches n=9")
-    assert table1._compute_betti(4, 9, 1) == (None, "no route reaches n=9")
-    assert table1._compute_regions(8, 1) == (None, "needs long run")
+    chi, betti = table1.ROUTES, table1.BETTI_ROUTES
+    assert table1._agreed("chi", 9, chi, 9, 1) == (None, "no route reaches n=9")
+    assert table1._agreed("b_4", 9, betti, 4, 9, 1) == (None, "no route reaches n=9")
+    assert table1._agreed("chi", 8, chi, 8, 1) == (None, "needs long run")
+    assert table1._agreed("b_4", 8, betti, 4, 8, 1) == (None, "needs long run")
+    # Both Betti routes run through n = 7; past it only the closed form does.
+    assert table1._agreed("b_3", 7, betti, 3, 7, 1) == (215439, "closed form + nbc")
+    assert table1._agreed("b_3", 8, betti, 3, 8, 1) == (1957200, "closed form")
+    b2_a1 = next(c for c in build_report(1, 2)["cells"] if c["row"] == "b2")
+    assert (b2_a1["computed"], b2_a1["method"]) == ("0", "rank bound")
